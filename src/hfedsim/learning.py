@@ -1,7 +1,15 @@
-"""Small trainable models, the regularized local objective, SGD loops, evaluation.
+"""Small trainable models, the regularized local objective, local SGD, evaluation.
 
 Model parameters are flat float64 vectors of length ``arch.param_count``;
 every function here is pure and deterministic given its inputs and seed.
+
+There is one SGD loop, `local_train_cohort`. It trains K devices in lockstep,
+holding their parameters as one [K, param_count] array: each step gathers a
+[K, b, d] stack of batches, every device in its own seeded order, and runs the
+forward and backward passes as stacked matmuls. np.matmul runs one gemm per
+slice and every other operation acts on each slice alone, so each row is
+bit-identical to training that device by itself. `local_train` is the K = 1
+case plus the full-shard gradient at the final point.
 """
 
 from __future__ import annotations
@@ -87,17 +95,21 @@ def init_params(arch: ModelArch, seed: int) -> np.ndarray:
 
 
 def unpack(arch: ModelArch, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a flat parameter vector into per-layer (W [fan_in, fan_out], b [fan_out]) views."""
-    if params.shape != (arch.param_count,):
+    """Per-layer (W [..., fan_in, fan_out], b [..., 1, fan_out]) views of params [..., P].
+
+    A flat vector gives one model's layers; a [K, P] stack gives K models' layers.
+    """
+    if params.ndim > 2 or params.shape[-1:] != (arch.param_count,):
         raise ConfigurationError(
-            f"expected {arch.param_count} parameters, got shape {params.shape}"
+            f"expected {arch.param_count} parameters per model, got shape {params.shape}"
         )
+    lead = params.shape[:-1]
     out = []
     pos = 0
     for fan_in, fan_out in arch.layers:
-        w = params[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = params[..., pos : pos + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         pos += fan_in * fan_out
-        b = params[pos : pos + fan_out]
+        b = params[..., None, pos : pos + fan_out]
         pos += fan_out
         out.append((w, b))
     return out
@@ -123,42 +135,46 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _loss_grad_xy(
-    params: np.ndarray, arch: ModelArch, x: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Hot path shared by loss_and_grad and the SGD loop; skips revalidation."""
-    layers = unpack(arch, params)
+def _loss_grad_stacked(
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    arch: ModelArch,
+    x: np.ndarray,
+    y: np.ndarray,
+    with_loss: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Mean cross-entropy and its gradient for K models, each on its own batch.
+
+    ``layers`` come from `unpack` of a [K, P] stack; x is [K, b, d] and y is
+    [K, b]. Every operation acts on each [b, ...] slice alone (np.matmul runs
+    one gemm per slice), so row k is bit-identical to the same model on the
+    same batch computed with K = 1. Returns (loss [K] or None, grad [K, P]).
+    """
+    k, n = y.shape
+    pick = (np.arange(k)[:, None], np.arange(n), y)
     if arch.kind == "logistic":
         (w, b), = layers
-        h = None
         logits = x @ w + b
     else:
         (w1, b1), (w2, b2) = layers
         h = np.tanh(x @ w1 + b1)
         logits = h @ w2 + b2
 
-    n = len(y)
-    rows = np.arange(n)
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=2, keepdims=True)
     probs = np.exp(shifted)
-    norm = probs.sum(axis=1)
-    loss = float((np.log(norm) - shifted[rows, y]).mean())
+    norm = probs.sum(axis=2)
+    loss = (np.log(norm) - shifted[pick]).mean(axis=1) if with_loss else None
 
-    dlogits = probs / norm[:, None]
-    dlogits[rows, y] -= 1.0
+    dlogits = probs / norm[:, :, None]
+    dlogits[pick] -= 1.0
     dlogits /= n
 
+    xt = x.transpose(0, 2, 1)
     if arch.kind == "logistic":
-        dw = x.T @ dlogits
-        db = dlogits.sum(axis=0)
-        return loss, np.concatenate([dw.ravel(), db])
-
-    dw2 = h.T @ dlogits
-    db2 = dlogits.sum(axis=0)
-    dh = (dlogits @ w2.T) * (1.0 - h * h)
-    dw1 = x.T @ dh
-    db1 = dh.sum(axis=0)
-    return loss, np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
+        parts = (xt @ dlogits, dlogits.sum(axis=1))
+    else:
+        dh = (dlogits @ w2.transpose(0, 2, 1)) * (1.0 - h * h)
+        parts = (xt @ dh, dh.sum(axis=1), h.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1))
+    return loss, np.concatenate([p.reshape(k, -1) for p in parts], axis=1)
 
 
 def loss_and_grad(
@@ -169,7 +185,11 @@ def loss_and_grad(
         raise ConfigurationError(
             f"features have dim {batch.features.shape[1]}, arch expects {arch.input_dim}"
         )
-    return _loss_grad_xy(params, arch, batch.features, batch.labels)
+    loss, grad = _loss_grad_stacked(
+        unpack(arch, params[None]), arch,
+        batch.features[None], batch.labels[None], with_loss=True,
+    )
+    return float(loss[0]), grad[0]
 
 
 def grad_regularized(
@@ -188,14 +208,69 @@ def grad_regularized(
     return grad
 
 
-def _batches(rng: np.random.Generator, n: int, batch_size: int):
-    """Per-epoch batch index lists: seeded permutation, sorted within each batch.
+def _batches(rngs: list[np.random.Generator], n: int, batch_size: int) -> list[np.ndarray]:
+    """One epoch of batch indices [K, b]: row k is a seeded permutation from rngs[k],
+    cut into batches and sorted within each batch.
 
     Sorting inside a batch keeps summation order independent of the shuffle, so
     a full-batch step is bit-identical to an unshuffled gradient step.
     """
-    perm = rng.permutation(n)
-    return [np.sort(perm[k : k + batch_size]) for k in range(0, n, batch_size)]
+    perms = np.stack([rng.permutation(n) for rng in rngs])
+    return [np.sort(perms[:, k : k + batch_size], axis=1) for k in range(0, n, batch_size)]
+
+
+def local_train_cohort(
+    start: np.ndarray,
+    anchor: np.ndarray,
+    arch: ModelArch,
+    shards: list[Shard],
+    cfg: TrainConfig,
+    seeds: list[int],
+) -> np.ndarray:
+    """Run ``cfg.epochs`` of mini-batch SGD for K devices in lockstep.
+
+    Row k starts from ``start``, is anchored at ``anchor``, trains on
+    ``shards[k]`` and draws its batch order from ``seeds[k]``. All shards hold
+    the same number of samples, so every step moves all K rows at once. Returns
+    the final parameters [K, P]; row k is bit-identical to training device k
+    alone.
+
+    A row that diverges keeps running: the update never turns a non-finite
+    weight finite again, so `raise_if_diverged` on a final row tells whether
+    that device diverged at any step.
+    """
+    if start.shape != anchor.shape:
+        raise ConfigurationError("start and anchor lengths differ")
+    if not shards or len(shards) != len(seeds):
+        raise ConfigurationError("need one seed per shard and at least one shard")
+    n = shards[0].n
+    for shard in shards:
+        if shard.n != n:
+            raise ConfigurationError("cohort shards must hold the same number of samples")
+        if shard.features.shape[1] != arch.input_dim:
+            raise ConfigurationError("shard input_dim does not match architecture")
+    k = len(shards)
+    rows = np.arange(k)[:, None]
+    features = np.stack([s.features for s in shards])
+    labels = np.stack([s.labels for s in shards])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    params = np.repeat(start[None, :], k, axis=0)
+    layers = unpack(arch, params)  # views: they follow the in-place updates
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            for idx in _batches(rngs, n, cfg.batch_size):
+                _, grad = _loss_grad_stacked(layers, arch, features[rows, idx], labels[rows, idx])
+                if cfg.rho != 0.0:
+                    grad += cfg.rho * (params - anchor)
+                params -= cfg.gamma * grad
+    return params
+
+
+def raise_if_diverged(params: np.ndarray, device_id: int | None = None) -> None:
+    """Raise NumericDivergenceError if a trained parameter vector is not all finite."""
+    if not np.isfinite(params).all():
+        who = "device" if device_id is None else f"device {device_id}"
+        raise NumericDivergenceError(f"non-finite weights while training {who}")
 
 
 def local_train(
@@ -207,28 +282,14 @@ def local_train(
     seed: int,
     device_id: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``cfg.epochs`` of mini-batch SGD on the anchored objective.
+    """Run ``cfg.epochs`` of mini-batch SGD on the anchored objective for one device.
 
     Returns the final parameter vector and the full-shard gradient of the
     anchored objective at that final point (the gradient reported upstream).
     """
-    if start.shape != anchor.shape:
-        raise ConfigurationError("start and anchor lengths differ")
-    if shard.features.shape[1] != arch.input_dim:
-        raise ConfigurationError("shard input_dim does not match architecture")
-    rng = np.random.default_rng(seed)
-    params = start.copy()
-    for _ in range(cfg.epochs):
-        for idx in _batches(rng, shard.n, cfg.batch_size):
-            _, grad = _loss_grad_xy(params, arch, shard.features[idx], shard.labels[idx])
-            if cfg.rho != 0.0:
-                grad += cfg.rho * (params - anchor)
-            params -= cfg.gamma * grad
-            if not np.isfinite(params).all():
-                who = "device" if device_id is None else f"device {device_id}"
-                raise NumericDivergenceError(f"non-finite weights while training {who}")
-    last_grad = grad_regularized(params, anchor, arch, shard, cfg.rho)
-    return params, last_grad
+    params = local_train_cohort(start, anchor, arch, [shard], cfg, [seed])[0]
+    raise_if_diverged(params, device_id)
+    return params, grad_regularized(params, anchor, arch, shard, cfg.rho)
 
 
 def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, float]:

@@ -5,6 +5,13 @@ and advances a (time, seq)-ordered event heap. Everything stochastic draws
 from a single seeded generator inside the event loop, so a (config, seed)
 pair fully determines the trace.
 
+Local training runs when a gateway dispatches, not when the model reaches the
+device. A device's round depends only on the anchor (the gateway model it is
+sent), its shard and its seed. All three are fixed at dispatch: the seed comes
+from the device's round count and its shard refreshes only on upload. So the
+devices of one dispatch train together in lockstep (`local_train_cohort`),
+and the trace is the same as if each had trained alone on arrival.
+
 Modes:
   async-sched          asynchronous tiers + utility/latency scheduling (selection
                        ILP at gateways, association program at the cloud)
@@ -26,8 +33,18 @@ from enum import Enum
 import numpy as np
 
 from .data import DataSpec, FederatedDataset, refresh_shard
-from .errors import ConfigurationError
-from .learning import ModelArch, Shard, TrainConfig, evaluate, init_params, local_train, loss_and_grad
+from .errors import ConfigurationError, NumericDivergenceError
+from .learning import (
+    ModelArch,
+    Shard,
+    TrainConfig,
+    evaluate,
+    grad_regularized,
+    init_params,
+    local_train_cohort,
+    loss_and_grad,
+    raise_if_diverged,
+)
 from .network import LatencyTracker, Topology, est_rate, sample_round_latency
 from .selection import (
     AssociationInstance,
@@ -55,6 +72,9 @@ MODES = (
 ASYNC_GATEWAY_MODES = ("async-sched", "async-random", "async-hl")
 SYNC_GATEWAY_MODES = ("sync-random", "sync-gw-async-cloud")
 WARMUP_MODES = ("async-sched", "async-hl")
+# Devices trained in one stacked pass. Larger blocks gain little speed and
+# raise peak memory.
+COHORT_BLOCK = 8
 
 
 def staleness(q: float, delta: int) -> float:
@@ -333,7 +353,7 @@ class _Simulation:
 
     def _assert_finite(self, params: np.ndarray, where: str) -> None:
         if not np.isfinite(params).all():
-            raise ConfigurationError(f"non-finite model after aggregation at {where}")
+            raise NumericDivergenceError(f"non-finite model after aggregation at {where}")
 
     # ---- utilities and rates ----------------------------------------------
 
@@ -400,7 +420,34 @@ class _Simulation:
                 load += r
         return chosen
 
+    def _train_cohort(self, anchor: np.ndarray, device_ids: list[int]) -> dict[int, np.ndarray]:
+        """Final local parameters of each device, trained in blocks that share a shard size."""
+        by_n: dict[int, list[int]] = {}
+        for i in device_ids:
+            by_n.setdefault(self.devices[i].shard.n, []).append(i)
+        finals = {}
+        for ids in by_n.values():
+            for k in range(0, len(ids), COHORT_BLOCK):
+                block = ids[k : k + COHORT_BLOCK]
+                devs = [self.devices[i] for i in block]
+                rows = local_train_cohort(
+                    anchor, anchor, self.arch, [d.shard for d in devs], self.cfg.train,
+                    [self._train_seed(d.id, d.rounds_started) for d in devs],
+                )
+                # One copy per device: a row view would keep its whole block
+                # alive until the block's last flight lands, and raise peak memory.
+                finals.update((i, row.copy()) for i, row in zip(block, rows))
+        return finals
+
     def dispatch(self, gw: GatewayState, device_ids: list[int], stamp: dict) -> None:
+        """Send the gateway model to each device and train them all now.
+
+        Training at dispatch gives the same result as training when the model
+        arrives: the anchor, the seed (from `rounds_started`) and the shard are
+        all fixed here, because a device's shard refreshes only on its upload.
+        The final parameters ride in the event payload.
+        """
+        finals = self._train_cohort(gw.params, device_ids)
         for i in device_ids:
             dev = self.devices[i]
             assert not dev.busy, "dispatch to a busy device"
@@ -421,7 +468,8 @@ class _Simulation:
                 device=i,
                 gateway=gw.id,
                 flight=flight,
-                params=gw.params,
+                anchor=gw.params,
+                params=finals[i],
                 comp=comp,
                 up=up,
                 observed_tau=total,
@@ -468,10 +516,18 @@ class _Simulation:
         for gw in self.gateways:
             self.gateway_dispatch(gw)
 
-    def _record_gradient(self, device: int, grad: np.ndarray) -> int:
-        """Store the reported gradient; returns the overhead bytes it cost."""
+    def _record_gradient(self, device: int, params: np.ndarray, anchor: np.ndarray) -> int:
+        """Store the gradient the device reports with its upload; returns its overhead bytes.
+
+        The gradient is the anchored objective's, on the full shard, at the
+        trained parameters. The shard has not refreshed yet, so it is the one
+        the device trained on.
+        """
         if self.mode != "async-sched":
             return 0
+        grad = grad_regularized(
+            params, anchor, self.arch, self.devices[device].shard, self.cfg.train.rho
+        )
         if self.pca_model is not None:
             vec, compressed = pca_project(self.pca_model, grad), True
         else:
@@ -671,18 +727,21 @@ class _Simulation:
             self._start_semi_window(gw)
 
     def on_device_model_arrives(self, ev: Event) -> None:
+        """The device starts its round; its training already ran at dispatch.
+
+        A divergence raises here, when the model reaches the device, so a
+        flight that a fault voided never raises.
+        """
         i = ev.payload["device"]
-        dev = self.devices[i]
-        if ev.payload["flight"] != dev.active_flight:
+        if ev.payload["flight"] != self.devices[i].active_flight:
             return  # flight voided by a fault
-        anchor = ev.payload["params"]
-        seed = self._train_seed(i, dev.rounds_started - 1)
-        final, last_grad = local_train(
-            anchor, anchor, self.arch, dev.shard, self.cfg.train, seed, device_id=i
-        )
+        raise_if_diverged(ev.payload["params"], device_id=i)
         payload = dict(ev.payload)
-        payload.update(params=final, grad=last_grad)
         del payload["comp"], payload["up"]
+        if self.mode != "async-sched":
+            # Only the reported gradient needs the anchor; dropping it lets an
+            # outdated gateway model be freed while the upload is in the air.
+            del payload["anchor"]
         self.schedule(
             ev.payload["comp"] + ev.payload["up"],
             EventKind.DEVICE_UPLOAD_ARRIVES,
@@ -703,7 +762,7 @@ class _Simulation:
 
         overhead = 0
         if self.mode == "async-sched":
-            overhead = self._record_gradient(i, ev.payload["grad"])
+            overhead = self._record_gradient(i, ev.payload["params"], ev.payload["anchor"])
         elif self.mode == "async-hl":
             dev.last_loss, _ = loss_and_grad(ev.payload["params"], self.arch, dev.shard)
         self.charge(

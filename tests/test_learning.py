@@ -10,7 +10,9 @@ from hfedsim.learning import (
     grad_regularized,
     init_params,
     local_train,
+    local_train_cohort,
     loss_and_grad,
+    raise_if_diverged,
 )
 
 
@@ -218,3 +220,103 @@ class TestEvaluate:
                       np.arange(10) % k)
         _, loss = evaluate(np.zeros(arch.param_count), arch, shard)
         assert loss == pytest.approx(np.log(k), abs=1e-12)
+
+
+def reference_sgd(start, anchor, arch, shard, cfg, seed):
+    """One device's SGD with 2-D arrays only: the unbatched loop the cohort trainer replaces."""
+    rng = np.random.default_rng(seed)
+    params = start.copy()
+    bounds = np.cumsum([fi * fo + fo for fi, fo in arch.layers])[:-1]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(shard.n)
+        for k in range(0, shard.n, cfg.batch_size):
+            idx = np.sort(perm[k : k + cfg.batch_size])
+            x, y = shard.features[idx], shard.labels[idx]
+            chunks = np.split(params, bounds)
+            layers = [
+                (c[: fi * fo].reshape(fi, fo), c[fi * fo :])
+                for c, (fi, fo) in zip(chunks, arch.layers)
+            ]
+            if arch.kind == "logistic":
+                (w, b), = layers
+                logits = x @ w + b
+            else:
+                (w1, b1), (w2, b2) = layers
+                h = np.tanh(x @ w1 + b1)
+                logits = h @ w2 + b2
+            rows = np.arange(len(y))
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            probs = np.exp(shifted)
+            dlogits = probs / probs.sum(axis=1)[:, None]
+            dlogits[rows, y] -= 1.0
+            dlogits /= len(y)
+            if arch.kind == "logistic":
+                grad = np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+            else:
+                dh = (dlogits @ w2.T) * (1.0 - h * h)
+                grad = np.concatenate([
+                    (x.T @ dh).ravel(), dh.sum(axis=0),
+                    (h.T @ dlogits).ravel(), dlogits.sum(axis=0),
+                ])
+            if cfg.rho != 0.0:
+                grad += cfg.rho * (params - anchor)
+            params -= cfg.gamma * grad
+    return params
+
+
+class TestLocalTrainCohort:
+    """Each row of the lockstep trainer equals that device trained alone, bit for bit."""
+
+    def _cohort(self, kind, k, n, seed=0):
+        rng = np.random.default_rng(seed)
+        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5)
+        shards = [
+            Shard(rng.normal(0, 1, (n, 4)), rng.integers(0, 3, n)) for _ in range(k)
+        ]
+        seeds = [int(s) for s in rng.integers(0, 2**32, k)]
+        start = init_params(arch, seed)
+        return arch, shards, seeds, start, start + rng.normal(0, 0.2, start.shape)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("k", [1, 2, 8, 9, 20])
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TrainConfig(gamma=0.1, rho=0.0, epochs=2, batch_size=5),
+            TrainConfig(gamma=0.1, rho=0.3, epochs=2, batch_size=5),
+            TrainConfig(gamma=0.0, rho=0.3, epochs=1, batch_size=4),
+        ],
+        ids=["rho0", "rho", "gamma0"],
+    )
+    def test_rows_match_sequential(self, kind, k, cfg):
+        n = 13  # not a multiple of either batch size: every epoch ends on a short batch
+        arch, shards, seeds, start, anchor = self._cohort(kind, k, n, seed=k)
+        rows = local_train_cohort(start, anchor, arch, shards, cfg, seeds)
+        assert rows.shape == (k, arch.param_count)
+        for row, shard, seed in zip(rows, shards, seeds):
+            final, _ = local_train(start, anchor, arch, shard, cfg, seed)
+            assert np.array_equal(row, final)
+            assert np.array_equal(row, reference_sgd(start, anchor, arch, shard, cfg, seed))
+
+    def test_diverging_row_leaves_the_others_intact(self):
+        arch, shards, seeds, start, anchor = self._cohort("logistic", 5, 12, seed=3)
+        bad = 2
+        shards[bad] = Shard(shards[bad].features * 1e200, shards[bad].labels)
+        cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
+        rows = local_train_cohort(start, anchor, arch, shards, cfg, seeds)
+        with pytest.raises(NumericDivergenceError, match="device 42"):
+            raise_if_diverged(rows[bad], device_id=42)
+        with pytest.raises(NumericDivergenceError, match="device 42"):
+            local_train(start, anchor, arch, shards[bad], cfg, seeds[bad], device_id=42)
+        for k in range(5):
+            if k != bad:
+                raise_if_diverged(rows[k], device_id=k)
+                final, _ = local_train(start, anchor, arch, shards[k], cfg, seeds[k])
+                assert np.array_equal(rows[k], final)
+
+    def test_unequal_shard_sizes_rejected(self):
+        arch, shards, seeds, start, _ = self._cohort("logistic", 2, 6)
+        shards[1] = Shard(shards[1].features[:5], shards[1].labels[:5])
+        cfg = TrainConfig(gamma=0.1, rho=0.0, epochs=1, batch_size=2)
+        with pytest.raises(ConfigurationError, match="same number of samples"):
+            local_train_cohort(start, start, arch, shards, cfg, seeds)

@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 
 from hfedsim.data import DataSpec, gen_synthetic
-from hfedsim.errors import ConfigurationError
-from hfedsim.learning import ModelArch, TrainConfig, init_params, loss_and_grad
+from hfedsim import simulator
+from hfedsim.errors import ConfigurationError, NumericDivergenceError
+from hfedsim.learning import (
+    ModelArch,
+    Shard,
+    TrainConfig,
+    init_params,
+    local_train_cohort,
+    loss_and_grad,
+)
 from hfedsim.network import FaultEvent
 from hfedsim.simulator import (
     MODES,
@@ -289,3 +297,94 @@ class TestSchedulerIntegration:
             elif t.kind == "device_upload":
                 in_flight.discard(t.src)
         assert result.cloud_epochs_done == 20
+
+
+def _outputs(cfg):
+    """The determinism contract: trace CSV, byte counters and final parameters."""
+    r = run(cfg)
+    return r.trace.to_csv(), r.bytes_total, r.bytes_overhead, r.final_params.tobytes()
+
+
+def _mlp_unequal_shards():
+    """MLP async-sched run whose shards hold 24, 20 or 17 samples."""
+    cfg = small_config(
+        mode="async-sched", seed=17,
+        arch=ModelArch("mlp", input_dim=3, num_classes=4, hidden_dim=5),
+    )
+    sizes = [24, 20, 24, 17, 20, 24]
+    cfg.dataset.shards = [
+        Shard(s.features[:m], s.labels[:m]) for s, m in zip(cfg.dataset.shards, sizes)
+    ]
+    return cfg
+
+
+def _refresh_with_faults():
+    """Sync cohorts with per-upload shard refresh and a drop/restore/slowdown schedule."""
+    spec = DataSpec(
+        num_devices=8, num_classes=4, classes_per_device=2,
+        samples_per_device=21, input_dim=3, cluster_spread=0.4, refresh=True,
+    )
+    faults = [
+        FaultEvent(1.5, 1, "drop"),  # voids device 1's first flight
+        FaultEvent(30.0, 1, "restore"),
+        FaultEvent(10.0, 4, "slowdown", 3.0),
+        FaultEvent(60.0, 4, "restore"),
+    ]
+    cfg = small_config(
+        mode="sync-random", n=8, seed=23, topology=uniform_topology(8, 2, sigma=0.5, faults=faults),
+    )
+    cfg.dataset = gen_synthetic(spec, seed=23)
+    cfg.data_spec = spec
+    return cfg
+
+
+class TestCohortTraining:
+    """Training each dispatch's devices in lockstep blocks changes no output."""
+
+    @pytest.mark.parametrize(
+        "make_cfg",
+        [*(lambda m=m: small_config(mode=m, seed=19) for m in MODES),
+         _mlp_unequal_shards, _refresh_with_faults],
+        ids=[*MODES, "mlp-unequal-shards", "refresh-faults"],
+    )
+    def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg):
+        sizes = []
+
+        def spy(start, anchor, arch, shards, cfg, seeds):
+            sizes.append(len(shards))
+            return local_train_cohort(start, anchor, arch, shards, cfg, seeds)
+
+        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        batched = _outputs(make_cfg())
+        assert max(sizes) > 1
+        sizes.clear()
+        monkeypatch.setattr(simulator, "COHORT_BLOCK", 1)
+        assert _outputs(make_cfg()) == batched
+        assert max(sizes) == 1
+
+    def test_diverging_device_is_named(self):
+        cfg = small_config(mode="sync-random", seed=4)
+        bad = cfg.dataset.shards[2]
+        cfg.dataset.shards[2] = Shard(bad.features * 1e200, bad.labels)
+        with pytest.raises(NumericDivergenceError, match="device 2"):
+            run(cfg)
+
+    def test_voided_flight_never_raises(self):
+        # Device 0 diverges on its first round, but it drops before the model
+        # reaches it (dispatch at 0.5 s, arrival at 2.5 s) and never returns.
+        topo = uniform_topology(3, 1, sigma=0.0, faults=[FaultEvent(1.0, 0, "drop")])
+        cfg = small_config(mode="sync-random", n=3, g=1, topology=topo, seed=1,
+                           gateway_epochs=2, cloud_epochs=6)
+        bad = cfg.dataset.shards[0]
+        cfg.dataset.shards[0] = Shard(bad.features * 1e200, bad.labels)
+        result = run(cfg)
+        assert result.cloud_epochs_done == 6
+        assert [t.time for t in result.transfers if t.dst == "dev0"] == [0.5]
+
+
+class TestNonFiniteAggregate:
+    def test_raises_numeric_divergence(self):
+        sim = simulator._Simulation(small_config(mode="async-random"))
+        incoming = np.full_like(sim.cloud_params, np.inf)
+        with pytest.raises(NumericDivergenceError, match="after aggregation at cloud"):
+            sim._cloud_async_aggregate(incoming, tau_stamp=0)
