@@ -115,13 +115,16 @@ def unpack(arch: ModelArch, params: np.ndarray) -> list[tuple[np.ndarray, np.nda
     return out
 
 
-def _forward(arch: ModelArch, params: np.ndarray, x: np.ndarray):
-    """Return (logits, hidden_activation_or_None)."""
-    if x.shape[1] != arch.input_dim:
+def _forward(
+    layers: list[tuple[np.ndarray, np.ndarray]], arch: ModelArch, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Logits [K, b, C] of K models, each on its own batch x [K, b, d]; and the
+    tanh hidden layer (None for logistic). ``layers`` come from `unpack` of a [K, P] stack.
+    """
+    if x.shape[-1] != arch.input_dim:
         raise ConfigurationError(
-            f"features have dim {x.shape[1]}, arch expects {arch.input_dim}"
+            f"features have dim {x.shape[-1]}, arch expects {arch.input_dim}"
         )
-    layers = unpack(arch, params)
     if arch.kind == "logistic":
         (w, b), = layers
         return x @ w + b, None
@@ -130,9 +133,17 @@ def _forward(arch: ModelArch, params: np.ndarray, x: np.ndarray):
     return h @ w2 + b2, h
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted logits, their exponentials, and the sums of those over classes."""
+    shifted = logits - logits.max(axis=2, keepdims=True)
+    probs = np.exp(shifted)
+    return shifted, probs, probs.sum(axis=2)
+
+
+def _mean_nll(shifted: np.ndarray, norm: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy [K] of each model on its labels y [K, b]."""
+    k, n = y.shape
+    return (np.log(norm) - shifted[np.arange(k)[:, None], np.arange(n), y]).mean(axis=1)
 
 
 def _loss_grad_stacked(
@@ -150,28 +161,19 @@ def _loss_grad_stacked(
     same batch computed with K = 1. Returns (loss [K] or None, grad [K, P]).
     """
     k, n = y.shape
-    pick = (np.arange(k)[:, None], np.arange(n), y)
-    if arch.kind == "logistic":
-        (w, b), = layers
-        logits = x @ w + b
-    else:
-        (w1, b1), (w2, b2) = layers
-        h = np.tanh(x @ w1 + b1)
-        logits = h @ w2 + b2
-
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    probs = np.exp(shifted)
-    norm = probs.sum(axis=2)
-    loss = (np.log(norm) - shifted[pick]).mean(axis=1) if with_loss else None
+    logits, h = _forward(layers, arch, x)
+    shifted, probs, norm = _softmax_terms(logits)
+    loss = _mean_nll(shifted, norm, y) if with_loss else None
 
     dlogits = probs / norm[:, :, None]
-    dlogits[pick] -= 1.0
+    dlogits[np.arange(k)[:, None], np.arange(n), y] -= 1.0
     dlogits /= n
 
     xt = x.transpose(0, 2, 1)
     if arch.kind == "logistic":
         parts = (xt @ dlogits, dlogits.sum(axis=1))
     else:
+        w2 = layers[1][0]
         dh = (dlogits @ w2.transpose(0, 2, 1)) * (1.0 - h * h)
         parts = (xt @ dh, dh.sum(axis=1), h.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1))
     return loss, np.concatenate([p.reshape(k, -1) for p in parts], axis=1)
@@ -181,10 +183,6 @@ def loss_and_grad(
     params: np.ndarray, arch: ModelArch, batch: Shard
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its analytic gradient."""
-    if batch.features.shape[1] != arch.input_dim:
-        raise ConfigurationError(
-            f"features have dim {batch.features.shape[1]}, arch expects {arch.input_dim}"
-        )
     loss, grad = _loss_grad_stacked(
         unpack(arch, params[None]), arch,
         batch.features[None], batch.labels[None], with_loss=True,
@@ -293,10 +291,11 @@ def local_train(
 
 
 def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, float]:
-    """Accuracy (argmax-correct fraction) and mean cross-entropy on a test shard."""
-    logits, _ = _forward(arch, params, test.features)
-    logp = _log_softmax(logits)
-    preds = logits.argmax(axis=1)
-    acc = float((preds == test.labels).mean())
-    loss = float(-logp[np.arange(test.n), test.labels].mean())
-    return acc, loss
+    """Accuracy (argmax-correct fraction) and mean cross-entropy on a test shard.
+
+    The forward pass and the loss are `loss_and_grad`'s at K = 1, without the gradient.
+    """
+    logits, _ = _forward(unpack(arch, params[None]), arch, test.features[None])
+    shifted, _, norm = _softmax_terms(logits)
+    acc = float((logits[0].argmax(axis=1) == test.labels).mean())
+    return acc, float(_mean_nll(shifted, norm, test.labels[None])[0])

@@ -153,9 +153,6 @@ class Topology:
     def devices_of(self, gateway: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.association[:, gateway])]
 
-    def is_dropped(self, device: int) -> bool:
-        return not self.feasible[device].any() and self._initial_feasible[device].any()
-
     # -- delays -------------------------------------------------------------
 
     def delay_params(self, device: int, gateway: int) -> DelayParams:
@@ -178,19 +175,6 @@ class Topology:
             self._slow_factor[fault.device] = 1.0
         else:  # slowdown
             self._slow_factor[fault.device] = fault.factor
-
-
-def apply_fault_schedule(topo: Topology, schedule: list[FaultEvent], now: float) -> int:
-    """Apply every not-yet-applied fault with time <= now; returns how many fired.
-
-    The schedule list is consumed in place (applied entries removed) so the
-    caller can hold one sorted list for the whole run.
-    """
-    fired = 0
-    while schedule and schedule[0].time <= now:
-        topo.apply_fault(schedule.pop(0))
-        fired += 1
-    return fired
 
 
 # -- serialization ------------------------------------------------------------

@@ -12,22 +12,37 @@ from the device's round count and its shard refreshes only on upload. So the
 devices of one dispatch train together in lockstep (`local_train_cohort`),
 and the trace is the same as if each had trained alone on arrival.
 
-Modes:
-  async-sched          asynchronous tiers + utility/latency scheduling (selection
-                       ILP at gateways, association program at the cloud)
-  async-random         asynchronous tiers, random selection and association
-  async-hl             asynchronous tiers, highest-local-loss-first selection
-  sync-random          both tiers barrier-synchronize, FedAvg weighting
-  semi-async           gateways aggregate the uploads buffered within a waiting
-                       window; cloud synchronous; late uploads join the next window
-  sync-gw-async-cloud  gateways barrier-synchronize, cloud aggregates asynchronously
+Modes. A mode is one row of `MODES`: a policy on each of three axes.
+  gateway   async    staleness-discounted step per device upload; uploads to
+                     the cloud after Z of them
+            barrier  FedAvg once every device of the round has uploaded or
+                     dropped; Z rounds per cloud upload
+            window   FedAvg of the uploads buffered within a waiting window,
+                     each discounted by how many windows late it is
+  cloud     broadcast  staleness-discounted step per gateway upload, new model
+                       sent to every gateway
+            reply      the same step, new model sent to the uploader only
+            barrier    FedAvg once every gateway has uploaded, sent to all
+  selector  utility  warmup sweep, then the bandwidth knapsack on learning
+                     utility and latency at gateways (PCA-compressed gradients
+                     ride on uploads) and the min-max association at the cloud
+            loss     warmup sweep, then highest last local loss first
+            random   random fill of the bandwidth cap, random association
+
+  mode                 gateway  cloud      selector
+  async-sched          async    broadcast  utility
+  async-random         async    broadcast  random
+  async-hl             async    broadcast  loss
+  sync-random          barrier  barrier    random
+  semi-async           window   barrier    random
+  sync-gw-async-cloud  barrier  reply      random
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -61,17 +76,24 @@ from .utility import (
     pca_project,
 )
 
-MODES = (
-    "async-sched",
-    "async-random",
-    "async-hl",
-    "sync-random",
-    "semi-async",
-    "sync-gw-async-cloud",
-)
-ASYNC_GATEWAY_MODES = ("async-sched", "async-random", "async-hl")
-SYNC_GATEWAY_MODES = ("sync-random", "sync-gw-async-cloud")
-WARMUP_MODES = ("async-sched", "async-hl")
+
+@dataclass(frozen=True)
+class Policy:
+    """How a mode aggregates at each tier and picks devices (see the module docstring)."""
+
+    gateway: str  # async | barrier | window
+    cloud: str  # broadcast | reply | barrier
+    selector: str  # utility | loss | random
+
+
+MODES: dict[str, Policy] = {
+    "async-sched": Policy("async", "broadcast", "utility"),
+    "async-random": Policy("async", "broadcast", "random"),
+    "async-hl": Policy("async", "broadcast", "loss"),
+    "sync-random": Policy("barrier", "barrier", "random"),
+    "semi-async": Policy("window", "barrier", "random"),
+    "sync-gw-async-cloud": Policy("barrier", "reply", "random"),
+}
 # Devices trained in one stacked pass. Larger blocks gain little speed and
 # raise peak memory.
 COHORT_BLOCK = 8
@@ -110,14 +132,6 @@ class EventKind(Enum):
     FAULT_TIMER = "fault_timer"
     EVAL_TIMER = "eval_timer"
     WINDOW_TIMER = "window_timer"
-
-
-@dataclass(frozen=True)
-class Event:
-    time: float
-    seq: int
-    kind: EventKind
-    payload: dict
 
 
 @dataclass
@@ -194,7 +208,7 @@ class SimConfig:
     phi: float = 0.1  # throughput weight in the association objective
     assoc_period: int = 5  # cloud epochs between association runs
     pca_dim: int = 30
-    compress: bool = True  # exchange PCA-compressed gradients (async-sched)
+    compress: bool = True  # exchange PCA-compressed gradients (utility selector)
     alpha_ema: float = 0.5
     semi_window: float = 100.0  # waiting period T, seconds
     eval_every: float = 60.0
@@ -204,14 +218,15 @@ class SimConfig:
 
     def validate(self) -> None:
         if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}; valid: {MODES}")
+            raise ConfigurationError(f"unknown mode {self.mode!r}; valid: {tuple(MODES)}")
         n = self.dataset.num_devices
         if n != self.topology.num_devices:
             raise ConfigurationError(
                 f"dataset has {n} devices but topology has {self.topology.num_devices}"
             )
-        if self.mode == "async-sched" and n < 2:
-            raise ConfigurationError("async-sched selection needs >= 2 devices")
+        utility = MODES[self.mode].selector == "utility"
+        if utility and n < 2:
+            raise ConfigurationError("utility selection needs >= 2 devices")
         if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
             raise ConfigurationError("alpha and beta must be in (0, 1]")
         if self.staleness_exp < 0:
@@ -222,7 +237,7 @@ class SimConfig:
             raise ConfigurationError("kappa and phi must be >= 0")
         if self.assoc_period < 1:
             raise ConfigurationError("assoc_period must be >= 1")
-        if self.mode == "async-sched" and self.compress:
+        if utility and self.compress:
             if not 1 <= self.pca_dim <= self.arch.param_count:
                 raise ConfigurationError("pca_dim must be in [1, model dimension]")
         if self.semi_window <= 0:
@@ -275,28 +290,31 @@ class GatewayState:
     id: int
     params: np.ndarray
     tau: int = 0  # cloud epoch stamped on the model this gateway holds
-    z_cycle: int = 0  # aggregations since the last cloud download
-    z_total: int = 0  # monotone aggregation counter (staleness bookkeeping)
+    version: int = 0  # monotone aggregation count; every dispatch is stamped with it
+    cycle: int = 0  # aggregations since the last cloud download
     in_flight: dict[int, float] = field(default_factory=dict)  # device -> admitted rate
-    # Barrier/window state (sync and semi-async gateway modes).
-    pending: set[int] = field(default_factory=set)
+    # Round state (barrier and window gateways): (params, samples, lateness)
+    # per upload, and the samples aggregated since the last cloud download.
     buffer: list[tuple[np.ndarray, float, int]] = field(default_factory=list)
-    round_idx: int = 0
     cycle_samples: float = 0.0
-    window_total: int = 0  # monotone window counter (semi-async staleness)
 
 
 class _Simulation:
     def __init__(self, cfg: SimConfig):
         cfg.validate()
         self.cfg = cfg
-        self.mode = cfg.mode
-        self.topo = cfg.topology
+        self.policy = MODES[cfg.mode]
+        # Faults and association change the run's own copy, never the caller's.
+        self.topo = replace(
+            cfg.topology,
+            feasible=cfg.topology.feasible.copy(),
+            association=cfg.topology.association.copy(),
+        )
         self.arch = cfg.arch
         self.rng = np.random.default_rng(cfg.seed)
         self.now = 0.0
         self._seq = itertools.count()
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, EventKind, dict]] = []
 
         self.cloud_params = init_params(cfg.arch, cfg.seed)
         self.h = 0
@@ -307,7 +325,6 @@ class _Simulation:
             DeviceState(i, shard) for i, shard in enumerate(cfg.dataset.shards)
         ]
         self.latency = LatencyTracker(cfg.alpha_ema)
-        self.fault_queue = sorted(self.topo.faults, key=lambda f: f.time)
 
         self.grad_records: dict[int, GradientRecord] = {}
         self.utilities: dict[int, float] = {}
@@ -318,9 +335,9 @@ class _Simulation:
         self.warmup_pending: set[int] = set()
         self.warmup_started: set[int] = set()  # gateway ids that dispatched warmup
         self.warmup_grads: dict[int, np.ndarray] = {}
-        self.warmup_done = self.mode not in WARMUP_MODES
+        self.warmup_done = self.policy.selector == "random"
 
-        # Sync-cloud barrier state: gateway -> (params, weight).
+        # Cloud barrier state: gateway -> (params, weight).
         self.cloud_buffer: dict[int, tuple[np.ndarray, float]] = {}
 
         self.transfers: list[Transfer] = []
@@ -336,8 +353,7 @@ class _Simulation:
 
     def schedule(self, delay: float, kind: EventKind, **payload) -> None:
         assert delay >= 0, "events cannot be scheduled in the past"
-        ev = Event(self.now + delay, next(self._seq), kind, payload)
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), kind, payload))
 
     def charge(self, kind: str, src: str, dst: str, size: int, overhead: int = 0) -> None:
         assert overhead <= size
@@ -362,9 +378,7 @@ class _Simulation:
             return
         records = [self.grad_records[i] for i in sorted(self.grad_records)]
         if len(records) >= 2:
-            self.utilities = {
-                r.device_id: r.u for r in learning_utility(records, now=self.now)
-            }
+            self.utilities = {r.device_id: r.u for r in learning_utility(records)}
         self._utilities_dirty = False
 
     def utility_of(self, device: int) -> float:
@@ -398,7 +412,7 @@ class _Simulation:
         cap = self._residual_bandwidth(gw)
         if cap <= 0:
             return []
-        if self.mode == "async-sched":
+        if self.policy.selector == "utility":
             cands = [
                 Candidate(i, self.utility_of(i), self.tau_estimate(i, gw.id),
                           self.rate_estimate(i, gw.id))
@@ -408,9 +422,9 @@ class _Simulation:
                 cands, cap, self.cfg.kappa, sum_constraint=self.cfg.bandwidth_sum
             )
             return sorted(solve_selection(inst))
-        if self.mode == "async-hl":
+        if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
-        else:  # random fill, all remaining modes
+        else:  # random fill
             order = [ids[k] for k in self.rng.permutation(len(ids))]
         chosen, load = [], 0.0
         for i in order:
@@ -439,8 +453,8 @@ class _Simulation:
                 finals.update((i, row.copy()) for i, row in zip(block, rows))
         return finals
 
-    def dispatch(self, gw: GatewayState, device_ids: list[int], stamp: dict) -> None:
-        """Send the gateway model to each device and train them all now.
+    def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
+        """Send the gateway model, stamped with its version, to each device; train them now.
 
         Training at dispatch gives the same result as training when the model
         arrives: the anchor, the seed (from `rounds_started`) and the shard are
@@ -473,15 +487,14 @@ class _Simulation:
                 comp=comp,
                 up=up,
                 observed_tau=total,
-                **stamp,
+                stamp=gw.version,
             )
 
     def gateway_dispatch(self, gw: GatewayState) -> None:
-        """Async-mode selection + dispatch against the gateway's current model."""
+        """Async-gateway selection + dispatch against the gateway's current model."""
         if not self.warmup_done:
             return
-        selected = self.select_devices(gw)
-        self.dispatch(gw, selected, {"zeta_total": gw.z_total})
+        self.dispatch(gw, self.select_devices(gw))
 
     # ---- warmup -------------------------------------------------------------
 
@@ -491,7 +504,7 @@ class _Simulation:
         self.warmup_pending.update(ids)
         # Bandwidth cap intentionally ignored: one full sweep seeds the
         # utility store and the compressor.
-        self.dispatch(gw, ids, {"zeta_total": gw.z_total})
+        self.dispatch(gw, ids)
         self._maybe_finish_warmup()
 
     def _maybe_finish_warmup(self) -> None:
@@ -502,16 +515,15 @@ class _Simulation:
 
     def finish_warmup(self) -> None:
         self.warmup_done = True
-        if self.mode == "async-sched" and self.cfg.compress and self.warmup_grads:
+        # One gradient cannot fit a compressor; the run then stays uncompressed.
+        if self.cfg.compress and len(self.warmup_grads) >= 2:
             grads = [self.warmup_grads[i] for i in sorted(self.warmup_grads)]
             p = min(self.cfg.pca_dim, len(grads), self.arch.param_count)
             self.pca_model = pca_fit(grads, p)
             size = pca_bytes(self.pca_model)
             self.charge("pca_distribution", "cloud", "all", size, overhead=size)
             for i, g in sorted(self.warmup_grads.items()):
-                self.grad_records[i] = GradientRecord(
-                    i, pca_project(self.pca_model, g), True, self.now
-                )
+                self.grad_records[i] = GradientRecord(i, pca_project(self.pca_model, g), True)
             self._utilities_dirty = True
         for gw in self.gateways:
             self.gateway_dispatch(gw)
@@ -523,8 +535,6 @@ class _Simulation:
         trained parameters. The shard has not refreshed yet, so it is the one
         the device trained on.
         """
-        if self.mode != "async-sched":
-            return 0
         grad = grad_regularized(
             params, anchor, self.arch, self.devices[device].shard, self.cfg.train.rho
         )
@@ -533,7 +543,7 @@ class _Simulation:
         else:
             vec, compressed = grad, False
             self.warmup_grads[device] = grad
-        self.grad_records[device] = GradientRecord(device, vec, compressed, self.now)
+        self.grad_records[device] = GradientRecord(device, vec, compressed)
         self._utilities_dirty = True
         return 8 * len(vec)
 
@@ -541,7 +551,7 @@ class _Simulation:
 
     def run_association(self) -> None:
         n, g = self.topo.num_devices, self.topo.num_gateways
-        if self.mode == "async-sched":
+        if self.policy.selector == "utility":
             u = np.array([self.utility_of(i) for i in range(n)])
             rates = np.zeros((n, g))
             for (i, j) in self.topo.link_params:
@@ -591,7 +601,20 @@ class _Simulation:
             )
         )
 
-    # ---- cloud aggregation -------------------------------------------------------
+    # ---- aggregation -------------------------------------------------------------
+
+    def _fedavg(
+        self, current: np.ndarray, pairs: list[tuple[np.ndarray, float]], where: str
+    ) -> np.ndarray:
+        """Weighted mean of (params, weight) pairs in order; `current` if no weight is positive."""
+        total = sum(w for _, w in pairs)
+        if total > 0:
+            mix = np.zeros_like(current)
+            for p, w in pairs:
+                mix += (w / total) * p
+            current = mix
+        self._assert_finite(current, where)
+        return current
 
     def _cloud_async_aggregate(self, params: np.ndarray, tau_stamp: int) -> None:
         self.h += 1
@@ -602,12 +625,6 @@ class _Simulation:
             self.cloud_params, params, self.cfg.alpha, delta, self.cfg.staleness_exp
         )
         self._assert_finite(self.cloud_params, "cloud")
-
-    def _cloud_epoch_housekeeping(self) -> None:
-        if self.h % self.cfg.assoc_period == 0:
-            self.schedule(0.0, EventKind.ASSOCIATION_TIMER)
-        if self.h >= self.cfg.cloud_epochs:
-            self.done = True
 
     def _broadcast(self, gateways: list[GatewayState]) -> None:
         for gw in gateways:
@@ -620,77 +637,36 @@ class _Simulation:
                 h_stamp=self.h,
             )
 
-    def _cloud_sync_collect(self, gw_id: int, params: np.ndarray, weight: float) -> None:
-        self.cloud_buffer[gw_id] = (params, weight)
-        if len(self.cloud_buffer) < len(self.gateways):
-            return
-        total = sum(w for _, w in self.cloud_buffer.values())
-        if total > 0:
-            mix = np.zeros_like(self.cloud_params)
-            for j in sorted(self.cloud_buffer):
-                p, w = self.cloud_buffer[j]
-                mix += (w / total) * p
-            self.cloud_params = mix
-        self._assert_finite(self.cloud_params, "cloud")
-        self.cloud_buffer.clear()
-        self.h += 1
-        self._cloud_epoch_housekeeping()
-        if not self.done:
-            self._broadcast(self.gateways)
+    # ---- gateway rounds (barrier and window) ----------------------------------------
 
-    # ---- gateway rounds (sync / semi-async) ----------------------------------------
-
-    def _start_sync_round(self, gw: GatewayState) -> None:
+    def _start_round(self, gw: GatewayState) -> None:
+        """Dispatch a round. A window closes on its timer; a barrier once nothing is in flight."""
         selected = self.select_devices(gw)
-        if not selected:
-            self._finish_sync_round(gw)
-            return
-        gw.pending = set(selected)
-        gw.buffer = []
-        self.dispatch(gw, selected, {"round_idx": gw.round_idx})
+        self.dispatch(gw, selected)
+        if self.policy.gateway == "window":
+            self.schedule(
+                self.cfg.semi_window, EventKind.WINDOW_TIMER, gateway=gw.id, stamp=gw.version
+            )
+        elif not selected:
+            self._close_round(gw)
 
-    def _finish_sync_round(self, gw: GatewayState) -> None:
-        if gw.buffer:
-            total = sum(w for _, w, _ in gw.buffer)
-            mix = np.zeros_like(gw.params)
-            for p, w, _ in gw.buffer:
-                mix += (w / total) * p
-            gw.params = mix
-            self._assert_finite(gw.params, f"gateway {gw.id}")
-            gw.cycle_samples += total
-        gw.buffer = []
-        gw.pending = set()
-        gw.round_idx += 1
-        if gw.round_idx < self.cfg.gateway_epochs:
-            self._start_sync_round(gw)
-        else:
-            self._gateway_upload(gw, weight=gw.cycle_samples)
+    def _close_round(self, gw: GatewayState) -> None:
+        """FedAvg of the buffered uploads, each weighted by samples and discounted by lateness.
 
-    def _start_semi_window(self, gw: GatewayState) -> None:
-        selected = self.select_devices(gw)
-        self.dispatch(gw, selected, {"window_total": gw.window_total})
-        self.schedule(
-            self.cfg.semi_window, EventKind.WINDOW_TIMER, gateway=gw.id,
-            window_total=gw.window_total,
+        A barrier round closes only once nothing is in flight, so its uploads
+        are never late, and n * staleness(q, 0) == n exactly.
+        """
+        q = self.cfg.staleness_exp
+        gw.params = self._fedavg(
+            gw.params, [(p, n * staleness(q, late)) for p, n, late in gw.buffer],
+            f"gateway {gw.id}",
         )
-
-    def _close_semi_window(self, gw: GatewayState) -> None:
-        if gw.buffer:
-            weights = []
-            for p, n_i, lateness in gw.buffer:
-                weights.append(n_i * staleness(self.cfg.staleness_exp, lateness))
-            total = sum(weights)
-            mix = np.zeros_like(gw.params)
-            for (p, _, _), w in zip(gw.buffer, weights):
-                mix += (w / total) * p
-            gw.params = mix
-            self._assert_finite(gw.params, f"gateway {gw.id}")
-            gw.cycle_samples += sum(n for _, n, _ in gw.buffer)
+        gw.cycle_samples += sum(n for _, n, _ in gw.buffer)
         gw.buffer = []
-        gw.window_total += 1
-        gw.round_idx += 1
-        if gw.round_idx < self.cfg.gateway_epochs:
-            self._start_semi_window(gw)
+        gw.version += 1
+        gw.cycle += 1
+        if gw.cycle < self.cfg.gateway_epochs:
+            self._start_round(gw)
         else:
             self._gateway_upload(gw, weight=gw.cycle_samples)
 
@@ -707,64 +683,59 @@ class _Simulation:
 
     # ---- event handlers ----------------------------------------------------------------
 
-    def on_gateway_model_arrives(self, ev: Event) -> None:
-        gw = self.gateways[ev.payload["gateway"]]
-        gw.params = ev.payload["params"]
-        gw.tau = ev.payload["h_stamp"]
-        gw.z_cycle = 0
-        gw.round_idx = 0
+    def on_gateway_model_arrives(self, payload: dict) -> None:
+        gw = self.gateways[payload["gateway"]]
+        gw.params = payload["params"]
+        gw.tau = payload["h_stamp"]
+        gw.cycle = 0
         gw.cycle_samples = 0.0
-        if self.mode in ASYNC_GATEWAY_MODES:
-            if self.warmup_done:
-                self.gateway_dispatch(gw)
-            elif gw.id not in self.warmup_started:
-                self.begin_warmup(gw)
+        if self.policy.gateway != "async":
+            self._start_round(gw)
+        elif not self.warmup_done and gw.id not in self.warmup_started:
+            self.begin_warmup(gw)
+        else:
             # A broadcast arriving mid-warmup just refreshes the gateway
             # model; dispatching resumes once every warmup gradient is in.
-        elif self.mode in SYNC_GATEWAY_MODES:
-            self._start_sync_round(gw)
-        else:  # semi-async
-            self._start_semi_window(gw)
+            self.gateway_dispatch(gw)
 
-    def on_device_model_arrives(self, ev: Event) -> None:
+    def on_device_model_arrives(self, payload: dict) -> None:
         """The device starts its round; its training already ran at dispatch.
 
         A divergence raises here, when the model reaches the device, so a
         flight that a fault voided never raises.
         """
-        i = ev.payload["device"]
-        if ev.payload["flight"] != self.devices[i].active_flight:
+        i = payload["device"]
+        if payload["flight"] != self.devices[i].active_flight:
             return  # flight voided by a fault
-        raise_if_diverged(ev.payload["params"], device_id=i)
-        payload = dict(ev.payload)
-        del payload["comp"], payload["up"]
-        if self.mode != "async-sched":
+        raise_if_diverged(payload["params"], device_id=i)
+        upload = dict(payload)
+        del upload["comp"], upload["up"]
+        if self.policy.selector != "utility":
             # Only the reported gradient needs the anchor; dropping it lets an
             # outdated gateway model be freed while the upload is in the air.
-            del payload["anchor"]
+            del upload["anchor"]
         self.schedule(
-            ev.payload["comp"] + ev.payload["up"],
-            EventKind.DEVICE_UPLOAD_ARRIVES,
-            **payload,
+            payload["comp"] + payload["up"], EventKind.DEVICE_UPLOAD_ARRIVES, **upload
         )
 
-    def on_device_upload_arrives(self, ev: Event) -> None:
-        i = ev.payload["device"]
+    def on_device_upload_arrives(self, payload: dict) -> None:
+        i = payload["device"]
         dev = self.devices[i]
-        if ev.payload["flight"] != dev.active_flight:
+        if payload["flight"] != dev.active_flight:
             return
-        gw = self.gateways[ev.payload["gateway"]]
+        gw = self.gateways[payload["gateway"]]
         dev.busy = False
         dev.active_flight = None
         dev.rounds_done += 1
         gw.in_flight.pop(i, None)
-        self.latency.update(i, gw.id, ev.payload["observed_tau"])
+        self.latency.update(i, gw.id, payload["observed_tau"])
 
+        params = payload["params"]
         overhead = 0
-        if self.mode == "async-sched":
-            overhead = self._record_gradient(i, ev.payload["params"], ev.payload["anchor"])
-        elif self.mode == "async-hl":
-            dev.last_loss, _ = loss_and_grad(ev.payload["params"], self.arch, dev.shard)
+        if self.policy.selector == "utility":
+            overhead = self._record_gradient(i, params, payload["anchor"])
+        elif self.policy.selector == "loss":
+            dev.last_loss, _ = loss_and_grad(params, self.arch, dev.shard)
         self.charge(
             "device_upload", f"dev{i}", f"gw{gw.id}",
             self.topo.model_bytes + overhead, overhead,
@@ -780,84 +751,78 @@ class _Simulation:
                 self.cfg.dataset.centroids,
             )
 
-        if self.mode in ASYNC_GATEWAY_MODES:
-            gw.z_total += 1
-            gw.z_cycle += 1
-            delta = gw.z_total - ev.payload["zeta_total"]
+        if self.policy.gateway == "async":
+            gw.version += 1
+            gw.cycle += 1
+            delta = gw.version - payload["stamp"]
             assert delta >= 1
             self.max_stale_gw = max(self.max_stale_gw, delta)
             gw.params = async_aggregate(
-                gw.params, ev.payload["params"], self.cfg.beta, delta,
-                self.cfg.staleness_exp,
+                gw.params, params, self.cfg.beta, delta, self.cfg.staleness_exp
             )
             self._assert_finite(gw.params, f"gateway {gw.id}")
             self._apply_pending_assoc(i)
             if i in self.warmup_pending:
                 self.warmup_pending.discard(i)
                 self._maybe_finish_warmup()
-            if gw.z_cycle == self.cfg.gateway_epochs:
+            if gw.cycle == self.cfg.gateway_epochs:
                 self._gateway_upload(gw)
             self.gateway_dispatch(gw)
-        elif self.mode in SYNC_GATEWAY_MODES:
-            if ev.payload["round_idx"] == gw.round_idx and i in gw.pending:
-                gw.buffer.append((ev.payload["params"], float(dev.shard.n), 0))
-                gw.pending.discard(i)
-                self._apply_pending_assoc(i)
-                if not gw.pending:
-                    self._finish_sync_round(gw)
-            else:
-                self._apply_pending_assoc(i)
-        else:  # semi-async
-            lateness = gw.window_total - ev.payload["window_total"]
+        else:
+            lateness = gw.version - payload["stamp"]
             assert lateness >= 0
-            if lateness > 0:
-                self.max_stale_gw = max(self.max_stale_gw, lateness)
-            gw.buffer.append((ev.payload["params"], float(dev.shard.n), lateness))
+            self.max_stale_gw = max(self.max_stale_gw, lateness)
+            gw.buffer.append((params, float(dev.shard.n), lateness))
             self._apply_pending_assoc(i)
+            if self.policy.gateway == "barrier" and not gw.in_flight:
+                self._close_round(gw)
 
-    def on_gateway_upload_arrives(self, ev: Event) -> None:
-        gw = self.gateways[ev.payload["gateway"]]
-        if self.mode in ASYNC_GATEWAY_MODES or self.mode == "sync-gw-async-cloud":
-            self._cloud_async_aggregate(ev.payload["params"], ev.payload["tau_stamp"])
-            self._cloud_epoch_housekeeping()
-            if self.done:
+    def on_gateway_upload_arrives(self, payload: dict) -> None:
+        gw_id = payload["gateway"]
+        if self.policy.cloud == "barrier":
+            self.cloud_buffer[gw_id] = (payload["params"], payload["weight"])
+            if len(self.cloud_buffer) < len(self.gateways):
                 return
-            if self.mode == "sync-gw-async-cloud":
-                self._broadcast([gw])
-            else:
-                self._broadcast(self.gateways)
-        else:  # synchronous cloud barrier (sync-random, semi-async)
-            self._cloud_sync_collect(gw.id, ev.payload["params"], ev.payload["weight"])
+            pairs = [self.cloud_buffer[j] for j in sorted(self.cloud_buffer)]
+            self.cloud_params = self._fedavg(self.cloud_params, pairs, "cloud")
+            self.cloud_buffer.clear()
+            self.h += 1
+        else:
+            self._cloud_async_aggregate(payload["params"], payload["tau_stamp"])
+        if self.h % self.cfg.assoc_period == 0:
+            self.schedule(0.0, EventKind.ASSOCIATION_TIMER)
+        if self.h >= self.cfg.cloud_epochs:
+            self.done = True
+        elif self.policy.cloud == "reply":
+            self._broadcast([self.gateways[gw_id]])
+        else:
+            self._broadcast(self.gateways)
 
-    def on_association_timer(self, _: Event) -> None:
+    def on_association_timer(self, _: dict) -> None:
         self.run_association()
 
-    def on_fault_timer(self, _: Event) -> None:
-        due = [f for f in self.fault_queue if f.time <= self.now]
-        del self.fault_queue[: len(due)]
-        for fault in due:
-            self.topo.apply_fault(fault)
-            if fault.action != "drop":
-                continue
-            i = fault.device
-            dev = self.devices[i]
-            dev.busy = False
-            dev.active_flight = None
-            self.warmup_pending.discard(i)
-            self._maybe_finish_warmup()
-            for gw in self.gateways:
-                gw.in_flight.pop(i, None)
-                if i in gw.pending:
-                    gw.pending.discard(i)
-                    if not gw.pending:
-                        self._finish_sync_round(gw)
+    def on_fault_timer(self, payload: dict) -> None:
+        fault = payload["fault"]
+        self.topo.apply_fault(fault)
+        if fault.action != "drop":
+            return
+        i = fault.device
+        dev = self.devices[i]
+        dev.busy = False
+        dev.active_flight = None
+        self.warmup_pending.discard(i)
+        self._maybe_finish_warmup()
+        for gw in self.gateways:
+            was_in_flight = gw.in_flight.pop(i, None) is not None
+            if was_in_flight and self.policy.gateway == "barrier" and not gw.in_flight:
+                self._close_round(gw)
 
-    def on_window_timer(self, ev: Event) -> None:
-        gw = self.gateways[ev.payload["gateway"]]
-        if ev.payload["window_total"] == gw.window_total and gw.round_idx < self.cfg.gateway_epochs:
-            self._close_semi_window(gw)
+    def on_window_timer(self, payload: dict) -> None:
+        gw = self.gateways[payload["gateway"]]
+        if payload["stamp"] == gw.version:
+            self._close_round(gw)
 
-    def on_eval_timer(self, _: Event) -> None:
+    def on_eval_timer(self, _: dict) -> None:
         self.record_eval()
         # An empty heap here means no training activity can ever resume, so
         # rescheduling would only spin the clock until the time budget.
@@ -885,18 +850,20 @@ class _Simulation:
 
     def run(self) -> SimResult:
         self._initial_association()
-        for fault in self.fault_queue:
-            self.schedule(fault.time, EventKind.FAULT_TIMER)
+        # Fault timers go first, so at any time a due fault fires before every
+        # other event, and faults due together fire in schedule order.
+        for fault in sorted(self.topo.faults, key=lambda f: f.time):
+            self.schedule(fault.time, EventKind.FAULT_TIMER, fault=fault)
         self.schedule(0.0, EventKind.EVAL_TIMER)
         self._broadcast(self.gateways)
 
         while self._heap and not self.done:
-            t, _, ev = heapq.heappop(self._heap)
+            t, _, kind, payload = heapq.heappop(self._heap)
             if t > self.cfg.time_budget:
                 break
             assert t >= self.now, "event causality violated"
             self.now = t
-            self.HANDLERS[ev.kind](self, ev)
+            self.HANDLERS[kind](self, payload)
 
         self.record_eval()
         return SimResult(

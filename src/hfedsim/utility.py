@@ -14,15 +14,12 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-DEFAULT_PCA_DIM = 30
-
 
 @dataclass(frozen=True)
 class GradientRecord:
     device_id: int
     vec: np.ndarray
     compressed: bool
-    recorded_at: float
 
 
 @dataclass(frozen=True)
@@ -31,7 +28,6 @@ class UtilityRecord:
     u: float
     eta: float  # affinity with the cohort-average gradient
     nu: float  # mean pairwise dissimilarity with the other devices
-    updated_at: float
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ def global_gradient(records: list[GradientRecord]) -> np.ndarray:
     return _stack(records).mean(axis=0)
 
 
-def learning_utility(records: list[GradientRecord], now: float = 0.0) -> list[UtilityRecord]:
+def learning_utility(records: list[GradientRecord]) -> list[UtilityRecord]:
     """Per-device utility u = eta + nu.
 
     eta_i is the dot product of gradient i with the cohort mean gradient;
@@ -80,7 +76,7 @@ def learning_utility(records: list[GradientRecord], now: float = 0.0) -> list[Ut
     eta = row_sums / n
     nu = -(row_sums - np.diag(gram)) / (n - 1)
     return [
-        UtilityRecord(r.device_id, float(eta[i] + nu[i]), float(eta[i]), float(nu[i]), now)
+        UtilityRecord(r.device_id, float(eta[i] + nu[i]), float(eta[i]), float(nu[i]))
         for i, r in enumerate(records)
     ]
 

@@ -213,6 +213,19 @@ class TestEvaluate:
         arch, params, shard = random_instance(rng)
         assert evaluate(params, arch, shard) == evaluate(params, arch, shard)
 
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_matches_2d_log_softmax_and_loss_and_grad_bit_for_bit(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            arch, params, _ = random_instance(rng, kind)
+            n = int(rng.integers(1, 300))
+            test = Shard(
+                rng.normal(0, 3, (n, arch.input_dim)), rng.integers(0, arch.num_classes, n)
+            )
+            acc, loss = evaluate(params, arch, test)
+            assert (acc, loss) == reference_evaluate(params, arch, test)
+            assert loss == loss_and_grad(params, arch, test)[0]
+
     def test_uniform_loss_many_classes(self):
         k = 7
         arch = ModelArch("mlp", input_dim=3, num_classes=k, hidden_dim=2)
@@ -222,28 +235,40 @@ class TestEvaluate:
         assert loss == pytest.approx(np.log(k), abs=1e-12)
 
 
+def reference_forward(params, arch, x):
+    """2-D forward pass of one model: (logits, hidden layer or None, output weights)."""
+    bounds = np.cumsum([fi * fo + fo for fi, fo in arch.layers])[:-1]
+    layers = [
+        (c[: fi * fo].reshape(fi, fo), c[fi * fo :])
+        for c, (fi, fo) in zip(np.split(params, bounds), arch.layers)
+    ]
+    if arch.kind == "logistic":
+        (w, b), = layers
+        return x @ w + b, None, w
+    (w1, b1), (w2, b2) = layers
+    h = np.tanh(x @ w1 + b1)
+    return h @ w2 + b2, h, w2
+
+
+def reference_evaluate(params, arch, test):
+    """Accuracy and loss through a 2-D log-softmax: the path `evaluate` replaced."""
+    logits, _, _ = reference_forward(params, arch, test.features)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    acc = float((logits.argmax(axis=1) == test.labels).mean())
+    return acc, float(-logp[np.arange(test.n), test.labels].mean())
+
+
 def reference_sgd(start, anchor, arch, shard, cfg, seed):
     """One device's SGD with 2-D arrays only: the unbatched loop the cohort trainer replaces."""
     rng = np.random.default_rng(seed)
     params = start.copy()
-    bounds = np.cumsum([fi * fo + fo for fi, fo in arch.layers])[:-1]
     for _ in range(cfg.epochs):
         perm = rng.permutation(shard.n)
         for k in range(0, shard.n, cfg.batch_size):
             idx = np.sort(perm[k : k + cfg.batch_size])
             x, y = shard.features[idx], shard.labels[idx]
-            chunks = np.split(params, bounds)
-            layers = [
-                (c[: fi * fo].reshape(fi, fo), c[fi * fo :])
-                for c, (fi, fo) in zip(chunks, arch.layers)
-            ]
-            if arch.kind == "logistic":
-                (w, b), = layers
-                logits = x @ w + b
-            else:
-                (w1, b1), (w2, b2) = layers
-                h = np.tanh(x @ w1 + b1)
-                logits = h @ w2 + b2
+            logits, h, w2 = reference_forward(params, arch, x)
             rows = np.arange(len(y))
             shifted = logits - logits.max(axis=1, keepdims=True)
             probs = np.exp(shifted)

@@ -8,7 +8,6 @@ from hfedsim.network import (
     LatencyTracker,
     Topology,
     TopologySpec,
-    apply_fault_schedule,
     est_rate,
     gen_topology,
     load_topology,
@@ -141,19 +140,6 @@ class TestTopology:
         assert 8.0 <= slow.mean() / base.mean() <= 12.0
         topo.apply_fault(FaultEvent(0.0, 0, "restore"))
         assert topo.delay_params(0, 0).mean_down == 1.0
-
-    def test_fault_schedule_applies_due_entries(self):
-        topo = small_topology()
-        schedule = [
-            FaultEvent(1.0, 0, "drop"),
-            FaultEvent(5.0, 0, "restore"),
-            FaultEvent(9.0, 1, "slowdown", factor=2.0),
-        ]
-        assert apply_fault_schedule(topo, schedule, now=1.0) == 1
-        assert not topo.feasible[0].any()
-        assert apply_fault_schedule(topo, schedule, now=6.0) == 1
-        assert topo.feasible[0].any()
-        assert len(schedule) == 1
 
     def test_unknown_device_rejected(self):
         topo = small_topology()

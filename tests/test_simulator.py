@@ -114,6 +114,21 @@ class TestDeterminism:
         assert a.bytes_total == b.bytes_total
         assert np.array_equal(a.final_params, b.final_params)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_rerunning_one_config_gives_identical_outputs(self, mode):
+        # Neither the drops nor the slowdown are restored: a run that left
+        # them in the config's topology would change the second run.
+        faults = [
+            FaultEvent(1.5, 1, "drop"),
+            FaultEvent(10.0, 4, "slowdown", 3.0),
+            FaultEvent(200.0, 5, "drop"),
+        ]
+        cfg = small_config(
+            mode=mode, n=8, seed=29, topology=uniform_topology(8, 2, sigma=0.5, faults=faults)
+        )
+        assert _outputs(cfg) == _outputs(cfg)
+        assert cfg.topology.feasible.all() and not cfg.topology.association.any()
+
     def test_seed_changes_trace(self):
         a = run(small_config(seed=1))
         b = run(small_config(seed=2))
@@ -286,6 +301,18 @@ class TestSchedulerIntegration:
             if t.kind == "device_upload" and t.time <= pca[0].time
         ]
         assert len({t.src for t in uploads_before_pca}) == 6
+
+    def test_one_warmup_gradient_leaves_the_run_uncompressed(self):
+        # Devices 0 and 1 drop before their warmup uploads land, so one
+        # gradient comes in: too few to fit the compressor.
+        faults = [
+            FaultEvent(5.0, 0, "drop"), FaultEvent(5.0, 1, "drop"),
+            FaultEvent(40.0, 0, "restore"), FaultEvent(40.0, 1, "restore"),
+        ]
+        topo = uniform_topology(3, 1, sigma=0.0, faults=faults)
+        result = run(small_config(mode="async-sched", n=3, g=1, seed=1, topology=topo))
+        assert result.cloud_epochs_done == 12
+        assert not [t for t in result.transfers if t.kind == "pca_distribution"]
 
     def test_in_flight_devices_never_double_dispatched(self):
         result = run(small_config(mode="async-sched", seed=32, cloud_epochs=20))

@@ -18,7 +18,7 @@ from hfedsim.utility import (
 
 def recs(vectors, compressed=False):
     return [
-        GradientRecord(i, np.asarray(v, dtype=np.float64), compressed, 0.0)
+        GradientRecord(i, np.asarray(v, dtype=np.float64), compressed)
         for i, v in enumerate(vectors)
     ]
 
