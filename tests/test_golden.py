@@ -64,6 +64,22 @@ def _gen_topology(mode):
     return small_config(mode=mode, n=10, g=3, seed=5, topology=topo)
 
 
+def _heuristic_assoc():
+    """N=40, G=5: association takes the heuristic path, not the exact one."""
+    topo = gen_topology(TopologySpec(40, 5, model_bytes=8000), seed=5)
+    return small_config(mode="async-sched", n=40, g=5, seed=5, topology=topo)
+
+
+def _late_gradient():
+    """Device 3 drops before its warmup upload, so after the PCA fit it has no
+    gradient until it uploads again, some time after its restore."""
+    faults = [FaultEvent(1.0, 3, "drop"), FaultEvent(25.0, 3, "restore")]
+    return small_config(
+        mode="async-sched", n=16, g=2, seed=4,
+        topology=uniform_topology(16, 2, sigma=0.5, faults=faults),
+    )
+
+
 def _mlp(mode):
     return small_config(
         mode=mode, seed=7, arch=ModelArch("mlp", input_dim=3, num_classes=4, hidden_dim=5),
@@ -90,6 +106,8 @@ def scenarios():
     out["async-sched/uncompressed"] = lambda: small_config(
         mode="async-sched", seed=3, compress=False
     )
+    out["async-sched/heuristic-assoc"] = _heuristic_assoc
+    out["async-sched/late-gradient"] = _late_gradient
     return out
 
 
