@@ -13,6 +13,7 @@ exhaustive oracle for testing.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 
@@ -280,21 +281,24 @@ def _association_exact(inst: AssociationInstance) -> list[int | None]:
     return best_assign
 
 
+def _gateway_sums(
+    members: list[int], j: int, u: list[float], ratio: list[list[float]]
+) -> tuple[float, float]:
+    """Utility and rate-ratio sums of gateway j over `members`, in device order."""
+    # `+=` from 0.0 in device order repeats, float for float, what summing
+    # the whole assignment in device order gives this gateway. Neither `sum()`
+    # (compensated from Python 3.12) nor `np.sum` (pairwise) would.
+    su = sr = 0.0
+    for i in members:
+        su += u[i]
+        sr += ratio[i][j]
+    return su, sr
+
+
 def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     n, g = inst.shape
     u = inst.u.tolist()
     ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
-
-    def objective_of(assign) -> float:
-        # Fresh summation every time: a given assignment always evaluates to
-        # the same float, so strict-improvement search cannot cycle on drift.
-        sums_u = [0.0] * g
-        sums_r = [0.0] * g
-        for i, j in enumerate(assign):
-            if j is not None:
-                sums_u[j] += u[i]
-                sums_r[j] += ratio[i][j]
-        return min(sums_u) - inst.phi * max(sums_r)
 
     # Construction: every device joins the feasible gateway with the lowest
     # bandwidth-normalized load (utility sum as tie-break), giving a
@@ -311,23 +315,43 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
             sums_u[j] += u[i]
             sums_r[j] += ratio[i][j]
 
-    # Single-device reassignment until no move improves the objective.
-    best = objective_of(assign)
+    # Single-device reassignment until no move improves the objective. The
+    # objective always comes from fresh per-gateway sums, so a given
+    # assignment always evaluates to the same float and strict-improvement
+    # search cannot cycle on drift. A move changes only the sums of the two
+    # gateways it touches; the others are reused.
+    members: list[list[int]] = [[] for _ in range(g)]
+    for i, j in enumerate(assign):
+        if j is not None:
+            members[j].append(i)
+    for j in range(g):
+        sums_u[j], sums_r[j] = _gateway_sums(members[j], j, u, ratio)
+    options = [_options(inst, i) for i in range(n)]
+    best = min(sums_u) - inst.phi * max(sums_r)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
         for i in range(n):
             here = assign[i]
-            for j in _options(inst, i):
+            for j in options[i]:
                 if j == here:
                     continue
-                assign[i] = j
-                cand = objective_of(assign)
+                cand_u, cand_r = sums_u.copy(), sums_r.copy()
+                if here is not None:
+                    left = [k for k in members[here] if k != i]
+                    cand_u[here], cand_r[here] = _gateway_sums(left, here, u, ratio)
+                if j is not None:
+                    joined = members[j].copy()
+                    bisect.insort(joined, i)
+                    cand_u[j], cand_r[j] = _gateway_sums(joined, j, u, ratio)
+                cand = min(cand_u) - inst.phi * max(cand_r)
                 if cand > best:
-                    best = cand
-                    here = j
+                    if here is not None:
+                        members[here] = left
+                    if j is not None:
+                        members[j] = joined
+                    best, sums_u, sums_r = cand, cand_u, cand_r
+                    assign[i] = here = j
                     improved = True
-                else:
-                    assign[i] = here
         if not improved:
             break
     return assign

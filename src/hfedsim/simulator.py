@@ -69,7 +69,6 @@ from .selection import (
     solve_selection,
 )
 from .utility import (
-    GradientRecord,
     learning_utility,
     pca_bytes,
     pca_fit,
@@ -265,6 +264,9 @@ class SimResult:
     cloud_epochs_done: int
     end_time: float
     final_params: np.ndarray
+    # done: H cloud epochs ran. time_budget: the next event was due after the
+    # budget. stalled: no event was left with fewer than H cloud epochs done.
+    stop_reason: str
 
     def recompute_bytes_from_log(self, model_bytes: int) -> tuple[int, int]:
         """Independent re-derivation of the byte counters from the transfer log."""
@@ -326,7 +328,12 @@ class _Simulation:
         ]
         self.latency = LatencyTracker(cfg.alpha_ema)
 
-        self.grad_records: dict[int, GradientRecord] = {}
+        # Reported gradients. Full length until the PCA fit (for the whole run
+        # if none is fitted); from the fit on, each device's row of `coords`
+        # holds its compressed gradient if `has_grad` says it reported one.
+        self.full_grads: dict[int, np.ndarray] = {}
+        self.coords: np.ndarray | None = None
+        self.has_grad = np.zeros(self.topo.num_devices, dtype=bool)
         self.utilities: dict[int, float] = {}
         self._utilities_dirty = False
         self.pca_model = None
@@ -334,7 +341,6 @@ class _Simulation:
 
         self.warmup_pending: set[int] = set()
         self.warmup_started: set[int] = set()  # gateway ids that dispatched warmup
-        self.warmup_grads: dict[int, np.ndarray] = {}
         self.warmup_done = self.policy.selector == "random"
 
         # Cloud barrier state: gateway -> (params, weight).
@@ -376,9 +382,16 @@ class _Simulation:
     def _refresh_utilities(self) -> None:
         if not self._utilities_dirty:
             return
-        records = [self.grad_records[i] for i in sorted(self.grad_records)]
-        if len(records) >= 2:
-            self.utilities = {r.device_id: r.u for r in learning_utility(records)}
+        if self.coords is not None:
+            # The fit had >= 2 gradients, and a device never loses its row.
+            ids = np.flatnonzero(self.has_grad)
+            g = self.coords if len(ids) == len(self.coords) else self.coords[ids]
+            u, _, _ = learning_utility(g)
+            self.utilities = dict(zip(ids.tolist(), u.tolist()))
+        elif len(self.full_grads) >= 2:
+            ids = sorted(self.full_grads)
+            u, _, _ = learning_utility(np.stack([self.full_grads[i] for i in ids]))
+            self.utilities = dict(zip(ids, u.tolist()))
         self._utilities_dirty = False
 
     def utility_of(self, device: int) -> float:
@@ -516,14 +529,17 @@ class _Simulation:
     def finish_warmup(self) -> None:
         self.warmup_done = True
         # One gradient cannot fit a compressor; the run then stays uncompressed.
-        if self.cfg.compress and len(self.warmup_grads) >= 2:
-            grads = [self.warmup_grads[i] for i in sorted(self.warmup_grads)]
-            p = min(self.cfg.pca_dim, len(grads), self.arch.param_count)
-            self.pca_model = pca_fit(grads, p)
+        if self.cfg.compress and len(self.full_grads) >= 2:
+            ids = sorted(self.full_grads)
+            p = min(self.cfg.pca_dim, len(ids), self.arch.param_count)
+            self.pca_model = pca_fit([self.full_grads[i] for i in ids], p)
             size = pca_bytes(self.pca_model)
             self.charge("pca_distribution", "cloud", "all", size, overhead=size)
-            for i, g in sorted(self.warmup_grads.items()):
-                self.grad_records[i] = GradientRecord(i, pca_project(self.pca_model, g), True)
+            self.coords = np.zeros((self.topo.num_devices, p))
+            for i in ids:
+                self.coords[i] = pca_project(self.pca_model, self.full_grads[i])
+            self.has_grad[ids] = True
+            self.full_grads = {}
             self._utilities_dirty = True
         for gw in self.gateways:
             self.gateway_dispatch(gw)
@@ -538,14 +554,13 @@ class _Simulation:
         grad = grad_regularized(
             params, anchor, self.arch, self.devices[device].shard, self.cfg.train.rho
         )
-        if self.pca_model is not None:
-            vec, compressed = pca_project(self.pca_model, grad), True
-        else:
-            vec, compressed = grad, False
-            self.warmup_grads[device] = grad
-        self.grad_records[device] = GradientRecord(device, vec, compressed)
         self._utilities_dirty = True
-        return 8 * len(vec)
+        if self.coords is None:
+            self.full_grads[device] = grad
+            return 8 * len(grad)
+        self.coords[device] = pca_project(self.pca_model, grad)
+        self.has_grad[device] = True
+        return 8 * self.coords.shape[1]
 
     # ---- association ----------------------------------------------------------
 
@@ -857,9 +872,11 @@ class _Simulation:
         self.schedule(0.0, EventKind.EVAL_TIMER)
         self._broadcast(self.gateways)
 
+        over_budget = False
         while self._heap and not self.done:
             t, _, kind, payload = heapq.heappop(self._heap)
             if t > self.cfg.time_budget:
+                over_budget = True
                 break
             assert t >= self.now, "event causality violated"
             self.now = t
@@ -877,6 +894,7 @@ class _Simulation:
             cloud_epochs_done=self.h,
             end_time=self.now,
             final_params=self.cloud_params,
+            stop_reason="done" if self.done else "time_budget" if over_budget else "stalled",
         )
 
 

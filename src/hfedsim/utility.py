@@ -16,21 +16,6 @@ from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
-class GradientRecord:
-    device_id: int
-    vec: np.ndarray
-    compressed: bool
-
-
-@dataclass(frozen=True)
-class UtilityRecord:
-    device_id: int
-    u: float
-    eta: float  # affinity with the cohort-average gradient
-    nu: float  # mean pairwise dissimilarity with the other devices
-
-
-@dataclass(frozen=True)
 class PcaModel:
     mean: np.ndarray  # [d]
     components: np.ndarray  # [p, d], orthonormal rows
@@ -44,41 +29,21 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def _stack(records: list[GradientRecord]) -> np.ndarray:
-    if not records:
-        raise ConfigurationError("need at least one gradient record")
-    lengths = {len(r.vec) for r in records}
-    if len(lengths) != 1:
-        raise ConfigurationError(f"mixed gradient lengths: {sorted(lengths)}")
-    flags = {r.compressed for r in records}
-    if len(flags) != 1:
-        raise ConfigurationError("mixed compressed/uncompressed gradient records")
-    return np.stack([r.vec for r in records])
-
-
-def global_gradient(records: list[GradientRecord]) -> np.ndarray:
-    """Arithmetic mean of the latest per-device gradients."""
-    return _stack(records).mean(axis=0)
-
-
-def learning_utility(records: list[GradientRecord]) -> list[UtilityRecord]:
-    """Per-device utility u = eta + nu.
+def learning_utility(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-device utility u = eta + nu of the gradients in the rows of `g` [m, d].
 
     eta_i is the dot product of gradient i with the cohort mean gradient;
     nu_i is minus the average dot product with every other device's gradient.
+    Returns the arrays (u, eta, nu), each [m], in row order.
     """
-    if len(records) < 2:
+    n = len(g)
+    if n < 2:
         raise ConfigurationError("learning utility needs >= 2 devices")
-    g = _stack(records)
-    n = len(records)
     gram = g @ g.T
     row_sums = gram.sum(axis=1)
     eta = row_sums / n
     nu = -(row_sums - np.diag(gram)) / (n - 1)
-    return [
-        UtilityRecord(r.device_id, float(eta[i] + nu[i]), float(eta[i]), float(nu[i]))
-        for i, r in enumerate(records)
-    ]
+    return eta + nu, eta, nu
 
 
 def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:

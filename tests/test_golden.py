@@ -2,7 +2,8 @@
 
 Each digest covers the trace CSV, `bytes_total`, `bytes_overhead`, the bytes of
 `final_params` and every logged transfer. A refactor of the simulator must
-leave all of them unchanged.
+leave all of them unchanged. Each scenario's stop reason is pinned too, though
+it is not part of the digest.
 
 The digests live in `golden_digests.json` beside this file. Regenerate it with
 
@@ -113,6 +114,10 @@ def scenarios():
 
 SCENARIOS = scenarios()
 
+# The cloud's association leaves every device unassigned at h=4 of 12, so no
+# event is left to run (the objective scores the empty assignment 0).
+STALLED = {"async-sched/gen-topology"}
+
 
 def test_every_scenario_has_a_golden():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(SCENARIOS)
@@ -120,7 +125,9 @@ def test_every_scenario_has_a_golden():
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_trace_matches_golden(name):
-    assert digest(run(SCENARIOS[name]())) == json.loads(GOLDEN.read_text())[name]
+    result = run(SCENARIOS[name]())
+    assert digest(result) == json.loads(GOLDEN.read_text())[name]
+    assert result.stop_reason == ("stalled" if name in STALLED else "done")
 
 
 if __name__ == "__main__":

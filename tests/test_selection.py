@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hfedsim.errors import InstanceTooLargeError
+from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
     Assignment,
     AssociationInstance,
@@ -12,7 +13,12 @@ from hfedsim.selection import (
     solve_association,
     solve_selection,
 )
-from hfedsim.selection import _association_heuristic, _assignment_from_vector, _knapsack_greedy
+from hfedsim.selection import (
+    _association_heuristic,
+    _assignment_from_vector,
+    _knapsack_greedy,
+    _options,
+)
 
 
 def selection_objective(inst: SelectionInstance, chosen: set[int]) -> float:
@@ -53,6 +59,91 @@ def random_association_instance(rng, n=None, g=None):
         rates=rng.uniform(1.0, 20.0, (n, g)),
         bandwidth=rng.uniform(10.0, 60.0, g),
         phi=float(rng.choice([0.0, 0.1, 0.5])),
+    )
+
+
+def reference_association_heuristic(inst: AssociationInstance) -> list[int | None]:
+    """The heuristic as it was before per-gateway sums: every trial move re-sums all devices."""
+    n, g = inst.shape
+    u = inst.u.tolist()
+    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
+
+    def objective_of(assign) -> float:
+        # Fresh summation every time: a given assignment always evaluates to
+        # the same float, so strict-improvement search cannot cycle on drift.
+        sums_u = [0.0] * g
+        sums_r = [0.0] * g
+        for i, j in enumerate(assign):
+            if j is not None:
+                sums_u[j] += u[i]
+                sums_r[j] += ratio[i][j]
+        return min(sums_u) - inst.phi * max(sums_r)
+
+    # Construction: every device joins the feasible gateway with the lowest
+    # bandwidth-normalized load (utility sum as tie-break), giving a
+    # bandwidth-proportional starting allocation. The local search below then
+    # repairs worst-gateway utility violations from there.
+    assign: list[int | None] = [None] * n
+    sums_u = [0.0] * g
+    sums_r = [0.0] * g
+    for i in sorted(range(n), key=lambda i: (-u[i], i)):
+        feas = [j for j in range(g) if inst.feasible[i, j]]
+        if feas:
+            j = min(feas, key=lambda j: (sums_r[j] + ratio[i][j], sums_u[j], j))
+            assign[i] = j
+            sums_u[j] += u[i]
+            sums_r[j] += ratio[i][j]
+
+    # Single-device reassignment until no move improves the objective.
+    best = objective_of(assign)
+    for _ in range(200):  # safety cap; strict improvement terminates long before
+        improved = False
+        for i in range(n):
+            here = assign[i]
+            for j in _options(inst, i):
+                if j == here:
+                    continue
+                assign[i] = j
+                cand = objective_of(assign)
+                if cand > best:
+                    best = cand
+                    here = j
+                    improved = True
+                else:
+                    assign[i] = here
+        if not improved:
+            break
+    return assign
+
+
+def oracle_association_instance(rng):
+    """Mixed-sign utilities, some repeated, and some devices with no feasible gateway.
+
+    Every other instance draws utilities and rates from a few decimals such as
+    0.1 and 0.3, whose float sums depend on the order of addition. Many moves
+    then tie or nearly tie, so a solver that sums in another order than the
+    reference picks other moves.
+    """
+    n = int(rng.integers(2, 61))
+    g = int(rng.integers(1, 9))
+    feasible = (rng.random((n, g)) < rng.uniform(0.2, 1.0)).astype(np.int8)
+    feasible[rng.random(n) < 0.1] = 0
+    if rng.random() < 0.5:
+        u = rng.choice([-0.3, -0.1, 0.1, 0.2, 0.3, 0.7], n)
+        rates = rng.choice([1.1, 2.2, 3.3], (n, g))
+        bandwidth = rng.choice([10.0, 30.0], g)
+    else:
+        u = rng.normal(0.0, 1.0, n)
+        repeats = rng.random(n) < 0.3
+        u[repeats] = rng.choice(u, int(repeats.sum()))
+        rates = rng.uniform(1.0, 20.0, (n, g))
+        bandwidth = rng.uniform(10.0, 200.0, g)
+    return AssociationInstance(
+        feasible=feasible,
+        u=u,
+        rates=rates,
+        bandwidth=bandwidth,
+        phi=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
     )
 
 
@@ -211,6 +302,26 @@ class TestSolveAssociation:
             f"min={ratios.min():.3f} median={np.median(ratios):.3f} n={len(ratios)}"
         )
         assert heur.objective <= exact.objective + 1e-12
+
+    def test_heuristic_matches_reference_on_random_instances(self):
+        rng = np.random.default_rng(205)
+        for _ in range(320):
+            inst = oracle_association_instance(rng)
+            assert _association_heuristic(inst) == reference_association_heuristic(inst)
+
+    def test_heuristic_matches_reference_on_generated_topology(self):
+        topo = gen_topology(TopologySpec(1000, 20, model_bytes=8000), seed=11)
+        rates = np.zeros((1000, 20))
+        for (i, j), params in topo.link_params.items():
+            rates[i, j] = est_rate(topo.model_bytes, params.mean_total)
+        inst = AssociationInstance(
+            feasible=topo.feasible,
+            u=np.random.default_rng(12).normal(0.02, 0.01, 1000),
+            rates=rates,
+            bandwidth=topo.bandwidth,
+            phi=0.1,
+        )
+        assert _association_heuristic(inst) == reference_association_heuristic(inst)
 
     def test_brute_force_refuses_large(self):
         rng = np.random.default_rng(203)

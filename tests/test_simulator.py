@@ -264,6 +264,7 @@ class TestModesRun:
         result = run(small_config(mode="async-random", seed=4, time_budget=50.0))
         assert result.end_time <= 50.0
         assert result.cloud_epochs_done < 12
+        assert result.stop_reason == "time_budget"
 
 
 class TestValidation:
