@@ -57,15 +57,21 @@ class FederatedDataset:
         return len(self.shards)
 
 
-def _per_class_counts(spec: DataSpec) -> list[int]:
-    """Split samples_per_device as evenly as possible across the device's classes."""
-    c = spec.classes_per_device
-    base, extra = divmod(spec.samples_per_device, c)
-    return [base + (1 if k < extra else 0) for k in range(c)]
-
-
 def _draw_class_samples(rng, centroid, count, spread, dim):
     return centroid + spread * rng.standard_normal((count, dim))
+
+
+def _draw_shard(rng, classes, spec: DataSpec, centroids: np.ndarray) -> Shard:
+    """One device's shard: its samples split as evenly as possible over its classes, in order."""
+    base, extra = divmod(spec.samples_per_device, spec.classes_per_device)
+    feats, labels = [], []
+    for k, cls in enumerate(classes[: spec.classes_per_device]):
+        cnt = base + (1 if k < extra else 0)
+        feats.append(
+            _draw_class_samples(rng, centroids[cls], cnt, spec.cluster_spread, spec.input_dim)
+        )
+        labels.append(np.full(cnt, cls, dtype=np.int64))
+    return Shard(np.concatenate(feats), np.concatenate(labels))
 
 
 def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
@@ -77,14 +83,9 @@ def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
 
     shards, class_map = [], []
-    counts = _per_class_counts(spec)
     for _ in range(spec.num_devices):
         classes = sorted(int(c) for c in rng.choice(k, spec.classes_per_device, replace=False))
-        feats, labels = [], []
-        for cls, cnt in zip(classes, counts):
-            feats.append(_draw_class_samples(rng, centroids[cls], cnt, spec.cluster_spread, dim))
-            labels.append(np.full(cnt, cls, dtype=np.int64))
-        shards.append(Shard(np.concatenate(feats), np.concatenate(labels)))
+        shards.append(_draw_shard(rng, classes, spec, centroids))
         class_map.append(classes)
 
     test_feats, test_labels = [], []
@@ -110,15 +111,7 @@ def refresh_shard(
         return shard
     if centroids is None:
         raise ConfigurationError("refresh requires generator centroids (synthetic data)")
-    rng = np.random.default_rng(round_seed)
-    counts = _per_class_counts(spec)
-    feats, labels = [], []
-    for cls, cnt in zip(class_map_entry, counts):
-        feats.append(
-            _draw_class_samples(rng, centroids[cls], cnt, spec.cluster_spread, spec.input_dim)
-        )
-        labels.append(np.full(cnt, cls, dtype=np.int64))
-    return Shard(np.concatenate(feats), np.concatenate(labels))
+    return _draw_shard(np.random.default_rng(round_seed), class_map_entry, spec, centroids)
 
 
 def save_dataset(ds: FederatedDataset, out_dir: str | Path) -> Path:

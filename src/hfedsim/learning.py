@@ -8,8 +8,9 @@ holding their parameters as one [K, param_count] array: each step gathers a
 [K, b, d] stack of batches, every device in its own seeded order, and runs the
 forward and backward passes as stacked matmuls. np.matmul runs one gemm per
 slice and every other operation acts on each slice alone, so each row is
-bit-identical to training that device by itself. `local_train` is the K = 1
-case plus the full-shard gradient at the final point.
+bit-identical to training that device by itself. One device alone is the
+K = 1 call; `raise_if_diverged` checks a trained row and `grad_regularized`
+gives the full-shard gradient a device reports.
 """
 
 from __future__ import annotations
@@ -269,25 +270,6 @@ def raise_if_diverged(params: np.ndarray, device_id: int | None = None) -> None:
     if not np.isfinite(params).all():
         who = "device" if device_id is None else f"device {device_id}"
         raise NumericDivergenceError(f"non-finite weights while training {who}")
-
-
-def local_train(
-    start: np.ndarray,
-    anchor: np.ndarray,
-    arch: ModelArch,
-    shard: Shard,
-    cfg: TrainConfig,
-    seed: int,
-    device_id: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``cfg.epochs`` of mini-batch SGD on the anchored objective for one device.
-
-    Returns the final parameter vector and the full-shard gradient of the
-    anchored objective at that final point (the gradient reported upstream).
-    """
-    params = local_train_cohort(start, anchor, arch, [shard], cfg, [seed])[0]
-    raise_if_diverged(params, device_id)
-    return params, grad_regularized(params, anchor, arch, shard, cfg.rho)
 
 
 def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, float]:

@@ -1,4 +1,8 @@
-"""Topology state, stochastic link delays, latency tracking, and fault injection.
+"""Network description, stochastic link delays, latency tracking, and fault events.
+
+A `Topology` is input only: it describes the links, delays, bandwidth caps
+and the fault schedule, and a run never changes it. The association and the
+link state that faults change during a run belong to the simulation.
 
 Round latency between a gateway and a device is downlink + local compute +
 uplink. Each segment is its mean times an independent log-normal multiplier
@@ -35,6 +39,12 @@ class DelayParams:
     @property
     def mean_total(self) -> float:
         return self.mean_down + self.mean_comp + self.mean_up
+
+    def slowed(self, k: float) -> DelayParams:
+        """These delays with every mean scaled by a straggler's slowdown factor k."""
+        if k == 1.0:
+            return self
+        return DelayParams(self.mean_down * k, self.mean_comp * k, self.mean_up * k, self.sigma)
 
 
 def sample_round_latency(
@@ -94,8 +104,10 @@ class FaultEvent:
             raise ConfigurationError("fault time must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Topology:
+    """The network a run is given: links, delays, caps and the fault schedule."""
+
     num_devices: int
     num_gateways: int
     feasible: np.ndarray  # J [N, G]
@@ -105,7 +117,6 @@ class Topology:
     model_bytes: int
     cloud_gateway_delay: float = 0.5
     faults: list[FaultEvent] = field(default_factory=list)
-    association: np.ndarray = None  # I [N, G], starts empty
 
     def __post_init__(self):
         n, g = self.num_devices, self.num_gateways
@@ -129,52 +140,6 @@ class Topology:
         for f in self.faults:
             if not 0 <= f.device < n:
                 raise ConfigurationError(f"fault references unknown device {f.device}")
-        if self.association is None:
-            self.association = np.zeros((n, g), dtype=np.int8)
-        self._initial_feasible = self.feasible.copy()
-        self._slow_factor = np.ones(n)
-
-    # -- association bookkeeping ------------------------------------------
-
-    def gateway_of(self, device: int) -> int | None:
-        row = self.association[device]
-        return int(np.argmax(row)) if row.any() else None
-
-    def associate(self, device: int, gateway: int | None) -> None:
-        """Point a device's row of I at one feasible gateway (or clear it)."""
-        if gateway is not None and not self.feasible[device, gateway]:
-            raise ConfigurationError(
-                f"cannot associate device {device} to infeasible gateway {gateway}"
-            )
-        self.association[device] = 0
-        if gateway is not None:
-            self.association[device, gateway] = 1
-
-    def devices_of(self, gateway: int) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.association[:, gateway])]
-
-    # -- delays -------------------------------------------------------------
-
-    def delay_params(self, device: int, gateway: int) -> DelayParams:
-        base = self.link_params[(device, gateway)]
-        k = float(self._slow_factor[device])
-        if k == 1.0:
-            return base
-        return DelayParams(base.mean_down * k, base.mean_comp * k, base.mean_up * k, base.sigma)
-
-    # -- faults ---------------------------------------------------------------
-
-    def apply_fault(self, fault: FaultEvent) -> None:
-        if not 0 <= fault.device < self.num_devices:
-            raise ConfigurationError(f"fault references unknown device {fault.device}")
-        if fault.action == "drop":
-            self.feasible[fault.device] = 0
-            self.association[fault.device] = 0
-        elif fault.action == "restore":
-            self.feasible[fault.device] = self._initial_feasible[fault.device]
-            self._slow_factor[fault.device] = 1.0
-        else:  # slowdown
-            self._slow_factor[fault.device] = fault.factor
 
 
 # -- serialization ------------------------------------------------------------

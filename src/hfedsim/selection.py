@@ -181,33 +181,23 @@ class AssociationInstance:
 
 @dataclass(frozen=True)
 class Assignment:
-    matrix: np.ndarray  # [N, G] 0/1, row sums <= 1, matrix <= feasible
+    gateway_of: list[int | None]  # per device: a feasible gateway, or None
     objective: float
     u_slack: float  # min over gateways of assigned utility sum
     r_slack: float  # max over gateways of assigned rate / bandwidth
 
-    @property
-    def gateway_of(self) -> list[int | None]:
-        rows = []
-        for row in self.matrix:
-            j = int(np.argmax(row)) if row.any() else None
-            rows.append(j)
-        return rows
-
 
 def _assignment_from_vector(inst: AssociationInstance, assign: list[int | None]) -> Assignment:
-    n, g = inst.shape
-    matrix = np.zeros((n, g), dtype=np.int8)
+    g = inst.shape[1]
     sums_u = np.zeros(g)
     sums_r = np.zeros(g)
     for i, j in enumerate(assign):
         if j is not None:
-            matrix[i, j] = 1
             sums_u[j] += inst.u[i]
             sums_r[j] += inst.rates[i, j] / inst.bandwidth[j]
     u_slack = float(sums_u.min())
     r_slack = float(sums_r.max())
-    return Assignment(matrix, u_slack - inst.phi * r_slack, u_slack, r_slack)
+    return Assignment(assign, u_slack - inst.phi * r_slack, u_slack, r_slack)
 
 
 def _pref_key(assign, g):

@@ -5,6 +5,13 @@ and advances a (time, seq)-ordered event heap. Everything stochastic draws
 from a single seeded generator inside the event loop, so a (config, seed)
 pair fully determines the trace.
 
+The `Topology` is input only; the link state a run changes lives on the
+simulation. `feasible` starts as a copy of the topology's: a drop zeroes the
+device's row and a restore copies it back. `gateway_of` holds each device's
+gateway (-1 for none), set by the association and cleared by a drop.
+`slowdown` holds each device's delay factor, set by a slowdown fault and
+reset by a restore.
+
 Local training runs when a gateway dispatches, not when the model reaches the
 device. A device's round depends only on the anchor (the gateway model it is
 sent), its shard and its seed. All three are fixed at dispatch: the seed comes
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -306,12 +313,12 @@ class _Simulation:
         cfg.validate()
         self.cfg = cfg
         self.policy = MODES[cfg.mode]
-        # Faults and association change the run's own copy, never the caller's.
-        self.topo = replace(
-            cfg.topology,
-            feasible=cfg.topology.feasible.copy(),
-            association=cfg.topology.association.copy(),
-        )
+        self.topo = cfg.topology
+        n = self.topo.num_devices
+        # Link state that faults and association change during the run.
+        self.feasible = self.topo.feasible.copy()
+        self.gateway_of = np.full(n, -1)  # per device; -1 means no gateway
+        self.slowdown = [1.0] * n
         self.arch = cfg.arch
         self.rng = np.random.default_rng(cfg.seed)
         self.now = 0.0
@@ -333,11 +340,11 @@ class _Simulation:
         # holds its compressed gradient if `has_grad` says it reported one.
         self.full_grads: dict[int, np.ndarray] = {}
         self.coords: np.ndarray | None = None
-        self.has_grad = np.zeros(self.topo.num_devices, dtype=bool)
+        self.has_grad = np.zeros(n, dtype=bool)
         self.utilities: dict[int, float] = {}
         self._utilities_dirty = False
         self.pca_model = None
-        self.pending_assoc: dict[int, int | None] = {}
+        self.pending_assoc: dict[int, int] = {}
 
         self.warmup_pending: set[int] = set()
         self.warmup_started: set[int] = set()  # gateway ids that dispatched warmup
@@ -411,7 +418,8 @@ class _Simulation:
     # ---- selection and dispatch ---------------------------------------------
 
     def _idle_candidates(self, gw: GatewayState) -> list[int]:
-        return [i for i in self.topo.devices_of(gw.id) if not self.devices[i].busy]
+        members = np.flatnonzero(self.gateway_of == gw.id).tolist()
+        return [i for i in members if not self.devices[i].busy]
 
     def _residual_bandwidth(self, gw: GatewayState) -> float:
         return float(self.topo.bandwidth[gw.id]) - sum(gw.in_flight.values())
@@ -478,10 +486,10 @@ class _Simulation:
         for i in device_ids:
             dev = self.devices[i]
             assert not dev.busy, "dispatch to a busy device"
-            assert self.topo.association[i, gw.id], "dispatch outside the association"
+            assert self.gateway_of[i] == gw.id, "dispatch outside the association"
             rate = self.rate_estimate(i, gw.id)
             down, comp, up, total = sample_round_latency(
-                self.topo.delay_params(i, gw.id), self.rng
+                self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
             flight = next(self._seq)
             dev.busy = True
@@ -564,40 +572,43 @@ class _Simulation:
 
     # ---- association ----------------------------------------------------------
 
+    def _random_association(self) -> list[int]:
+        """A uniformly drawn feasible gateway per device, or -1 where none is feasible."""
+        targets = []
+        for row in self.feasible:
+            feas = np.flatnonzero(row)
+            targets.append(int(self.rng.choice(feas)) if len(feas) else -1)
+        return targets
+
     def run_association(self) -> None:
-        n, g = self.topo.num_devices, self.topo.num_gateways
         if self.policy.selector == "utility":
+            n, g = self.topo.num_devices, self.topo.num_gateways
             u = np.array([self.utility_of(i) for i in range(n)])
             rates = np.zeros((n, g))
             for (i, j) in self.topo.link_params:
                 rates[i, j] = self.rate_estimate(i, j)
             inst = AssociationInstance(
-                feasible=self.topo.feasible.copy(),
+                feasible=self.feasible.copy(),
                 u=u,
                 rates=rates,
                 bandwidth=self.topo.bandwidth.copy(),
                 phi=self.cfg.phi,
             )
-            targets = solve_association(inst).gateway_of
+            targets = [-1 if j is None else j for j in solve_association(inst).gateway_of]
         else:
-            targets = []
-            for i in range(n):
-                feas = [j for j in range(g) if self.topo.feasible[i, j]]
-                targets.append(
-                    int(self.rng.choice(feas)) if feas else None
-                )
+            targets = self._random_association()
         for i, target in enumerate(targets):
             if self.devices[i].busy:
                 # Mid-round devices upload to their current gateway first.
                 self.pending_assoc[i] = target
-            elif target != self.topo.gateway_of(i):
-                self.topo.associate(i, target)
+            else:
+                self.gateway_of[i] = target
 
     def _apply_pending_assoc(self, device: int) -> None:
         if device in self.pending_assoc:
             target = self.pending_assoc.pop(device)
-            if target is None or self.topo.feasible[device, target]:
-                self.topo.associate(device, target)
+            if target < 0 or self.feasible[device, target]:
+                self.gateway_of[device] = target
 
     # ---- metric rows -----------------------------------------------------------
 
@@ -818,10 +829,17 @@ class _Simulation:
 
     def on_fault_timer(self, payload: dict) -> None:
         fault = payload["fault"]
-        self.topo.apply_fault(fault)
-        if fault.action != "drop":
-            return
         i = fault.device
+        if fault.action == "slowdown":
+            self.slowdown[i] = float(fault.factor)
+            return
+        if fault.action == "restore":
+            self.feasible[i] = self.topo.feasible[i]
+            self.slowdown[i] = 1.0
+            return
+        # A drop cuts every link of the device and voids its flight.
+        self.feasible[i] = 0
+        self.gateway_of[i] = -1
         dev = self.devices[i]
         dev.busy = False
         dev.active_flight = None
@@ -857,14 +875,8 @@ class _Simulation:
 
     # ---- main loop -------------------------------------------------------------------
 
-    def _initial_association(self) -> None:
-        for i in range(self.topo.num_devices):
-            feas = [j for j in range(self.topo.num_gateways) if self.topo.feasible[i, j]]
-            if feas:
-                self.topo.associate(i, int(self.rng.choice(feas)))
-
     def run(self) -> SimResult:
-        self._initial_association()
+        self.gateway_of[:] = self._random_association()
         # Fault timers go first, so at any time a due fault fires before every
         # other event, and faults due together fire in schedule order.
         for fault in sorted(self.topo.faults, key=lambda f: f.time):

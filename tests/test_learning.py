@@ -9,7 +9,6 @@ from hfedsim.learning import (
     evaluate,
     grad_regularized,
     init_params,
-    local_train,
     local_train_cohort,
     loss_and_grad,
     raise_if_diverged,
@@ -148,6 +147,8 @@ class TestGradRegularized:
 
 
 class TestLocalTrain:
+    """One device trained alone: a cohort of K = 1."""
+
     def _setup(self, seed=0, n=12):
         rng = np.random.default_rng(seed)
         arch = ModelArch("mlp", input_dim=3, num_classes=2, hidden_dim=4)
@@ -158,16 +159,14 @@ class TestLocalTrain:
     def test_zero_lr_is_identity(self):
         arch, shard, start = self._setup()
         cfg = TrainConfig(gamma=0.0, rho=0.1, epochs=3, batch_size=4)
-        final, last_grad = local_train(start, start.copy(), arch, shard, cfg, seed=1)
+        final = local_train_cohort(start, start.copy(), arch, [shard], cfg, [1])[0]
         np.testing.assert_array_equal(final, start)
-        expected = grad_regularized(start, start, arch, shard, 0.1)
-        np.testing.assert_array_equal(last_grad, expected)
 
     def test_single_full_batch_step(self):
         arch, shard, start = self._setup(seed=2)
         anchor = start + 0.3
         cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=1, batch_size=shard.n)
-        final, _ = local_train(start, anchor, arch, shard, cfg, seed=9)
+        final = local_train_cohort(start, anchor, arch, [shard], cfg, [9])[0]
         expected = start - 0.05 * grad_regularized(start, anchor, arch, shard, 0.2)
         np.testing.assert_array_equal(final, expected)
 
@@ -180,7 +179,7 @@ class TestLocalTrain:
         shard = Shard(centers + rng.normal(0, 0.3, (n, 2)), labels)
         start = init_params(arch, 1)
         cfg = TrainConfig(gamma=0.2, rho=0.0, epochs=5, batch_size=8)
-        final, _ = local_train(start, start.copy(), arch, shard, cfg, seed=3)
+        final = local_train_cohort(start, start.copy(), arch, [shard], cfg, [3])[0]
         loss0, _ = loss_and_grad(start, arch, shard)
         loss1, _ = loss_and_grad(final, arch, shard)
         assert loss1 < loss0
@@ -188,15 +187,18 @@ class TestLocalTrain:
     def test_deterministic(self):
         arch, shard, start = self._setup(seed=4)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=2, batch_size=5)
-        a = local_train(start, start.copy(), arch, shard, cfg, seed=5)
-        b = local_train(start, start.copy(), arch, shard, cfg, seed=5)
-        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+        a = local_train_cohort(start, start.copy(), arch, [shard], cfg, [5])[0]
+        b = local_train_cohort(start, start.copy(), arch, [shard], cfg, [5])[0]
+        assert np.array_equal(a, b)
+        reported = grad_regularized(a, start, arch, shard, cfg.rho)
+        assert np.array_equal(reported, grad_regularized(b, start, arch, shard, cfg.rho))
 
     def test_divergence_names_device(self):
         arch, shard, start = self._setup(seed=6)
         cfg = TrainConfig(gamma=1e12, rho=1.0, epochs=30, batch_size=4)
+        final = local_train_cohort(start, start.copy(), arch, [shard], cfg, [0])[0]
         with pytest.raises(NumericDivergenceError, match="device 17"):
-            local_train(start, start.copy(), arch, shard, cfg, seed=0, device_id=17)
+            raise_if_diverged(final, device_id=17)
 
 
 class TestEvaluate:
@@ -319,8 +321,8 @@ class TestLocalTrainCohort:
         rows = local_train_cohort(start, anchor, arch, shards, cfg, seeds)
         assert rows.shape == (k, arch.param_count)
         for row, shard, seed in zip(rows, shards, seeds):
-            final, _ = local_train(start, anchor, arch, shard, cfg, seed)
-            assert np.array_equal(row, final)
+            alone = local_train_cohort(start, anchor, arch, [shard], cfg, [seed])[0]
+            assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_sgd(start, anchor, arch, shard, cfg, seed))
 
     def test_diverging_row_leaves_the_others_intact(self):
@@ -331,13 +333,14 @@ class TestLocalTrainCohort:
         rows = local_train_cohort(start, anchor, arch, shards, cfg, seeds)
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(rows[bad], device_id=42)
+        alone = local_train_cohort(start, anchor, arch, [shards[bad]], cfg, [seeds[bad]])[0]
         with pytest.raises(NumericDivergenceError, match="device 42"):
-            local_train(start, anchor, arch, shards[bad], cfg, seeds[bad], device_id=42)
+            raise_if_diverged(alone, device_id=42)
         for k in range(5):
             if k != bad:
                 raise_if_diverged(rows[k], device_id=k)
-                final, _ = local_train(start, anchor, arch, shards[k], cfg, seeds[k])
-                assert np.array_equal(rows[k], final)
+                alone = local_train_cohort(start, anchor, arch, [shards[k]], cfg, [seeds[k]])[0]
+                assert np.array_equal(rows[k], alone)
 
     def test_unequal_shard_sizes_rejected(self):
         arch, shards, seeds, start, _ = self._cohort("logistic", 2, 6)

@@ -16,6 +16,8 @@ from hfedsim.network import (
     topology_from_json,
     topology_to_json,
 )
+from hfedsim.simulator import _Simulation
+from simtools import small_config
 
 
 class TestSampleRoundLatency:
@@ -97,54 +99,82 @@ def small_topology(sigma=0.0, faults=()):
         feasible=feasible,
         link_params=link_params,
         comp_mean=np.full(3, 5.0),
-        bandwidth=np.array([50.0, 80.0]),
+        bandwidth=np.array([5e3, 8e3]),
         model_bytes=1000,
         faults=list(faults),
     )
 
 
+def finished_simulation(mode, faults=()):
+    """Run on `small_topology`, re-associating every cloud epoch.
+
+    Returns the finished simulation and, per association that ran, whether
+    every associated device sat on a gateway it could reach right after it.
+    """
+    sim = _Simulation(
+        small_config(mode=mode, n=3, g=2, topology=small_topology(faults=faults), assoc_period=1)
+    )
+    checks = []
+    associate = sim.run_association
+
+    def checked():
+        associate()
+        checks.append(associated_links_are_feasible(sim))
+
+    sim.run_association = checked
+    sim.run()
+    return sim, checks
+
+
+def associated_links_are_feasible(sim):
+    return all(j < 0 or sim.feasible[i, j] for i, j in enumerate(sim.gateway_of))
+
+
 class TestTopology:
     def test_association_respects_feasibility(self):
-        topo = small_topology()
-        topo.associate(0, 0)
-        assert topo.gateway_of(0) == 0
-        with pytest.raises(ConfigurationError):
-            topo.associate(1, 0)  # (1, 0) is infeasible in the fixture
+        for mode in ("async-sched", "async-random"):
+            sim, checks = finished_simulation(mode)
+            # The association due at the last cloud epoch never runs: the run is over.
+            assert sim.h == 12 and len(checks) == 11
+            assert all(checks)
+            assert (sim.gateway_of >= 0).all()
 
     def test_drop_then_restore_is_involution(self):
         topo = small_topology()
         original = topo.feasible.copy()
-        topo.associate(0, 0)
-        topo.apply_fault(FaultEvent(1.0, 0, "drop"))
-        assert not topo.feasible[0].any()
-        assert not topo.association[0].any()
-        topo.apply_fault(FaultEvent(2.0, 0, "restore"))
+        sim = _Simulation(small_config(n=3, g=2, topology=topo))
+        sim.gateway_of[:] = sim._random_association()
+        sim.on_fault_timer({"fault": FaultEvent(1.0, 0, "drop")})
+        assert not sim.feasible[0].any()
+        assert sim.gateway_of[0] == -1
+        sim.on_fault_timer({"fault": FaultEvent(2.0, 0, "restore")})
+        np.testing.assert_array_equal(sim.feasible, original)
         np.testing.assert_array_equal(topo.feasible, original)
 
     def test_association_stays_below_feasibility(self):
-        topo = small_topology()
-        topo.associate(0, 0)
-        topo.apply_fault(FaultEvent(1.0, 0, "drop"))
-        assert np.all(topo.association <= topo.feasible)
+        # Device 0 drops for good; device 1 drops and comes back.
+        faults = [
+            FaultEvent(5.0, 0, "drop"), FaultEvent(5.0, 1, "drop"), FaultEvent(50.0, 1, "restore"),
+        ]
+        for mode in ("async-random", "sync-random"):
+            sim, checks = finished_simulation(mode, faults)
+            assert sim.h == 12
+            assert all(checks) and associated_links_are_feasible(sim)
+            assert sim.gateway_of[0] == -1 and sim.gateway_of[1] >= 0
 
     def test_slowdown_scales_sampled_latency(self):
-        topo = small_topology(sigma=1.0)
+        base = small_topology(sigma=1.0).link_params[(0, 0)]
         rng = np.random.default_rng(3)
-        base = np.array(
-            [sample_round_latency(topo.delay_params(0, 0), rng)[3] for _ in range(10_000)]
-        )
-        topo.apply_fault(FaultEvent(0.0, 0, "slowdown", factor=10.0))
-        slow = np.array(
-            [sample_round_latency(topo.delay_params(0, 0), rng)[3] for _ in range(10_000)]
-        )
-        assert 8.0 <= slow.mean() / base.mean() <= 12.0
-        topo.apply_fault(FaultEvent(0.0, 0, "restore"))
-        assert topo.delay_params(0, 0).mean_down == 1.0
+        fast = np.array([sample_round_latency(base, rng)[3] for _ in range(10_000)])
+        slowed = base.slowed(10.0)
+        slow = np.array([sample_round_latency(slowed, rng)[3] for _ in range(10_000)])
+        assert 8.0 <= slow.mean() / fast.mean() <= 12.0
+        assert slowed.mean_down == 10.0 and slowed.sigma == base.sigma
+        assert base.slowed(1.0) is base
 
     def test_unknown_device_rejected(self):
-        topo = small_topology()
-        with pytest.raises(ConfigurationError):
-            topo.apply_fault(FaultEvent(0.0, 99, "drop"))
+        with pytest.raises(ConfigurationError, match="unknown device 99"):
+            small_topology(faults=[FaultEvent(0.0, 99, "drop")])
 
     def test_bad_fault_action(self):
         with pytest.raises(ConfigurationError):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -126,8 +128,13 @@ class TestDeterminism:
         cfg = small_config(
             mode=mode, n=8, seed=29, topology=uniform_topology(8, 2, sigma=0.5, faults=faults)
         )
+        before = copy.deepcopy(cfg.topology)
         assert _outputs(cfg) == _outputs(cfg)
-        assert cfg.topology.feasible.all() and not cfg.topology.association.any()
+        after = cfg.topology
+        np.testing.assert_array_equal(after.feasible, before.feasible)
+        np.testing.assert_array_equal(after.bandwidth, before.bandwidth)
+        assert after.link_params == before.link_params
+        assert after.faults == before.faults
 
     def test_seed_changes_trace(self):
         a = run(small_config(seed=1))
@@ -217,6 +224,29 @@ class TestFaults:
             if t.dst == "dev2" and t.time > 60.0 and t.kind == "dispatch"
         ]
         assert revived
+
+    def test_slowdown_scales_round_latency_until_restore(self):
+        # sigma = 0, so every round takes exactly mean_total = 2 + 6 + 3 s times
+        # the device's slowdown factor at dispatch.
+        restore_at = 60.25
+        faults = [FaultEvent(0.0, 0, "slowdown", 3.0), FaultEvent(restore_at, 0, "restore")]
+        topo = uniform_topology(2, 1, sigma=0.0, faults=faults)
+        result = run(small_config(mode="async-random", n=2, g=1, topology=topo, seed=3))
+        assert result.cloud_epochs_done == 12
+
+        def rounds(device):
+            """(dispatch time, latency multiple) for each round the device completed."""
+            sent, out = None, []
+            for t in result.transfers:
+                if t.kind == "dispatch" and t.dst == f"dev{device}":
+                    sent = t.time
+                elif t.kind == "device_upload" and t.src == f"dev{device}":
+                    out.append((sent, (t.time - sent) / 11.0))
+            return out
+
+        assert {k for sent, k in rounds(0) if sent < restore_at} == {3.0}
+        assert {k for sent, k in rounds(0) if sent > restore_at} == {1.0}
+        assert {k for _, k in rounds(1)} == {1.0}
 
     def test_sync_barrier_survives_dropout(self):
         # A device dropping mid-barrier must not deadlock the gateway round.
