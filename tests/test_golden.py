@@ -60,6 +60,21 @@ def _faults_refresh(mode):
     return cfg
 
 
+def _ties(mode, faults=()):
+    """No jitter and no cloud delay: every round takes exactly 2 + 6 + 3 = 11 s and
+    the evaluation timer fires every 11 s, so many events fall due together."""
+    return small_config(
+        mode=mode, n=8, seed=1, eval_every=11.0,
+        topology=uniform_topology(8, 2, sigma=0.0, cloud_gateway_delay=0.0, faults=faults),
+    )
+
+
+def _ties_drop_restore():
+    """Device 3 drops exactly when its first upload is due and is restored at a
+    later round boundary."""
+    return _ties("async-random", [FaultEvent(11.0, 3, "drop"), FaultEvent(22.0, 3, "restore")])
+
+
 def _gen_topology(mode):
     topo = gen_topology(TopologySpec(10, 3, model_bytes=8000), seed=5)
     return small_config(mode=mode, n=10, g=3, seed=5, topology=topo)
@@ -96,6 +111,7 @@ def scenarios():
         out[f"{mode}/faults-refresh"] = lambda m=mode: _faults_refresh(m)
         out[f"{mode}/gen-topology"] = lambda m=mode: _gen_topology(m)
         out[f"{mode}/mlp"] = lambda m=mode: _mlp(m)
+        out[f"{mode}/ties"] = lambda m=mode: _ties(m)
     out["async-random/dispatch-all"] = lambda: small_config(
         mode="async-random", seed=3, dispatch_all=True
     )
@@ -109,6 +125,7 @@ def scenarios():
     )
     out["async-sched/heuristic-assoc"] = _heuristic_assoc
     out["async-sched/late-gradient"] = _late_gradient
+    out["async-random/ties-drop-restore"] = _ties_drop_restore
     return out
 
 
