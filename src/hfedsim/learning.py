@@ -4,13 +4,15 @@ Model parameters are flat float64 vectors of length ``arch.param_count``;
 every function here is pure and deterministic given its inputs and seed.
 
 There is one SGD loop, `local_train_cohort`. It trains K devices in lockstep,
-holding their parameters as one [K, param_count] array: each step gathers a
-[K, b, d] stack of batches, every device in its own seeded order, and runs the
-forward and backward passes as stacked matmuls. np.matmul runs one gemm per
-slice and every other operation acts on each slice alone, so each row is
-bit-identical to training that device by itself. One device alone is the
-K = 1 call; `raise_if_diverged` checks a trained row and `grad_regularized`
-gives the full-shard gradient a device reports.
+holding their parameters as one [K, param_count] array: row k has its own start
+and its own proximal anchor (both given as [K, param_count] stacks), so one
+block can mix devices sent different models. Each step gathers a [K, b, d]
+stack of batches, every device in its own seeded order, and runs the forward
+and backward passes as stacked matmuls. np.matmul runs one gemm per slice and
+every other operation acts on each slice alone, so each row is bit-identical to
+training that device by itself. One device alone is the K = 1 call, with
+``start[None]`` and ``anchor[None]``; `raise_if_diverged` checks a trained row
+and `grad_regularized` gives the full-shard gradient a device reports.
 """
 
 from __future__ import annotations
@@ -228,32 +230,33 @@ def local_train_cohort(
 ) -> np.ndarray:
     """Run ``cfg.epochs`` of mini-batch SGD for K devices in lockstep.
 
-    Row k starts from ``start``, is anchored at ``anchor``, trains on
-    ``shards[k]`` and draws its batch order from ``seeds[k]``. All shards hold
-    the same number of samples, so every step moves all K rows at once. Returns
-    the final parameters [K, P]; row k is bit-identical to training device k
-    alone.
+    ``start`` and ``anchor`` are [K, P]: row k starts from ``start[k]``, is
+    anchored at ``anchor[k]``, trains on ``shards[k]`` and draws its batch
+    order from ``seeds[k]``. All shards hold the same number of samples, so
+    every step moves all K rows at once. Returns the final parameters [K, P],
+    a new array; row k is bit-identical to training device k alone, i.e. to
+    the K = 1 call on ``start[k][None]`` and ``anchor[k][None]``.
 
     A row that diverges keeps running: the update never turns a non-finite
     weight finite again, so `raise_if_diverged` on a final row tells whether
     that device diverged at any step.
     """
-    if start.shape != anchor.shape:
-        raise ConfigurationError("start and anchor lengths differ")
-    if not shards or len(shards) != len(seeds):
+    k = len(shards)
+    if not shards or k != len(seeds):
         raise ConfigurationError("need one seed per shard and at least one shard")
+    if start.shape != (k, arch.param_count) or anchor.shape != start.shape:
+        raise ConfigurationError(f"start and anchor must be [{k}, {arch.param_count}]")
     n = shards[0].n
     for shard in shards:
         if shard.n != n:
             raise ConfigurationError("cohort shards must hold the same number of samples")
         if shard.features.shape[1] != arch.input_dim:
             raise ConfigurationError("shard input_dim does not match architecture")
-    k = len(shards)
     rows = np.arange(k)[:, None]
     features = np.stack([s.features for s in shards])
     labels = np.stack([s.labels for s in shards])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    params = np.repeat(start[None, :], k, axis=0)
+    params = start.copy()
     layers = unpack(arch, params)  # views: they follow the in-place updates
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):

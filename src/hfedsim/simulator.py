@@ -12,12 +12,19 @@ gateway (-1 for none), set by the association and cleared by a drop.
 `slowdown` holds each device's delay factor, set by a slowdown fault and
 reset by a restore.
 
-Local training runs when a gateway dispatches, not when the model reaches the
-device. A device's round depends only on the anchor (the gateway model it is
-sent), its shard and its seed. All three are fixed at dispatch: the seed comes
-from the device's round count and its shard refreshes only on upload. So the
-devices of one dispatch train together in lockstep (`local_train_cohort`),
-and the trace is the same as if each had trained alone on arrival.
+Local training is lazy. A device's round depends only on the anchor (the
+gateway model it is sent), its shard and its seed. All three are fixed at
+dispatch: the seed comes from the device's round count and its shard refreshes
+only on upload. So a dispatch only records them in `untrained`. When a live
+flight's upload lands and finds no row in `trained`, every flight then in the
+air trains at once, in lockstep blocks of devices that share a shard size
+(`local_train_cohort`), and each row waits in `trained` for its own upload.
+An async gateway sends to about one device at a time, so this fills blocks
+that dispatch-time training would run one row at a time, and the trace is the
+same as if each device had trained alone on arrival. A divergence raises at
+the device's upload, so only a live flight raises. A drop discards the
+flight's inputs or trained row, so a voided flight is not trained afterwards
+and its row, if it had one, is never used.
 
 Modes. A mode is one row of `MODES`: a policy on each of three axes.
   gateway   async    staleness-discounted step per device upload; uploads to
@@ -100,7 +107,7 @@ MODES: dict[str, Policy] = {
     "semi-async": Policy("window", "barrier", "random"),
     "sync-gw-async-cloud": Policy("barrier", "reply", "random"),
 }
-# Devices trained in one stacked pass. Larger blocks gain little speed and
+# Flights trained in one stacked pass. Larger blocks gain little speed and
 # raise peak memory.
 COHORT_BLOCK = 8
 
@@ -345,6 +352,10 @@ class _Simulation:
         self._utilities_dirty = False
         self.pca_model = None
         self.pending_assoc: dict[int, int] = {}
+        # Flights in the air, by device: the (anchor, shard, seed) of those not
+        # trained yet, and the final parameters of those trained but not uploaded.
+        self.untrained: dict[int, tuple[np.ndarray, Shard, int]] = {}
+        self.trained: dict[int, np.ndarray] = {}
 
         self.warmup_pending: set[int] = set()
         self.warmup_started: set[int] = set()  # gateway ids that dispatched warmup
@@ -455,34 +466,31 @@ class _Simulation:
                 load += r
         return chosen
 
-    def _train_cohort(self, anchor: np.ndarray, device_ids: list[int]) -> dict[int, np.ndarray]:
-        """Final local parameters of each device, trained in blocks that share a shard size."""
+    def _train_untrained(self) -> None:
+        """Train every untrained flight in the air, in blocks that share a shard size."""
         by_n: dict[int, list[int]] = {}
-        for i in device_ids:
-            by_n.setdefault(self.devices[i].shard.n, []).append(i)
-        finals = {}
+        for i, (_, shard, _) in self.untrained.items():
+            by_n.setdefault(shard.n, []).append(i)
         for ids in by_n.values():
             for k in range(0, len(ids), COHORT_BLOCK):
                 block = ids[k : k + COHORT_BLOCK]
-                devs = [self.devices[i] for i in block]
+                anchors, shards, seeds = zip(*(self.untrained.pop(i) for i in block))
+                starts = np.stack(anchors)
                 rows = local_train_cohort(
-                    anchor, anchor, self.arch, [d.shard for d in devs], self.cfg.train,
-                    [self._train_seed(d.id, d.rounds_started) for d in devs],
+                    starts, starts, self.arch, list(shards), self.cfg.train, list(seeds)
                 )
                 # One copy per device: a row view would keep its whole block
                 # alive until the block's last flight lands, and raise peak memory.
-                finals.update((i, row.copy()) for i, row in zip(block, rows))
-        return finals
+                self.trained.update((i, row.copy()) for i, row in zip(block, rows))
 
     def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
-        """Send the gateway model, stamped with its version, to each device; train them now.
+        """Send the gateway model, stamped with its version, to each device.
 
-        Training at dispatch gives the same result as training when the model
-        arrives: the anchor, the seed (from `rounds_started`) and the shard are
-        all fixed here, because a device's shard refreshes only on its upload.
-        The final parameters ride in the event payload.
+        Nothing trains here. Each flight's anchor (the gateway model), shard and
+        seed (from `rounds_started`) go to `untrained`; all three are fixed now,
+        because a device's shard refreshes only on its upload, so the flight can
+        train any time before its upload lands.
         """
-        finals = self._train_cohort(gw.params, device_ids)
         for i in device_ids:
             dev = self.devices[i]
             assert not dev.busy, "dispatch to a busy device"
@@ -492,6 +500,7 @@ class _Simulation:
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
             flight = next(self._seq)
+            self.untrained[i] = (gw.params, dev.shard, self._train_seed(i, dev.rounds_started))
             dev.busy = True
             dev.active_flight = flight
             dev.rounds_started += 1
@@ -504,7 +513,6 @@ class _Simulation:
                 gateway=gw.id,
                 flight=flight,
                 anchor=gw.params,
-                params=finals[i],
                 comp=comp,
                 up=up,
                 observed_tau=total,
@@ -725,15 +733,15 @@ class _Simulation:
             self.gateway_dispatch(gw)
 
     def on_device_model_arrives(self, payload: dict) -> None:
-        """The device starts its round; its training already ran at dispatch.
+        """The device starts its round: its upload is scheduled after compute and uplink.
 
-        A divergence raises here, when the model reaches the device, so a
-        flight that a fault voided never raises.
+        Training waits for an upload (see the module docstring). This event
+        stays separate from the upload because its place in the heap orders
+        ties: the upload takes its sequence number here, not at dispatch.
         """
         i = payload["device"]
         if payload["flight"] != self.devices[i].active_flight:
             return  # flight voided by a fault
-        raise_if_diverged(payload["params"], device_id=i)
         upload = dict(payload)
         del upload["comp"], upload["up"]
         if self.policy.selector != "utility":
@@ -749,6 +757,10 @@ class _Simulation:
         dev = self.devices[i]
         if payload["flight"] != dev.active_flight:
             return
+        if i not in self.trained:
+            self._train_untrained()
+        params = self.trained.pop(i)
+        raise_if_diverged(params, device_id=i)
         gw = self.gateways[payload["gateway"]]
         dev.busy = False
         dev.active_flight = None
@@ -756,7 +768,6 @@ class _Simulation:
         gw.in_flight.pop(i, None)
         self.latency.update(i, gw.id, payload["observed_tau"])
 
-        params = payload["params"]
         overhead = 0
         if self.policy.selector == "utility":
             overhead = self._record_gradient(i, params, payload["anchor"])
@@ -843,6 +854,8 @@ class _Simulation:
         dev = self.devices[i]
         dev.busy = False
         dev.active_flight = None
+        self.untrained.pop(i, None)
+        self.trained.pop(i, None)
         self.warmup_pending.discard(i)
         self._maybe_finish_warmup()
         for gw in self.gateways:

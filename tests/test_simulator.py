@@ -17,6 +17,7 @@ from hfedsim.learning import (
 from hfedsim.network import FaultEvent
 from hfedsim.simulator import (
     MODES,
+    EventKind,
     SimConfig,
     async_aggregate,
     run,
@@ -376,8 +377,8 @@ def _mlp_unequal_shards():
     return cfg
 
 
-def _refresh_with_faults():
-    """Sync cohorts with per-upload shard refresh and a drop/restore/slowdown schedule."""
+def _refresh_with_faults(mode="sync-random", extra_faults=()):
+    """Per-upload shard refresh and a drop/restore/slowdown schedule; sync cohorts by default."""
     spec = DataSpec(
         num_devices=8, num_classes=4, classes_per_device=2,
         samples_per_device=21, input_dim=3, cluster_spread=0.4, refresh=True,
@@ -387,9 +388,10 @@ def _refresh_with_faults():
         FaultEvent(30.0, 1, "restore"),
         FaultEvent(10.0, 4, "slowdown", 3.0),
         FaultEvent(60.0, 4, "restore"),
+        *extra_faults,
     ]
     cfg = small_config(
-        mode="sync-random", n=8, seed=23, topology=uniform_topology(8, 2, sigma=0.5, faults=faults),
+        mode=mode, n=8, seed=23, topology=uniform_topology(8, 2, sigma=0.5, faults=faults),
     )
     cfg.dataset = gen_synthetic(spec, seed=23)
     cfg.data_spec = spec
@@ -397,13 +399,14 @@ def _refresh_with_faults():
 
 
 class TestCohortTraining:
-    """Training each dispatch's devices in lockstep blocks changes no output."""
+    """Training every flight in the air in lockstep blocks changes no output."""
 
     @pytest.mark.parametrize(
         "make_cfg",
         [*(lambda m=m: small_config(mode=m, seed=19) for m in MODES),
-         _mlp_unequal_shards, _refresh_with_faults],
-        ids=[*MODES, "mlp-unequal-shards", "refresh-faults"],
+         _mlp_unequal_shards, _refresh_with_faults,
+         lambda: _refresh_with_faults("async-random")],
+        ids=[*MODES, "mlp-unequal-shards", "refresh-faults", "async-refresh-faults"],
     )
     def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg):
         sizes = []
@@ -438,6 +441,86 @@ class TestCohortTraining:
         result = run(cfg)
         assert result.cloud_epochs_done == 6
         assert [t.time for t in result.transfers if t.dst == "dev0"] == [0.5]
+
+    def test_flight_dropped_before_its_upload_never_raises(self, monkeypatch):
+        # Device 0 diverges and is slowed 3x: its model arrives at 6.5 s and its
+        # upload would land at 33.5 s. The other devices' uploads at 11.5 s
+        # train its flight too, and it drops at 20 s, so its non-finite row is
+        # thrown away unused. Only a flight that uploads raises.
+        faults = [FaultEvent(0.0, 0, "slowdown", 3.0), FaultEvent(20.0, 0, "drop")]
+        topo = uniform_topology(3, 1, sigma=0.0, faults=faults)
+        cfg = small_config(mode="sync-random", n=3, g=1, topology=topo, seed=1,
+                           gateway_epochs=2, cloud_epochs=6)
+        bad = cfg.dataset.shards[0]
+        cfg.dataset.shards[0] = Shard(bad.features * 1e200, bad.labels)
+        diverged = []
+
+        def spy(start, anchor, arch, shards, train, seeds):
+            rows = local_train_cohort(start, anchor, arch, shards, train, seeds)
+            diverged.extend(not np.isfinite(row).all() for row in rows)
+            return rows
+
+        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        result = run(cfg)
+        assert result.cloud_epochs_done == 6
+        assert sum(diverged) == 1
+        assert [t.time for t in result.transfers if t.dst == "dev0"] == [0.5]
+
+    def test_every_uploaded_round_trains_once(self, monkeypatch):
+        # Device 1 drops at 1.5 s, before anything has trained; device 6 drops
+        # at 12 s, after an earlier upload trained its flight.
+        cfg = _refresh_with_faults(
+            "async-random", [FaultEvent(12.0, 6, "drop"), FaultEvent(40.0, 6, "restore")]
+        )
+        sim = simulator._Simulation(cfg)
+        seeds_trained = []
+
+        def spy(start, anchor, arch, shards, train, seeds):
+            seeds_trained.extend(seeds)
+            return local_train_cohort(start, anchor, arch, shards, train, seeds)
+
+        drops = []
+        on_fault = simulator._Simulation.HANDLERS[EventKind.FAULT_TIMER]
+
+        def spy_fault(self, payload):
+            i = payload["fault"].device
+            if payload["fault"].action == "drop":
+                drops.append((i, i in self.untrained, i in self.trained))
+            on_fault(self, payload)
+
+        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        monkeypatch.setitem(simulator._Simulation.HANDLERS, EventKind.FAULT_TIMER, spy_fault)
+        result = sim.run()
+        assert result.stop_reason == "done"
+        assert drops == [(1, True, False), (6, False, True)]
+
+        # Round r of a device is its r-th dispatch, counted from 0.
+        round_of = {
+            sim._train_seed(d.id, r): (d.id, r)
+            for d in sim.devices for r in range(d.rounds_started)
+        }
+        trained = [round_of[s] for s in seeds_trained]
+        dispatched, uploaded, last_round = [], set(), {}
+        for t in result.transfers:
+            if t.kind == "dispatch":
+                i = int(t.dst.removeprefix("dev"))
+                last_round[i] = last_round.get(i, -1) + 1
+                dispatched.append((t.time, (i, last_round[i])))
+            elif t.kind == "device_upload":
+                i = int(t.src.removeprefix("dev"))
+                uploaded.add((i, last_round[i]))
+        assert len(trained) == len(set(trained))
+        assert uploaded <= set(trained) <= {r for _, r in dispatched}
+        voided_6 = max(r for t, r in dispatched if r[0] == 6 and t < 12.0)
+        assert (1, 0) not in trained  # voided before anything trained
+        assert voided_6 in trained and voided_6 not in uploaded
+
+        in_air = {d.id for d in sim.devices if d.active_flight is not None}
+        assert in_air
+        assert set(sim.untrained).isdisjoint(sim.trained)
+        assert set(sim.untrained) | set(sim.trained) == in_air
+        for i, (_, _, seed) in sim.untrained.items():
+            assert seed == sim._train_seed(i, sim.devices[i].rounds_started - 1)
 
 
 class TestNonFiniteAggregate:
