@@ -75,6 +75,27 @@ def _ties_drop_restore():
     return _ties("async-random", [FaultEvent(11.0, 3, "drop"), FaultEvent(22.0, 3, "restore")])
 
 
+def _empty_gateway():
+    """No device can reach gateway 0, so it holds no members from the start."""
+    topo = uniform_topology(6, 3, sigma=0.5)
+    topo.feasible[:, 0] = 0
+    return small_config(mode="async-hl", n=6, g=3, seed=2, topology=topo)
+
+
+def _drop_at_arrival():
+    """A drop and a slowdown due at 0.5 s, when the initial model reaches the
+    gateways and before any warmup sweep; the dropped device is restored later."""
+    faults = [
+        FaultEvent(0.5, 2, "drop"),
+        FaultEvent(0.5, 4, "slowdown", 2.0),
+        FaultEvent(20.0, 2, "restore"),
+    ]
+    return small_config(
+        mode="async-sched", n=6, g=2, seed=5,
+        topology=uniform_topology(6, 2, sigma=0.5, faults=faults),
+    )
+
+
 def _gen_topology(mode):
     topo = gen_topology(TopologySpec(10, 3, model_bytes=8000), seed=5)
     return small_config(mode=mode, n=10, g=3, seed=5, topology=topo)
@@ -126,6 +147,8 @@ def scenarios():
     out["async-sched/heuristic-assoc"] = _heuristic_assoc
     out["async-sched/late-gradient"] = _late_gradient
     out["async-random/ties-drop-restore"] = _ties_drop_restore
+    out["async-hl/empty-gateway"] = _empty_gateway
+    out["async-sched/drop-at-arrival"] = _drop_at_arrival
     return out
 
 
