@@ -12,7 +12,8 @@ and backward passes as stacked matmuls. np.matmul runs one gemm per slice and
 every other operation acts on each slice alone, so each row is bit-identical to
 training that device by itself. One device alone is the K = 1 call, with
 ``start[None]`` and ``anchor[None]``; `raise_if_diverged` checks a trained row
-and `grad_regularized` gives the full-shard gradient a device reports.
+(and the simulator's aggregates) and `grad_regularized` gives the full-shard
+gradient a device reports.
 """
 
 from __future__ import annotations
@@ -268,11 +269,11 @@ def local_train_cohort(
     return params
 
 
-def raise_if_diverged(params: np.ndarray, device_id: int | None = None) -> None:
-    """Raise NumericDivergenceError if a trained parameter vector is not all finite."""
+def raise_if_diverged(params: np.ndarray, where: str) -> None:
+    """Raise NumericDivergenceError if `params` is not all finite; `where` names the step
+    that made them, e.g. "while training device 3" or "after aggregation at cloud"."""
     if not np.isfinite(params).all():
-        who = "device" if device_id is None else f"device {device_id}"
-        raise NumericDivergenceError(f"non-finite weights while training {who}")
+        raise NumericDivergenceError(f"non-finite parameters {where}")
 
 
 def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, float]:

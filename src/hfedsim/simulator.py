@@ -12,19 +12,37 @@ gateway (-1 for none), set by the association and cleared by a drop.
 `slowdown` holds each device's delay factor, set by a slowdown fault and
 reset by a restore.
 
-Local training is lazy. A device's round depends only on the anchor (the
-gateway model it is sent), its shard and its seed. All three are fixed at
-dispatch: the seed comes from the device's round count and its shard refreshes
-only on upload. So a dispatch only records them in `untrained`. When a live
-flight's upload lands and finds no row in `trained`, every flight then in the
-air trains at once, in lockstep blocks of devices that share a shard size
-(`local_train_cohort`), and each row waits in `trained` for its own upload.
-An async gateway sends to about one device at a time, so this fills blocks
-that dispatch-time training would run one row at a time, and the trace is the
-same as if each device had trained alone on arrival. A divergence raises at
-the device's upload, so only a live flight raises. A drop discards the
-flight's inputs or trained row, so a voided flight is not trained afterwards
-and its row, if it had one, is never used.
+Each device round in the air has one record: a `Flight` in `flights`, keyed by
+device and kept in dispatch order, from dispatch until its upload lands or a
+drop removes it. A gateway's load is the sum of its flights' rates. The device
+events carry the `Flight` itself, so an event whose flight is no longer the
+device's entry in `flights` belongs to a voided round and does nothing.
+
+Local training is lazy. A flight's round depends only on its anchor (the
+gateway model sent), shard and seed, and all three are fixed at dispatch: the
+seed comes from the device's round count and its shard refreshes only on
+upload. When an upload lands before its flight has trained, every flight then
+in the air trains at once, in lockstep blocks of devices that share a shard
+size (`local_train_cohort`), and each keeps its row until its own upload. An
+async gateway sends to about one device at a time, so this fills blocks that
+dispatch-time training would run one row at a time, and the trace is the same
+as if each device had trained alone on arrival. A divergence raises at the
+device's upload, so only a live flight raises; a voided flight is dropped with
+whatever it holds.
+
+Warmup. The utility and loss selectors open with a sweep that seeds the
+learning utility and the PCA compressor: each gateway's first dispatch, on the
+initial model (`tau == 0 and cycle == 0`), sends to every idle member and
+ignores the cap, as `dispatch_all` does. Until the warmup ends, every later
+dispatch selects nothing. When the last sweep flight lands or drops, the
+utility selector fits the compressor and every gateway dispatches again. No
+sweep flight can land or drop before every gateway has swept: `run` schedules
+the initial model arrivals one after another with one delay, so they are
+consecutive heap entries, and the only events due at that instant that come
+before them are fault timers (scheduled first) and, with no cloud delay, the
+first evaluation. A barrier or window gateway would spin through empty rounds
+while other sweeps are out, so `Policy` allows a warmup selector only on an
+async gateway.
 
 Modes. A mode is one row of `MODES`: a policy on each of three axes.
   gateway   async    staleness-discounted step per device upload; uploads to
@@ -62,7 +80,7 @@ from enum import Enum
 import numpy as np
 
 from .data import DataSpec, FederatedDataset, refresh_shard
-from .errors import ConfigurationError, NumericDivergenceError
+from .errors import ConfigurationError
 from .learning import (
     ModelArch,
     Shard,
@@ -97,6 +115,19 @@ class Policy:
     gateway: str  # async | barrier | window
     cloud: str  # broadcast | reply | barrier
     selector: str  # utility | loss | random
+
+    def __post_init__(self):
+        for value, valid in (
+            (self.gateway, "async barrier window"),
+            (self.cloud, "broadcast reply barrier"),
+            (self.selector, "utility loss random"),
+        ):
+            if value not in valid.split():
+                raise ConfigurationError(f"unknown policy {value!r}; valid: {valid}")
+        if self.gateway != "async" and self.selector != "random":
+            # Until the warmup ends a gateway selects nothing, so a round
+            # gateway would spin through empty rounds while other sweeps are out.
+            raise ConfigurationError(f"the {self.selector} selector needs an async gateway")
 
 
 MODES: dict[str, Policy] = {
@@ -294,8 +325,6 @@ class SimResult:
 class DeviceState:
     id: int
     shard: Shard
-    busy: bool = False
-    active_flight: int | None = None
     rounds_started: int = 0
     rounds_done: int = 0
     last_loss: float = float("inf")  # unseen devices sort first for high-loss selection
@@ -308,11 +337,24 @@ class GatewayState:
     tau: int = 0  # cloud epoch stamped on the model this gateway holds
     version: int = 0  # monotone aggregation count; every dispatch is stamped with it
     cycle: int = 0  # aggregations since the last cloud download
-    in_flight: dict[int, float] = field(default_factory=dict)  # device -> admitted rate
     # Round state (barrier and window gateways): (params, samples, lateness)
     # per upload, and the samples aggregated since the last cloud download.
     buffer: list[tuple[np.ndarray, float, int]] = field(default_factory=list)
     cycle_samples: float = 0.0
+
+
+@dataclass
+class Flight:
+    """One device round, from its dispatch until its upload lands or a drop voids it."""
+
+    gateway: int
+    stamp: int  # the gateway's version at dispatch
+    rate: float  # admitted rate, counted against the gateway's bandwidth
+    anchor: np.ndarray | None  # the gateway model sent; kept for the reported gradient
+    shard: Shard
+    seed: int
+    observed_tau: float  # dispatch-to-upload latency
+    params: np.ndarray | None = None  # trained parameters, once trained
 
 
 class _Simulation:
@@ -352,13 +394,10 @@ class _Simulation:
         self._utilities_dirty = False
         self.pca_model = None
         self.pending_assoc: dict[int, int] = {}
-        # Flights in the air, by device: the (anchor, shard, seed) of those not
-        # trained yet, and the final parameters of those trained but not uploaded.
-        self.untrained: dict[int, tuple[np.ndarray, Shard, int]] = {}
-        self.trained: dict[int, np.ndarray] = {}
+        # Every flight in the air, by device, in dispatch order.
+        self.flights: dict[int, Flight] = {}
 
-        self.warmup_pending: set[int] = set()
-        self.warmup_started: set[int] = set()  # gateway ids that dispatched warmup
+        self.warmup_pending: set[int] = set()  # devices whose sweep flight is out
         self.warmup_done = self.policy.selector == "random"
 
         # Cloud barrier state: gateway -> (params, weight).
@@ -390,10 +429,6 @@ class _Simulation:
     def _train_seed(self, device: int, round_idx: int) -> int:
         ss = np.random.SeedSequence((self.cfg.seed, device, round_idx))
         return int(ss.generate_state(1)[0])
-
-    def _assert_finite(self, params: np.ndarray, where: str) -> None:
-        if not np.isfinite(params).all():
-            raise NumericDivergenceError(f"non-finite model after aggregation at {where}")
 
     # ---- utilities and rates ----------------------------------------------
 
@@ -430,13 +465,18 @@ class _Simulation:
 
     def _idle_candidates(self, gw: GatewayState) -> list[int]:
         members = np.flatnonzero(self.gateway_of == gw.id).tolist()
-        return [i for i in members if not self.devices[i].busy]
+        return [i for i in members if i not in self.flights]
 
     def _residual_bandwidth(self, gw: GatewayState) -> float:
-        return float(self.topo.bandwidth[gw.id]) - sum(gw.in_flight.values())
+        load = sum(f.rate for f in self.flights.values() if f.gateway == gw.id)
+        return float(self.topo.bandwidth[gw.id]) - load
 
     def select_devices(self, gw: GatewayState) -> list[int]:
         ids = self._idle_candidates(gw)
+        if not self.warmup_done:
+            # The sweep is the dispatch on the initial model; after it a
+            # gateway waits for the fit.
+            return ids if gw.tau == 0 and gw.cycle == 0 else []
         if not ids:
             return []
         if self.cfg.dispatch_all:
@@ -466,81 +506,58 @@ class _Simulation:
                 load += r
         return chosen
 
-    def _train_untrained(self) -> None:
-        """Train every untrained flight in the air, in blocks that share a shard size."""
-        by_n: dict[int, list[int]] = {}
-        for i, (_, shard, _) in self.untrained.items():
-            by_n.setdefault(shard.n, []).append(i)
-        for ids in by_n.values():
-            for k in range(0, len(ids), COHORT_BLOCK):
-                block = ids[k : k + COHORT_BLOCK]
-                anchors, shards, seeds = zip(*(self.untrained.pop(i) for i in block))
-                starts = np.stack(anchors)
-                rows = local_train_cohort(
-                    starts, starts, self.arch, list(shards), self.cfg.train, list(seeds)
-                )
-                # One copy per device: a row view would keep its whole block
-                # alive until the block's last flight lands, and raise peak memory.
-                self.trained.update((i, row.copy()) for i, row in zip(block, rows))
+    def _train_flights(self) -> None:
+        """Train every flight in the air not trained yet, in blocks that share a shard size."""
+        by_n: dict[int, list[Flight]] = {}
+        for f in self.flights.values():
+            if f.params is None:
+                by_n.setdefault(f.shard.n, []).append(f)
+        for group in by_n.values():
+            for k in range(0, len(group), COHORT_BLOCK):
+                block = group[k : k + COHORT_BLOCK]
+                starts = np.stack([f.anchor for f in block])
+                shards, seeds = [f.shard for f in block], [f.seed for f in block]
+                rows = local_train_cohort(starts, starts, self.arch, shards, self.cfg.train, seeds)
+                for f, row in zip(block, rows):
+                    # One copy per flight: a row view would keep its whole block
+                    # alive until the block's last flight lands, and raise peak memory.
+                    f.params = row.copy()
+                    if self.policy.selector != "utility":
+                        f.anchor = None  # only the reported gradient needs it now
 
     def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
         """Send the gateway model, stamped with its version, to each device.
 
-        Nothing trains here. Each flight's anchor (the gateway model), shard and
-        seed (from `rounds_started`) go to `untrained`; all three are fixed now,
-        because a device's shard refreshes only on its upload, so the flight can
-        train any time before its upload lands.
+        Nothing trains here. Each flight records its anchor (the gateway model),
+        shard and seed (from `rounds_started`); all three are fixed now, because
+        a device's shard refreshes only on its upload, so the flight can train
+        any time before its upload lands.
         """
         for i in device_ids:
             dev = self.devices[i]
-            assert not dev.busy, "dispatch to a busy device"
+            assert i not in self.flights, "dispatch to a device in the air"
             assert self.gateway_of[i] == gw.id, "dispatch outside the association"
             rate = self.rate_estimate(i, gw.id)
             down, comp, up, total = sample_round_latency(
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
-            flight = next(self._seq)
-            self.untrained[i] = (gw.params, dev.shard, self._train_seed(i, dev.rounds_started))
-            dev.busy = True
-            dev.active_flight = flight
+            seed = self._train_seed(i, dev.rounds_started)
+            flight = Flight(gw.id, gw.version, rate, gw.params, dev.shard, seed, total)
+            self.flights[i] = flight
             dev.rounds_started += 1
-            gw.in_flight[i] = rate
             self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
             self.schedule(
-                down,
-                EventKind.DEVICE_MODEL_ARRIVES,
-                device=i,
-                gateway=gw.id,
-                flight=flight,
-                anchor=gw.params,
-                comp=comp,
-                up=up,
-                observed_tau=total,
-                stamp=gw.version,
+                down, EventKind.DEVICE_MODEL_ARRIVES, device=i, flight=flight, after=comp + up
             )
-
-    def gateway_dispatch(self, gw: GatewayState) -> None:
-        """Async-gateway selection + dispatch against the gateway's current model."""
-        if not self.warmup_done:
-            return
-        self.dispatch(gw, self.select_devices(gw))
 
     # ---- warmup -------------------------------------------------------------
 
-    def begin_warmup(self, gw: GatewayState) -> None:
-        self.warmup_started.add(gw.id)
-        ids = self._idle_candidates(gw)
-        self.warmup_pending.update(ids)
-        # Bandwidth cap intentionally ignored: one full sweep seeds the
-        # utility store and the compressor.
-        self.dispatch(gw, ids)
-        self._maybe_finish_warmup()
-
-    def _maybe_finish_warmup(self) -> None:
-        if self.warmup_done:
-            return
-        if len(self.warmup_started) == self.topo.num_gateways and not self.warmup_pending:
-            self.finish_warmup()
+    def _end_sweep_flight(self, device: int) -> None:
+        """Fit once the last sweep flight has landed or dropped."""
+        if device in self.warmup_pending:
+            self.warmup_pending.discard(device)
+            if not self.warmup_pending:
+                self.finish_warmup()
 
     def finish_warmup(self) -> None:
         self.warmup_done = True
@@ -558,7 +575,7 @@ class _Simulation:
             self.full_grads = {}
             self._utilities_dirty = True
         for gw in self.gateways:
-            self.gateway_dispatch(gw)
+            self._start_round(gw)
 
     def _record_gradient(self, device: int, params: np.ndarray, anchor: np.ndarray) -> int:
         """Store the gradient the device reports with its upload; returns its overhead bytes.
@@ -606,7 +623,7 @@ class _Simulation:
         else:
             targets = self._random_association()
         for i, target in enumerate(targets):
-            if self.devices[i].busy:
+            if i in self.flights:
                 # Mid-round devices upload to their current gateway first.
                 self.pending_assoc[i] = target
             else:
@@ -647,7 +664,7 @@ class _Simulation:
             for p, w in pairs:
                 mix += (w / total) * p
             current = mix
-        self._assert_finite(current, where)
+        raise_if_diverged(current, f"after aggregation at {where}")
         return current
 
     def _cloud_async_aggregate(self, params: np.ndarray, tau_stamp: int) -> None:
@@ -658,7 +675,7 @@ class _Simulation:
         self.cloud_params = async_aggregate(
             self.cloud_params, params, self.cfg.alpha, delta, self.cfg.staleness_exp
         )
-        self._assert_finite(self.cloud_params, "cloud")
+        raise_if_diverged(self.cloud_params, "after aggregation at cloud")
 
     def _broadcast(self, gateways: list[GatewayState]) -> None:
         for gw in gateways:
@@ -671,17 +688,25 @@ class _Simulation:
                 h_stamp=self.h,
             )
 
-    # ---- gateway rounds (barrier and window) ----------------------------------------
+    # ---- gateway rounds -------------------------------------------------------------
+
+    def _has_flights(self, gw: GatewayState) -> bool:
+        return any(f.gateway == gw.id for f in self.flights.values())
 
     def _start_round(self, gw: GatewayState) -> None:
-        """Dispatch a round. A window closes on its timer; a barrier once nothing is in flight."""
+        """Select and dispatch against the gateway's current model.
+
+        A window round closes on its timer; a barrier round once nothing is in flight.
+        """
         selected = self.select_devices(gw)
+        if not self.warmup_done:
+            self.warmup_pending.update(selected)
         self.dispatch(gw, selected)
         if self.policy.gateway == "window":
             self.schedule(
                 self.cfg.semi_window, EventKind.WINDOW_TIMER, gateway=gw.id, stamp=gw.version
             )
-        elif not selected:
+        elif self.policy.gateway == "barrier" and not selected:
             self._close_round(gw)
 
     def _close_round(self, gw: GatewayState) -> None:
@@ -723,14 +748,7 @@ class _Simulation:
         gw.tau = payload["h_stamp"]
         gw.cycle = 0
         gw.cycle_samples = 0.0
-        if self.policy.gateway != "async":
-            self._start_round(gw)
-        elif not self.warmup_done and gw.id not in self.warmup_started:
-            self.begin_warmup(gw)
-        else:
-            # A broadcast arriving mid-warmup just refreshes the gateway
-            # model; dispatching resumes once every warmup gradient is in.
-            self.gateway_dispatch(gw)
+        self._start_round(gw)
 
     def on_device_model_arrives(self, payload: dict) -> None:
         """The device starts its round: its upload is scheduled after compute and uplink.
@@ -739,38 +757,29 @@ class _Simulation:
         stays separate from the upload because its place in the heap orders
         ties: the upload takes its sequence number here, not at dispatch.
         """
-        i = payload["device"]
-        if payload["flight"] != self.devices[i].active_flight:
-            return  # flight voided by a fault
-        upload = dict(payload)
-        del upload["comp"], upload["up"]
-        if self.policy.selector != "utility":
-            # Only the reported gradient needs the anchor; dropping it lets an
-            # outdated gateway model be freed while the upload is in the air.
-            del upload["anchor"]
-        self.schedule(
-            payload["comp"] + payload["up"], EventKind.DEVICE_UPLOAD_ARRIVES, **upload
-        )
+        i, flight = payload["device"], payload["flight"]
+        if self.flights.get(i) is flight:  # else a fault voided it
+            self.schedule(
+                payload["after"], EventKind.DEVICE_UPLOAD_ARRIVES, device=i, flight=flight
+            )
 
     def on_device_upload_arrives(self, payload: dict) -> None:
-        i = payload["device"]
-        dev = self.devices[i]
-        if payload["flight"] != dev.active_flight:
+        i, flight = payload["device"], payload["flight"]
+        if self.flights.get(i) is not flight:
             return
-        if i not in self.trained:
-            self._train_untrained()
-        params = self.trained.pop(i)
-        raise_if_diverged(params, device_id=i)
-        gw = self.gateways[payload["gateway"]]
-        dev.busy = False
-        dev.active_flight = None
+        if flight.params is None:
+            self._train_flights()
+        params = flight.params
+        raise_if_diverged(params, f"while training device {i}")
+        del self.flights[i]
+        dev = self.devices[i]
+        gw = self.gateways[flight.gateway]
         dev.rounds_done += 1
-        gw.in_flight.pop(i, None)
-        self.latency.update(i, gw.id, payload["observed_tau"])
+        self.latency.update(i, gw.id, flight.observed_tau)
 
         overhead = 0
         if self.policy.selector == "utility":
-            overhead = self._record_gradient(i, params, payload["anchor"])
+            overhead = self._record_gradient(i, params, flight.anchor)
         elif self.policy.selector == "loss":
             dev.last_loss, _ = loss_and_grad(params, self.arch, dev.shard)
         self.charge(
@@ -791,27 +800,25 @@ class _Simulation:
         if self.policy.gateway == "async":
             gw.version += 1
             gw.cycle += 1
-            delta = gw.version - payload["stamp"]
+            delta = gw.version - flight.stamp
             assert delta >= 1
             self.max_stale_gw = max(self.max_stale_gw, delta)
             gw.params = async_aggregate(
                 gw.params, params, self.cfg.beta, delta, self.cfg.staleness_exp
             )
-            self._assert_finite(gw.params, f"gateway {gw.id}")
+            raise_if_diverged(gw.params, f"after aggregation at gateway {gw.id}")
             self._apply_pending_assoc(i)
-            if i in self.warmup_pending:
-                self.warmup_pending.discard(i)
-                self._maybe_finish_warmup()
+            self._end_sweep_flight(i)
             if gw.cycle == self.cfg.gateway_epochs:
                 self._gateway_upload(gw)
-            self.gateway_dispatch(gw)
+            self._start_round(gw)
         else:
-            lateness = gw.version - payload["stamp"]
+            lateness = gw.version - flight.stamp
             assert lateness >= 0
             self.max_stale_gw = max(self.max_stale_gw, lateness)
             gw.buffer.append((params, float(dev.shard.n), lateness))
             self._apply_pending_assoc(i)
-            if self.policy.gateway == "barrier" and not gw.in_flight:
+            if self.policy.gateway == "barrier" and not self._has_flights(gw):
                 self._close_round(gw)
 
     def on_gateway_upload_arrives(self, payload: dict) -> None:
@@ -848,19 +855,15 @@ class _Simulation:
             self.feasible[i] = self.topo.feasible[i]
             self.slowdown[i] = 1.0
             return
-        # A drop cuts every link of the device and voids its flight.
+        # A drop cuts every link of the device and voids its flight. If the drop
+        # ends the warmup, the fit's dispatch still counts the voided flight's rate.
         self.feasible[i] = 0
         self.gateway_of[i] = -1
-        dev = self.devices[i]
-        dev.busy = False
-        dev.active_flight = None
-        self.untrained.pop(i, None)
-        self.trained.pop(i, None)
-        self.warmup_pending.discard(i)
-        self._maybe_finish_warmup()
-        for gw in self.gateways:
-            was_in_flight = gw.in_flight.pop(i, None) is not None
-            if was_in_flight and self.policy.gateway == "barrier" and not gw.in_flight:
+        self._end_sweep_flight(i)
+        flight = self.flights.pop(i, None)
+        if flight is not None and self.policy.gateway == "barrier":
+            gw = self.gateways[flight.gateway]
+            if not self._has_flights(gw):
                 self._close_round(gw)
 
     def on_window_timer(self, payload: dict) -> None:

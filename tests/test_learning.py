@@ -198,7 +198,7 @@ class TestLocalTrain:
         cfg = TrainConfig(gamma=1e12, rho=1.0, epochs=30, batch_size=4)
         final = local_train_cohort(start[None], start[None], arch, [shard], cfg, [0])[0]
         with pytest.raises(NumericDivergenceError, match="device 17"):
-            raise_if_diverged(final, device_id=17)
+            raise_if_diverged(final, "while training device 17")
 
 
 class TestEvaluate:
@@ -332,15 +332,15 @@ class TestLocalTrainCohort:
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
         rows = local_train_cohort(_rows(start, 5), _rows(anchor, 5), arch, shards, cfg, seeds)
         with pytest.raises(NumericDivergenceError, match="device 42"):
-            raise_if_diverged(rows[bad], device_id=42)
+            raise_if_diverged(rows[bad], "while training device 42")
         alone = local_train_cohort(
             start[None], anchor[None], arch, [shards[bad]], cfg, [seeds[bad]]
         )[0]
         with pytest.raises(NumericDivergenceError, match="device 42"):
-            raise_if_diverged(alone, device_id=42)
+            raise_if_diverged(alone, "while training device 42")
         for k in range(5):
             if k != bad:
-                raise_if_diverged(rows[k], device_id=k)
+                raise_if_diverged(rows[k], f"while training device {k}")
                 alone = local_train_cohort(
                     start[None], anchor[None], arch, [shards[k]], cfg, [seeds[k]]
                 )[0]

@@ -323,6 +323,31 @@ class TestValidation:
             run(cfg)
 
 
+class TestPolicies:
+    @pytest.mark.parametrize("gateway", ["async", "barrier", "window"])
+    @pytest.mark.parametrize("cloud", ["broadcast", "reply", "barrier"])
+    @pytest.mark.parametrize("selector", ["utility", "loss", "random"])
+    def test_every_combination_runs_or_is_rejected(self, monkeypatch, gateway, cloud, selector):
+        # A warmup selector needs an async gateway: until the warmup ends a
+        # gateway selects nothing, so a round gateway would only spin.
+        if gateway != "async" and selector != "random":
+            with pytest.raises(ConfigurationError, match="needs an async gateway"):
+                simulator.Policy(gateway, cloud, selector)
+            return
+        monkeypatch.setitem(MODES, "async-random", simulator.Policy(gateway, cloud, selector))
+        result = run(small_config(mode="async-random", seed=1))
+        assert result.stop_reason == "done"
+        assert result.cloud_epochs_done == 12
+
+    @pytest.mark.parametrize(
+        "axes", [("sync", "reply", "random"), ("async", "gossip", "random"),
+                 ("async", "reply", "greedy")],
+    )
+    def test_unknown_policy_value(self, axes):
+        with pytest.raises(ConfigurationError, match="unknown"):
+            simulator.Policy(*axes)
+
+
 class TestSchedulerIntegration:
     def test_warmup_collects_every_device_gradient(self):
         result = run(small_config(mode="async-sched", seed=31))
@@ -348,13 +373,13 @@ class TestSchedulerIntegration:
 
     def test_in_flight_devices_never_double_dispatched(self):
         result = run(small_config(mode="async-sched", seed=32, cloud_epochs=20))
-        in_flight = set()
+        in_air = set()
         for t in result.transfers:
             if t.kind == "dispatch":
-                assert t.dst not in in_flight
-                in_flight.add(t.dst)
+                assert t.dst not in in_air
+                in_air.add(t.dst)
             elif t.kind == "device_upload":
-                in_flight.discard(t.src)
+                in_air.discard(t.src)
         assert result.cloud_epochs_done == 20
 
 
@@ -485,14 +510,18 @@ class TestCohortTraining:
         def spy_fault(self, payload):
             i = payload["fault"].device
             if payload["fault"].action == "drop":
-                drops.append((i, i in self.untrained, i in self.trained))
+                flight = self.flights.get(i)
+                state = None if flight is None else flight.params is not None
+                # A drop is placed in the transfer log by the count of transfers before it.
+                drops.append((i, state, len(self.transfers)))
             on_fault(self, payload)
 
         monkeypatch.setattr(simulator, "local_train_cohort", spy)
         monkeypatch.setitem(simulator._Simulation.HANDLERS, EventKind.FAULT_TIMER, spy_fault)
         result = sim.run()
         assert result.stop_reason == "done"
-        assert drops == [(1, True, False), (6, False, True)]
+        # Device 1's flight had not trained when it dropped; device 6's had.
+        assert [(i, state) for i, state, _ in drops] == [(1, False), (6, True)]
 
         # Round r of a device is its r-th dispatch, counted from 0.
         round_of = {
@@ -501,26 +530,38 @@ class TestCohortTraining:
         }
         trained = [round_of[s] for s in seeds_trained]
         dispatched, uploaded, last_round = [], set(), {}
-        for t in result.transfers:
+        last_dispatch, last_upload = {}, {}
+        for k, t in enumerate(result.transfers):
             if t.kind == "dispatch":
                 i = int(t.dst.removeprefix("dev"))
                 last_round[i] = last_round.get(i, -1) + 1
                 dispatched.append((t.time, (i, last_round[i])))
+                last_dispatch[i] = k
             elif t.kind == "device_upload":
                 i = int(t.src.removeprefix("dev"))
                 uploaded.add((i, last_round[i]))
+                last_upload[i] = k
         assert len(trained) == len(set(trained))
         assert uploaded <= set(trained) <= {r for _, r in dispatched}
         voided_6 = max(r for t, r in dispatched if r[0] == 6 and t < 12.0)
         assert (1, 0) not in trained  # voided before anything trained
         assert voided_6 in trained and voided_6 not in uploaded
 
-        in_air = {d.id for d in sim.devices if d.active_flight is not None}
+        # From the log alone: a device is in the air if its last dispatch came
+        # after its last upload and after its last drop.
+        last_drop = {i: k for i, _, k in drops}
+        in_air = {
+            i for i, k in last_dispatch.items()
+            if k > last_upload.get(i, -1) and k >= last_drop.get(i, 0)
+        }
         assert in_air
-        assert set(sim.untrained).isdisjoint(sim.trained)
-        assert set(sim.untrained) | set(sim.trained) == in_air
-        for i, (_, _, seed) in sim.untrained.items():
-            assert seed == sim._train_seed(i, sim.devices[i].rounds_started - 1)
+        assert set(sim.flights) == in_air
+        assert not {i for i, k in last_drop.items() if k > last_dispatch[i]} & set(sim.flights)
+        # Flights are kept in dispatch order, and each holds its device's last round.
+        assert list(sim.flights) == sorted(sim.flights, key=last_dispatch.get)
+        for i, flight in sim.flights.items():
+            assert flight.seed == sim._train_seed(i, sim.devices[i].rounds_started - 1)
+            assert f"gw{flight.gateway}" == result.transfers[last_dispatch[i]].src
 
 
 class TestNonFiniteAggregate:
