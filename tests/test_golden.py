@@ -96,6 +96,30 @@ def _drop_at_arrival():
     )
 
 
+def _one_warmup_gradient():
+    """Devices 0 and 1 drop before their sweep uploads land, so one warmup
+    gradient comes in: too few to fit the compressor, and the run stays
+    uncompressed."""
+    faults = [
+        FaultEvent(5.0, 0, "drop"), FaultEvent(5.0, 1, "drop"),
+        FaultEvent(40.0, 0, "restore"), FaultEvent(40.0, 1, "restore"),
+    ]
+    return small_config(
+        mode="async-sched", n=3, g=1, seed=1,
+        topology=uniform_topology(3, 1, sigma=0.0, faults=faults),
+    )
+
+
+def _drop_ends_warmup():
+    """Device 2, the last sweep device, drops midway between the last two sweep
+    uploads (12.57 s and 14.27 s), so its drop ends the warmup under a cap that binds."""
+    faults = [FaultEvent(13.419, 2, "drop"), FaultEvent(43.419, 2, "restore")]
+    return small_config(
+        mode="async-sched", seed=4,
+        topology=uniform_topology(6, 2, sigma=0.5, bandwidth=2000.0, faults=faults),
+    )
+
+
 def _gen_topology(mode):
     topo = gen_topology(TopologySpec(10, 3, model_bytes=8000), seed=5)
     return small_config(mode=mode, n=10, g=3, seed=5, topology=topo)
@@ -149,6 +173,8 @@ def scenarios():
     out["async-random/ties-drop-restore"] = _ties_drop_restore
     out["async-hl/empty-gateway"] = _empty_gateway
     out["async-sched/drop-at-arrival"] = _drop_at_arrival
+    out["async-sched/one-warmup-gradient"] = _one_warmup_gradient
+    out["async-sched/drop-ends-warmup"] = _drop_ends_warmup
     return out
 
 

@@ -1,4 +1,6 @@
 import copy
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -570,3 +572,22 @@ class TestNonFiniteAggregate:
         incoming = np.full_like(sim.cloud_params, np.inf)
         with pytest.raises(NumericDivergenceError, match="after aggregation at cloud"):
             sim._cloud_async_aggregate(incoming, tau_stamp=0)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_finished_run_is_freed_without_the_cyclic_gc(self, mode):
+        # Events still queued when the run ends must not hold the simulation,
+        # or every finished run would wait for the cyclic collector.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sim = simulator._Simulation(small_config(mode=mode, seed=1))
+            sim.run()
+            assert sim._heap
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
