@@ -41,9 +41,6 @@ class SelectionInstance:
     candidates: list[Candidate]
     bandwidth: float  # gateway cap, bytes/s
     kappa: float = 1.0
-    # True: cap the sum of selected rates (knapsack form). False: literal
-    # per-device reading where each selected device's rate must fit the cap.
-    sum_constraint: bool = True
 
     def __post_init__(self):
         if self.bandwidth <= 0 or self.kappa < 0:
@@ -75,9 +72,6 @@ def solve_selection(inst: SelectionInstance) -> set[int]:
     items = _selection_items(inst)
     if not items:
         return set()
-    if not inst.sum_constraint:
-        # Per-device cap: items are independent, take everything with value.
-        return {i for i, _, _ in items}
     if len(items) <= EXACT_SELECTION_LIMIT:
         return _knapsack_branch_and_bound(items, inst.bandwidth)
     return _knapsack_greedy(items, inst.bandwidth)
@@ -149,10 +143,7 @@ def brute_force_selection(inst: SelectionInstance) -> set[int]:
                 value += v
                 load += r
                 ids.append(dev)
-        if inst.sum_constraint:
-            if load > inst.bandwidth:
-                continue
-        elif any(r > inst.bandwidth for k, (_, _, r) in enumerate(items) if mask >> k & 1):
+        if load > inst.bandwidth:
             continue
         if _better(value, ids, best_value, best_ids):
             best_value, best_ids = value, tuple(ids)

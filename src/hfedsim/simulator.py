@@ -5,6 +5,14 @@ and advances a (time, seq)-ordered event heap. Everything stochastic draws
 from a single seeded generator inside the event loop, so a (config, seed)
 pair fully determines the trace.
 
+An event is a call to one of the simulation's own methods, due at a time:
+`schedule(delay, self.on_fault_timer, fault)` pushes (time, seq, function,
+args), and the loop calls `function(self, *args)`. `seq` counts up with every
+schedule call, so events due together run in the order they were scheduled.
+The heap holds the plain function, not the bound method: a bound method would
+hold the simulation, and the events still queued when a run ends would then
+keep it in a reference cycle that only the cyclic collector frees.
+
 The `Topology` is input only; the link state a run changes lives on the
 simulation. `feasible` starts as a copy of the topology's: a drop zeroes the
 device's row and a restore copies it back. `gateway_of` holds each device's
@@ -33,16 +41,17 @@ whatever it holds.
 Warmup. The utility and loss selectors open with a sweep that seeds the
 learning utility and the PCA compressor: each gateway's first dispatch, on the
 initial model (`tau == 0 and cycle == 0`), sends to every idle member and
-ignores the cap, as `dispatch_all` does. Until the warmup ends, every later
-dispatch selects nothing. When the last sweep flight lands or drops, the
-utility selector fits the compressor and every gateway dispatches again. No
-sweep flight can land or drop before every gateway has swept: `run` schedules
-the initial model arrivals one after another with one delay, so they are
-consecutive heap entries, and the only events due at that instant that come
-before them are fault timers (scheduled first) and, with no cloud delay, the
-first evaluation. A barrier or window gateway would spin through empty rounds
-while other sweeps are out, so `Policy` allows a warmup selector only on an
-async gateway.
+ignores the cap. Until the warmup ends, every later dispatch selects nothing.
+When the last sweep flight lands or drops, the utility selector fits the
+compressor (if at least two gradients came in; otherwise the run stays
+uncompressed) and every gateway dispatches again. No sweep flight can land or
+drop before every gateway has swept: `run` schedules the initial model
+arrivals one after another with one delay, so they are consecutive heap
+entries, and the only events due at that instant that come before them are
+fault timers (scheduled first) and, with no cloud delay, the first
+evaluation. A barrier or window gateway would spin through empty rounds while
+other sweeps are out, so `Policy` allows a warmup selector only on an async
+gateway.
 
 Modes. A mode is one row of `MODES`: a policy on each of three axes.
   gateway   async    staleness-discounted step per device upload; uploads to
@@ -74,8 +83,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -92,7 +101,7 @@ from .learning import (
     loss_and_grad,
     raise_if_diverged,
 )
-from .network import LatencyTracker, Topology, est_rate, sample_round_latency
+from .network import FaultEvent, LatencyTracker, Topology, est_rate, sample_round_latency
 from .selection import (
     AssociationInstance,
     Candidate,
@@ -165,17 +174,6 @@ def async_aggregate(
     w = base_weight * staleness(q, stale_delta)
     assert 0 < w <= 1
     return (1 - w) * current + w * incoming
-
-
-class EventKind(Enum):
-    DEVICE_MODEL_ARRIVES = "device_model_arrives"
-    DEVICE_UPLOAD_ARRIVES = "device_upload_arrives"
-    GATEWAY_MODEL_ARRIVES = "gateway_model_arrives"
-    GATEWAY_UPLOAD_ARRIVES = "gateway_upload_arrives"
-    ASSOCIATION_TIMER = "association_timer"
-    FAULT_TIMER = "fault_timer"
-    EVAL_TIMER = "eval_timer"
-    WINDOW_TIMER = "window_timer"
 
 
 @dataclass
@@ -252,13 +250,10 @@ class SimConfig:
     phi: float = 0.1  # throughput weight in the association objective
     assoc_period: int = 5  # cloud epochs between association runs
     pca_dim: int = 30
-    compress: bool = True  # exchange PCA-compressed gradients (utility selector)
     alpha_ema: float = 0.5
     semi_window: float = 100.0  # waiting period T, seconds
     eval_every: float = 60.0
     time_budget: float = 1e7
-    bandwidth_sum: bool = True  # knapsack cap; False = literal per-device cap
-    dispatch_all: bool = False  # gateways send to every idle device, ignoring the cap
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -281,9 +276,8 @@ class SimConfig:
             raise ConfigurationError("kappa and phi must be >= 0")
         if self.assoc_period < 1:
             raise ConfigurationError("assoc_period must be >= 1")
-        if utility and self.compress:
-            if not 1 <= self.pca_dim <= self.arch.param_count:
-                raise ConfigurationError("pca_dim must be in [1, model dimension]")
+        if utility and not 1 <= self.pca_dim <= self.arch.param_count:
+            raise ConfigurationError("pca_dim must be in [1, model dimension]")
         if self.semi_window <= 0:
             raise ConfigurationError("semi_window must be > 0")
         if self.eval_every <= 0 or self.time_budget <= 0:
@@ -372,7 +366,7 @@ class _Simulation:
         self.rng = np.random.default_rng(cfg.seed)
         self.now = 0.0
         self._seq = itertools.count()
-        self._heap: list[tuple[float, int, EventKind, dict]] = []
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
 
         self.cloud_params = init_params(cfg.arch, cfg.seed)
         self.h = 0
@@ -414,9 +408,10 @@ class _Simulation:
 
     # ---- plumbing ---------------------------------------------------------
 
-    def schedule(self, delay: float, kind: EventKind, **payload) -> None:
+    def schedule(self, delay: float, handler: Callable, *args) -> None:
+        """Call `handler(*args)`, a bound method of this simulation, `delay` seconds from now."""
         assert delay >= 0, "events cannot be scheduled in the past"
-        heapq.heappush(self._heap, (self.now + delay, next(self._seq), kind, payload))
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), handler.__func__, args))
 
     def charge(self, kind: str, src: str, dst: str, size: int, overhead: int = 0) -> None:
         assert overhead <= size
@@ -479,8 +474,6 @@ class _Simulation:
             return ids if gw.tau == 0 and gw.cycle == 0 else []
         if not ids:
             return []
-        if self.cfg.dispatch_all:
-            return ids
         cap = self._residual_bandwidth(gw)
         if cap <= 0:
             return []
@@ -490,10 +483,7 @@ class _Simulation:
                           self.rate_estimate(i, gw.id))
                 for i in ids
             ]
-            inst = SelectionInstance(
-                cands, cap, self.cfg.kappa, sum_constraint=self.cfg.bandwidth_sum
-            )
-            return sorted(solve_selection(inst))
+            return sorted(solve_selection(SelectionInstance(cands, cap, self.cfg.kappa)))
         if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
         else:  # random fill
@@ -546,9 +536,7 @@ class _Simulation:
             self.flights[i] = flight
             dev.rounds_started += 1
             self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
-            self.schedule(
-                down, EventKind.DEVICE_MODEL_ARRIVES, device=i, flight=flight, after=comp + up
-            )
+            self.schedule(down, self.on_device_model_arrives, i, flight, comp + up)
 
     # ---- warmup -------------------------------------------------------------
 
@@ -562,7 +550,7 @@ class _Simulation:
     def finish_warmup(self) -> None:
         self.warmup_done = True
         # One gradient cannot fit a compressor; the run then stays uncompressed.
-        if self.cfg.compress and len(self.full_grads) >= 2:
+        if len(self.full_grads) >= 2:
             ids = sorted(self.full_grads)
             p = min(self.cfg.pca_dim, len(ids), self.arch.param_count)
             self.pca_model = pca_fit([self.full_grads[i] for i in ids], p)
@@ -681,11 +669,8 @@ class _Simulation:
         for gw in gateways:
             self.charge("broadcast", "cloud", f"gw{gw.id}", self.topo.model_bytes)
             self.schedule(
-                self.topo.cloud_gateway_delay,
-                EventKind.GATEWAY_MODEL_ARRIVES,
-                gateway=gw.id,
-                params=self.cloud_params,
-                h_stamp=self.h,
+                self.topo.cloud_gateway_delay, self.on_gateway_model_arrives,
+                gw, self.cloud_params, self.h,
             )
 
     # ---- gateway rounds -------------------------------------------------------------
@@ -703,9 +688,7 @@ class _Simulation:
             self.warmup_pending.update(selected)
         self.dispatch(gw, selected)
         if self.policy.gateway == "window":
-            self.schedule(
-                self.cfg.semi_window, EventKind.WINDOW_TIMER, gateway=gw.id, stamp=gw.version
-            )
+            self.schedule(self.cfg.semi_window, self.on_window_timer, gw, gw.version)
         elif self.policy.gateway == "barrier" and not selected:
             self._close_round(gw)
 
@@ -732,39 +715,30 @@ class _Simulation:
     def _gateway_upload(self, gw: GatewayState, weight: float = 0.0) -> None:
         self.charge("gateway_upload", f"gw{gw.id}", "cloud", self.topo.model_bytes)
         self.schedule(
-            self.topo.cloud_gateway_delay,
-            EventKind.GATEWAY_UPLOAD_ARRIVES,
-            gateway=gw.id,
-            params=gw.params,
-            tau_stamp=gw.tau,
-            weight=weight,
+            self.topo.cloud_gateway_delay, self.on_gateway_upload_arrives,
+            gw, gw.params, gw.tau, weight,
         )
 
     # ---- event handlers ----------------------------------------------------------------
 
-    def on_gateway_model_arrives(self, payload: dict) -> None:
-        gw = self.gateways[payload["gateway"]]
-        gw.params = payload["params"]
-        gw.tau = payload["h_stamp"]
+    def on_gateway_model_arrives(self, gw: GatewayState, params: np.ndarray, h_stamp: int) -> None:
+        gw.params = params
+        gw.tau = h_stamp
         gw.cycle = 0
         gw.cycle_samples = 0.0
         self._start_round(gw)
 
-    def on_device_model_arrives(self, payload: dict) -> None:
+    def on_device_model_arrives(self, i: int, flight: Flight, after: float) -> None:
         """The device starts its round: its upload is scheduled after compute and uplink.
 
         Training waits for an upload (see the module docstring). This event
         stays separate from the upload because its place in the heap orders
         ties: the upload takes its sequence number here, not at dispatch.
         """
-        i, flight = payload["device"], payload["flight"]
         if self.flights.get(i) is flight:  # else a fault voided it
-            self.schedule(
-                payload["after"], EventKind.DEVICE_UPLOAD_ARRIVES, device=i, flight=flight
-            )
+            self.schedule(after, self.on_device_upload_arrives, i, flight)
 
-    def on_device_upload_arrives(self, payload: dict) -> None:
-        i, flight = payload["device"], payload["flight"]
+    def on_device_upload_arrives(self, i: int, flight: Flight) -> None:
         if self.flights.get(i) is not flight:
             return
         if flight.params is None:
@@ -821,10 +795,11 @@ class _Simulation:
             if self.policy.gateway == "barrier" and not self._has_flights(gw):
                 self._close_round(gw)
 
-    def on_gateway_upload_arrives(self, payload: dict) -> None:
-        gw_id = payload["gateway"]
+    def on_gateway_upload_arrives(
+        self, gw: GatewayState, params: np.ndarray, tau_stamp: int, weight: float
+    ) -> None:
         if self.policy.cloud == "barrier":
-            self.cloud_buffer[gw_id] = (payload["params"], payload["weight"])
+            self.cloud_buffer[gw.id] = (params, weight)
             if len(self.cloud_buffer) < len(self.gateways):
                 return
             pairs = [self.cloud_buffer[j] for j in sorted(self.cloud_buffer)]
@@ -832,21 +807,17 @@ class _Simulation:
             self.cloud_buffer.clear()
             self.h += 1
         else:
-            self._cloud_async_aggregate(payload["params"], payload["tau_stamp"])
+            self._cloud_async_aggregate(params, tau_stamp)
         if self.h % self.cfg.assoc_period == 0:
-            self.schedule(0.0, EventKind.ASSOCIATION_TIMER)
+            self.schedule(0.0, self.run_association)
         if self.h >= self.cfg.cloud_epochs:
             self.done = True
         elif self.policy.cloud == "reply":
-            self._broadcast([self.gateways[gw_id]])
+            self._broadcast([gw])
         else:
             self._broadcast(self.gateways)
 
-    def on_association_timer(self, _: dict) -> None:
-        self.run_association()
-
-    def on_fault_timer(self, payload: dict) -> None:
-        fault = payload["fault"]
+    def on_fault_timer(self, fault: FaultEvent) -> None:
         i = fault.device
         if fault.action == "slowdown":
             self.slowdown[i] = float(fault.factor)
@@ -866,28 +837,16 @@ class _Simulation:
             if not self._has_flights(gw):
                 self._close_round(gw)
 
-    def on_window_timer(self, payload: dict) -> None:
-        gw = self.gateways[payload["gateway"]]
-        if payload["stamp"] == gw.version:
+    def on_window_timer(self, gw: GatewayState, stamp: int) -> None:
+        if stamp == gw.version:
             self._close_round(gw)
 
-    def on_eval_timer(self, _: dict) -> None:
+    def on_eval_timer(self) -> None:
         self.record_eval()
         # An empty heap here means no training activity can ever resume, so
         # rescheduling would only spin the clock until the time budget.
         if not self.done and self._heap:
-            self.schedule(self.cfg.eval_every, EventKind.EVAL_TIMER)
-
-    HANDLERS = {
-        EventKind.DEVICE_MODEL_ARRIVES: on_device_model_arrives,
-        EventKind.DEVICE_UPLOAD_ARRIVES: on_device_upload_arrives,
-        EventKind.GATEWAY_MODEL_ARRIVES: on_gateway_model_arrives,
-        EventKind.GATEWAY_UPLOAD_ARRIVES: on_gateway_upload_arrives,
-        EventKind.ASSOCIATION_TIMER: on_association_timer,
-        EventKind.FAULT_TIMER: on_fault_timer,
-        EventKind.EVAL_TIMER: on_eval_timer,
-        EventKind.WINDOW_TIMER: on_window_timer,
-    }
+            self.schedule(self.cfg.eval_every, self.on_eval_timer)
 
     # ---- main loop -------------------------------------------------------------------
 
@@ -896,19 +855,19 @@ class _Simulation:
         # Fault timers go first, so at any time a due fault fires before every
         # other event, and faults due together fire in schedule order.
         for fault in sorted(self.topo.faults, key=lambda f: f.time):
-            self.schedule(fault.time, EventKind.FAULT_TIMER, fault=fault)
-        self.schedule(0.0, EventKind.EVAL_TIMER)
+            self.schedule(fault.time, self.on_fault_timer, fault)
+        self.schedule(0.0, self.on_eval_timer)
         self._broadcast(self.gateways)
 
         over_budget = False
         while self._heap and not self.done:
-            t, _, kind, payload = heapq.heappop(self._heap)
+            t, _, handler, args = heapq.heappop(self._heap)
             if t > self.cfg.time_budget:
                 over_budget = True
                 break
             assert t >= self.now, "event causality violated"
             self.now = t
-            self.HANDLERS[kind](self, payload)
+            handler(self, *args)
 
         self.record_eval()
         return SimResult(

@@ -157,17 +157,6 @@ def scenarios():
         out[f"{mode}/gen-topology"] = lambda m=mode: _gen_topology(m)
         out[f"{mode}/mlp"] = lambda m=mode: _mlp(m)
         out[f"{mode}/ties"] = lambda m=mode: _ties(m)
-    out["async-random/dispatch-all"] = lambda: small_config(
-        mode="async-random", seed=3, dispatch_all=True
-    )
-    # A cap that binds under the sum constraint but not per device.
-    out["async-sched/per-device-bandwidth"] = lambda: small_config(
-        mode="async-sched", seed=3, bandwidth_sum=False,
-        topology=uniform_topology(6, 2, sigma=0.5, bandwidth=2000.0),
-    )
-    out["async-sched/uncompressed"] = lambda: small_config(
-        mode="async-sched", seed=3, compress=False
-    )
     out["async-sched/heuristic-assoc"] = _heuristic_assoc
     out["async-sched/late-gradient"] = _late_gradient
     out["async-random/ties-drop-restore"] = _ties_drop_restore

@@ -111,17 +111,16 @@ def finished_simulation(mode, faults=()):
     Returns the finished simulation and, per association that ran, whether
     every associated device sat on a gateway it could reach right after it.
     """
-    sim = _Simulation(
+    checks = []
+
+    class Checked(_Simulation):
+        def run_association(self):
+            super().run_association()
+            checks.append(associated_links_are_feasible(self))
+
+    sim = Checked(
         small_config(mode=mode, n=3, g=2, topology=small_topology(faults=faults), assoc_period=1)
     )
-    checks = []
-    associate = sim.run_association
-
-    def checked():
-        associate()
-        checks.append(associated_links_are_feasible(sim))
-
-    sim.run_association = checked
     sim.run()
     return sim, checks
 
@@ -144,10 +143,10 @@ class TestTopology:
         original = topo.feasible.copy()
         sim = _Simulation(small_config(n=3, g=2, topology=topo))
         sim.gateway_of[:] = sim._random_association()
-        sim.on_fault_timer({"fault": FaultEvent(1.0, 0, "drop")})
+        sim.on_fault_timer(FaultEvent(1.0, 0, "drop"))
         assert not sim.feasible[0].any()
         assert sim.gateway_of[0] == -1
-        sim.on_fault_timer({"fault": FaultEvent(2.0, 0, "restore")})
+        sim.on_fault_timer(FaultEvent(2.0, 0, "restore"))
         np.testing.assert_array_equal(sim.feasible, original)
         np.testing.assert_array_equal(topo.feasible, original)
 

@@ -210,17 +210,6 @@ class TestSolveSelection:
             selection_objective(permuted, solve_selection(permuted)), abs=1e-12
         )
 
-    def test_per_device_constraint_mode(self):
-        cands = [
-            Candidate(0, u=1.0, tau=1.0, rate=3.0),
-            Candidate(1, u=1.0, tau=1.0, rate=8.0),
-            Candidate(2, u=1.0, tau=1.0, rate=4.0),
-        ]
-        inst = SelectionInstance(cands, bandwidth=5.0, sum_constraint=False)
-        # Every individually-fitting device is selected regardless of the sum.
-        assert solve_selection(inst) == {0, 2}
-        assert brute_force_selection(inst) == {0, 2}
-
     def test_greedy_quality_report(self, capsys):
         rng = np.random.default_rng(104)
         ratios = []

@@ -19,7 +19,6 @@ from hfedsim.learning import (
 from hfedsim.network import FaultEvent
 from hfedsim.simulator import (
     MODES,
-    EventKind,
     SimConfig,
     async_aggregate,
     run,
@@ -273,14 +272,6 @@ class TestModesRun:
         accs = [r.acc for r in result.trace.rows]
         assert all(0.0 <= a <= 1.0 for a in accs)
 
-    def test_dispatch_all_option(self):
-        result = run(small_config(mode="async-random", seed=3, dispatch_all=True))
-        assert result.cloud_epochs_done == 12
-
-    def test_per_device_bandwidth_option(self):
-        result = run(small_config(mode="async-sched", seed=3, bandwidth_sum=False))
-        assert result.cloud_epochs_done == 12
-
     def test_refresh_smoke(self):
         spec = DataSpec(
             num_devices=4, num_classes=3, classes_per_device=2,
@@ -507,19 +498,19 @@ class TestCohortTraining:
             return local_train_cohort(start, anchor, arch, shards, train, seeds)
 
         drops = []
-        on_fault = simulator._Simulation.HANDLERS[EventKind.FAULT_TIMER]
+        on_fault = simulator._Simulation.on_fault_timer
 
-        def spy_fault(self, payload):
-            i = payload["fault"].device
-            if payload["fault"].action == "drop":
+        def spy_fault(self, fault):
+            i = fault.device
+            if fault.action == "drop":
                 flight = self.flights.get(i)
                 state = None if flight is None else flight.params is not None
                 # A drop is placed in the transfer log by the count of transfers before it.
                 drops.append((i, state, len(self.transfers)))
-            on_fault(self, payload)
+            on_fault(self, fault)
 
         monkeypatch.setattr(simulator, "local_train_cohort", spy)
-        monkeypatch.setitem(simulator._Simulation.HANDLERS, EventKind.FAULT_TIMER, spy_fault)
+        monkeypatch.setattr(simulator._Simulation, "on_fault_timer", spy_fault)
         result = sim.run()
         assert result.stop_reason == "done"
         # Device 1's flight had not trained when it dropped; device 6's had.
