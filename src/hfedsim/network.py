@@ -4,6 +4,11 @@ A `Topology` is input only: it describes the links, delays, bandwidth caps
 and the fault schedule, and a run never changes it. The association and the
 link state that faults change during a run belong to the simulation.
 
+Each link fact is stored once, on the links. A device can reach a gateway if
+and only if `link_params` has that (device, gateway) pair, and `feasible` is
+derived from those keys. A device's mean compute time is the `mean_comp` of
+its links, which must therefore agree. A device with no link has none.
+
 Round latency between a gateway and a device is downlink + local compute +
 uplink. Each segment is its mean times an independent log-normal multiplier
 with unit mean, so configured means are true means and sigma=0 gives exact
@@ -110,33 +115,31 @@ class Topology:
 
     num_devices: int
     num_gateways: int
-    feasible: np.ndarray  # J [N, G]
-    link_params: dict[tuple[int, int], DelayParams]  # per feasible (device, gateway)
-    comp_mean: np.ndarray  # [N] mean local-training seconds
+    link_params: dict[tuple[int, int], DelayParams]  # per reachable (device, gateway)
     bandwidth: np.ndarray  # [G] bytes/s
     model_bytes: int
     cloud_gateway_delay: float = 0.5
     faults: list[FaultEvent] = field(default_factory=list)
+    feasible: np.ndarray = field(init=False)  # J [N, G], read-only: 1 where a link exists
 
     def __post_init__(self):
         n, g = self.num_devices, self.num_gateways
-        if self.feasible.shape != (n, g):
-            raise ConfigurationError("feasibility matrix shape mismatch")
-        if self.comp_mean.shape != (n,) or np.any(self.comp_mean <= 0):
-            raise ConfigurationError("comp_mean must be positive per device")
         if self.bandwidth.shape != (g,) or np.any(self.bandwidth <= 0):
             raise ConfigurationError("bandwidth must be positive per gateway")
         if self.model_bytes <= 0:
             raise ConfigurationError("model_size must be > 0 bytes")
         if self.cloud_gateway_delay < 0:
             raise ConfigurationError("cloud_gateway_delay must be >= 0")
-        for (i, j) in self.link_params:
+        feasible = np.zeros((n, g), dtype=np.int8)
+        comp: dict[int, float] = {}
+        for (i, j), p in self.link_params.items():
             if not (0 <= i < n and 0 <= j < g):
                 raise ConfigurationError(f"link ({i}, {j}) out of range")
-        for i in range(n):
-            for j in range(g):
-                if self.feasible[i, j] and (i, j) not in self.link_params:
-                    raise ConfigurationError(f"feasible link ({i}, {j}) has no delay params")
+            if comp.setdefault(i, p.mean_comp) != p.mean_comp:
+                raise ConfigurationError(f"the links of device {i} differ in mean_comp")
+            feasible[i, j] = 1
+        feasible.flags.writeable = False
+        object.__setattr__(self, "feasible", feasible)
         for f in self.faults:
             if not 0 <= f.device < n:
                 raise ConfigurationError(f"fault references unknown device {f.device}")
@@ -146,14 +149,13 @@ class Topology:
 
 
 def topology_to_json(topo: Topology) -> dict:
-    links = []
+    links, comp = [], {}
     for (i, j), p in sorted(topo.link_params.items()):
         links.append(
             {"i": i, "j": j, "mean_down": p.mean_down, "mean_up": p.mean_up, "sigma": p.sigma}
         )
-    devices = [
-        {"i": i, "mean_comp": float(topo.comp_mean[i])} for i in range(topo.num_devices)
-    ]
+        comp[i] = float(p.mean_comp)
+    devices = [{"i": i, "mean_comp": c} for i, c in comp.items()]
     return {
         "N": topo.num_devices,
         "G": topo.num_gateways,
@@ -179,13 +181,14 @@ def topology_from_json(doc: dict) -> Topology:
         bandwidth = np.asarray([float(b) for b in doc["B"]], dtype=np.float64)
         model_bytes = int(doc["model_size"])
         comp = {int(d["i"]): float(d["mean_comp"]) for d in doc["devices"]}
-        feasible = np.zeros((n, g), dtype=np.int8)
+        for i in comp:
+            if not 0 <= i < n:
+                raise ConfigurationError(f"device id {i} out of range")
         link_params = {}
         for link in doc["links"]:
             i, j = int(link["i"]), int(link["j"])
             if i not in comp:
                 raise ConfigurationError(f"link device {i} missing from devices list")
-            feasible[i, j] = 1
             link_params[(i, j)] = DelayParams(
                 mean_down=float(link["mean_down"]),
                 mean_comp=comp[i],
@@ -201,17 +204,10 @@ def topology_from_json(doc: dict) -> Topology:
             )
             for f in doc.get("faults", [])
         ]
-        comp_mean = np.ones(n)
-        for i, c in comp.items():
-            if not 0 <= i < n:
-                raise ConfigurationError(f"device id {i} out of range")
-            comp_mean[i] = c
         return Topology(
             num_devices=n,
             num_gateways=g,
-            feasible=feasible,
             link_params=link_params,
-            comp_mean=comp_mean,
             bandwidth=bandwidth,
             model_bytes=model_bytes,
             cloud_gateway_delay=float(doc.get("cloud_gateway_delay", 0.5)),
@@ -273,39 +269,29 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
     link_het = rng.lognormal(0.0, spec.het_sigma, n)
     comp_het = rng.lognormal(0.0, spec.het_sigma, n)
 
-    feasible = np.zeros((n, g), dtype=np.int8)
     link_params = {}
-    comp_mean = spec.base_comp * comp_het
+    comp = spec.base_comp * comp_het
+    rates: list[list[float]] = [[] for _ in range(g)]  # per gateway, in device order
     for i in range(n):
         dist = np.linalg.norm(gw_pos - dev_pos[i], axis=1)
         k = min(g, int(rng.integers(1, 4)))
         for j in np.argsort(dist)[:k]:
             j = int(j)
-            feasible[i, j] = 1
             scale = link_het[i] * (0.5 + dist[j])
-            link_params[(i, j)] = DelayParams(
+            p = link_params[(i, j)] = DelayParams(
                 mean_down=spec.base_down * scale,
-                mean_comp=comp_mean[i],
+                mean_comp=comp[i],
                 mean_up=spec.base_up * scale,
                 sigma=spec.jitter_sigma,
             )
-
-    bandwidth = np.zeros(g)
-    for j in range(g):
-        rates = [
-            est_rate(spec.model_bytes, link_params[(i, j)].mean_total)
-            for i in range(n)
-            if feasible[i, j]
-        ]
-        # Guard: a gateway with no candidate devices keeps a token positive cap.
-        bandwidth[j] = spec.bandwidth_frac * sum(rates) if rates else 1.0
+            rates[j].append(est_rate(spec.model_bytes, p.mean_total))
+    # Guard: a gateway with no candidate devices keeps a token positive cap.
+    bandwidth = np.array([spec.bandwidth_frac * sum(r) if r else 1.0 for r in rates])
 
     return Topology(
         num_devices=n,
         num_gateways=g,
-        feasible=feasible,
         link_params=link_params,
-        comp_mean=comp_mean,
         bandwidth=bandwidth,
         model_bytes=spec.model_bytes,
         cloud_gateway_delay=spec.cloud_gateway_delay,

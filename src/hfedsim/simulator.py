@@ -53,6 +53,11 @@ evaluation. A barrier or window gateway would spin through empty rounds while
 other sweeps are out, so `Policy` allows a warmup selector only on an async
 gateway.
 
+A barrier cloud weighs each gateway's model by the samples its rounds
+aggregated since its last download (`cycle_samples`). An async gateway runs no
+rounds, so its uploads weigh 0, and under a barrier cloud the cloud model would
+never move. `Policy` therefore rejects an async gateway with a barrier cloud.
+
 Modes. A mode is one row of `MODES`: a policy on each of three axes.
   gateway   async    staleness-discounted step per device upload; uploads to
                      the cloud after Z of them
@@ -98,7 +103,6 @@ from .learning import (
     grad_regularized,
     init_params,
     local_train_cohort,
-    loss_and_grad,
     raise_if_diverged,
 )
 from .network import FaultEvent, LatencyTracker, Topology, est_rate, sample_round_latency
@@ -137,6 +141,9 @@ class Policy:
             # Until the warmup ends a gateway selects nothing, so a round
             # gateway would spin through empty rounds while other sweeps are out.
             raise ConfigurationError(f"the {self.selector} selector needs an async gateway")
+        if self.gateway == "async" and self.cloud == "barrier":
+            # Every upload would weigh 0, so the cloud model would never move.
+            raise ConfigurationError("a barrier cloud needs a barrier or window gateway")
 
 
 MODES: dict[str, Policy] = {
@@ -297,7 +304,6 @@ class SimResult:
     transfers: list[Transfer]
     bytes_total: int
     bytes_overhead: int
-    model_transfers: int
     max_stale_cloud: int
     max_stale_gw: int
     cloud_epochs_done: int
@@ -317,7 +323,6 @@ class SimResult:
 
 @dataclass
 class DeviceState:
-    id: int
     shard: Shard
     rounds_started: int = 0
     rounds_done: int = 0
@@ -373,9 +378,7 @@ class _Simulation:
         self.gateways = [
             GatewayState(j, self.cloud_params) for j in range(self.topo.num_gateways)
         ]
-        self.devices = [
-            DeviceState(i, shard) for i, shard in enumerate(cfg.dataset.shards)
-        ]
+        self.devices = [DeviceState(shard) for shard in cfg.dataset.shards]
         self.latency = LatencyTracker(cfg.alpha_ema)
 
         # Reported gradients. Full length until the PCA fit (for the whole run
@@ -400,7 +403,6 @@ class _Simulation:
         self.transfers: list[Transfer] = []
         self.bytes_total = 0
         self.bytes_overhead = 0
-        self.model_transfers = 0
         self.max_stale_cloud = 0
         self.max_stale_gw = 0
         self.trace = MetricTrace()
@@ -418,8 +420,6 @@ class _Simulation:
         self.transfers.append(Transfer(self.now, kind, src, dst, size, overhead))
         self.bytes_total += size
         self.bytes_overhead += overhead
-        if kind != "pca_distribution":
-            self.model_transfers += 1
 
     def _train_seed(self, device: int, round_idx: int) -> int:
         ss = np.random.SeedSequence((self.cfg.seed, device, round_idx))
@@ -710,13 +710,13 @@ class _Simulation:
         if gw.cycle < self.cfg.gateway_epochs:
             self._start_round(gw)
         else:
-            self._gateway_upload(gw, weight=gw.cycle_samples)
+            self._gateway_upload(gw)
 
-    def _gateway_upload(self, gw: GatewayState, weight: float = 0.0) -> None:
+    def _gateway_upload(self, gw: GatewayState) -> None:
         self.charge("gateway_upload", f"gw{gw.id}", "cloud", self.topo.model_bytes)
         self.schedule(
             self.topo.cloud_gateway_delay, self.on_gateway_upload_arrives,
-            gw, gw.params, gw.tau, weight,
+            gw, gw.params, gw.tau, gw.cycle_samples,
         )
 
     # ---- event handlers ----------------------------------------------------------------
@@ -755,7 +755,7 @@ class _Simulation:
         if self.policy.selector == "utility":
             overhead = self._record_gradient(i, params, flight.anchor)
         elif self.policy.selector == "loss":
-            dev.last_loss, _ = loss_and_grad(params, self.arch, dev.shard)
+            _, dev.last_loss = evaluate(params, self.arch, dev.shard)
         self.charge(
             "device_upload", f"dev{i}", f"gw{gw.id}",
             self.topo.model_bytes + overhead, overhead,
@@ -875,7 +875,6 @@ class _Simulation:
             transfers=self.transfers,
             bytes_total=self.bytes_total,
             bytes_overhead=self.bytes_overhead,
-            model_transfers=self.model_transfers,
             max_stale_cloud=self.max_stale_cloud,
             max_stale_gw=self.max_stale_gw,
             cloud_epochs_done=self.h,

@@ -21,17 +21,12 @@ def uniform_topology(
     cloud_gateway_delay=0.5,
 ):
     """Every device reaches every gateway with identical delay parameters."""
-    link_params = {}
-    feasible = np.ones((n, g), dtype=np.int8)
-    for i in range(n):
-        for j in range(g):
-            link_params[(i, j)] = DelayParams(mean_down, mean_comp, mean_up, sigma)
+    params = DelayParams(mean_down, mean_comp, mean_up, sigma)
+    link_params = {(i, j): params for i in range(n) for j in range(g)}
     return Topology(
         num_devices=n,
         num_gateways=g,
-        feasible=feasible,
         link_params=link_params,
-        comp_mean=np.full(n, mean_comp),
         bandwidth=np.full(g, float(bandwidth)),
         model_bytes=model_bytes,
         cloud_gateway_delay=cloud_gateway_delay,

@@ -14,6 +14,7 @@ why they changed. Never regenerate to make a refactor pass. Float results can
 differ across numpy builds and CPUs, so the digests pin one environment.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -22,7 +23,9 @@ import pytest
 
 from hfedsim.data import DataSpec, gen_synthetic
 from hfedsim.learning import ModelArch
-from hfedsim.network import FaultEvent, TopologySpec, gen_topology
+from hfedsim.network import (
+    FaultEvent, TopologySpec, gen_topology, load_topology, save_topology,
+)
 from hfedsim.simulator import MODES, run
 from simtools import small_config, uniform_topology
 
@@ -78,7 +81,8 @@ def _ties_drop_restore():
 def _empty_gateway():
     """No device can reach gateway 0, so it holds no members from the start."""
     topo = uniform_topology(6, 3, sigma=0.5)
-    topo.feasible[:, 0] = 0
+    links = {(i, j): p for (i, j), p in topo.link_params.items() if j != 0}
+    topo = dataclasses.replace(topo, link_params=links)
     return small_config(mode="async-hl", n=6, g=3, seed=2, topology=topo)
 
 
@@ -183,6 +187,16 @@ def test_trace_matches_golden(name):
     result = run(SCENARIOS[name]())
     assert digest(result) == json.loads(GOLDEN.read_text())[name]
     assert result.stop_reason == ("stalled" if name in STALLED else "done")
+
+
+def test_empty_gateway_survives_save_and_load(tmp_path):
+    """Gateway 0 has no links, so after a round trip through a file it still has no members."""
+    cfg = _empty_gateway()
+    save_topology(cfg.topology, tmp_path / "topo.json")
+    cfg.topology = load_topology(tmp_path / "topo.json")
+    assert not cfg.topology.feasible[:, 0].any()
+    result = run(cfg)
+    assert digest(result) == json.loads(GOLDEN.read_text())["async-hl/empty-gateway"]
 
 
 if __name__ == "__main__":

@@ -86,19 +86,14 @@ class TestEstRate:
 
 
 def small_topology(sigma=0.0, faults=()):
-    link_params = {}
-    feasible = np.zeros((3, 2), dtype=np.int8)
-    for i in range(3):
-        for j in range(2):
-            if (i + j) % 2 == 0 or i == j:
-                feasible[i, j] = 1
-                link_params[(i, j)] = DelayParams(1.0 + i, 5.0, 2.0, sigma)
+    link_params = {
+        (i, j): DelayParams(1.0 + i, 5.0, 2.0, sigma)
+        for i in range(3) for j in range(2) if (i + j) % 2 == 0 or i == j
+    }
     return Topology(
         num_devices=3,
         num_gateways=2,
-        feasible=feasible,
         link_params=link_params,
-        comp_mean=np.full(3, 5.0),
         bandwidth=np.array([5e3, 8e3]),
         model_bytes=1000,
         faults=list(faults),
@@ -175,6 +170,17 @@ class TestTopology:
         with pytest.raises(ConfigurationError, match="unknown device 99"):
             small_topology(faults=[FaultEvent(0.0, 99, "drop")])
 
+    def test_links_of_one_device_must_agree_on_compute(self):
+        links = {(0, 0): DelayParams(1.0, 5.0, 2.0), (0, 1): DelayParams(1.0, 6.0, 2.0)}
+        with pytest.raises(ConfigurationError, match="device 0 differ in mean_comp"):
+            Topology(1, 2, links, bandwidth=np.ones(2), model_bytes=1000)
+
+    def test_feasibility_is_the_link_set_and_read_only(self):
+        topo = small_topology()
+        assert set(zip(*np.nonzero(topo.feasible))) == set(topo.link_params)
+        with pytest.raises(ValueError, match="read-only"):
+            topo.feasible[0, 1] = 1
+
     def test_bad_fault_action(self):
         with pytest.raises(ConfigurationError):
             FaultEvent(0.0, 0, "explode")
@@ -190,11 +196,9 @@ class TestTopologyIO:
         back = load_topology(path)
         np.testing.assert_array_equal(topo.feasible, back.feasible)
         np.testing.assert_allclose(topo.bandwidth, back.bandwidth)
-        np.testing.assert_allclose(topo.comp_mean, back.comp_mean)
         assert topo.model_bytes == back.model_bytes
-        assert set(topo.link_params) == set(back.link_params)
-        for key, p in topo.link_params.items():
-            assert back.link_params[key] == p
+        # DelayParams equality covers each link's mean_comp.
+        assert back.link_params == topo.link_params
 
     def test_round_trip_with_faults(self, tmp_path):
         topo = small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)])
@@ -202,6 +206,20 @@ class TestTopologyIO:
         save_topology(topo, path)
         back = load_topology(path)
         assert back.faults == [FaultEvent(3.0, 1, "slowdown", 4.0)]
+
+    def test_out_of_range_device_id_rejected(self):
+        doc = topology_to_json(small_topology())
+        doc["devices"].append({"i": 3, "mean_comp": 5.0})
+        with pytest.raises(DatasetFormatError, match="device id 3 out of range"):
+            topology_from_json(doc)
+
+    def test_device_entry_without_links_loads(self):
+        # Older files list every device, with or without a link.
+        doc = topology_to_json(small_topology())
+        doc["links"] = [link for link in doc["links"] if link["i"] != 2]
+        back = topology_from_json(doc)
+        assert not back.feasible[2].any()
+        assert 2 not in {d["i"] for d in topology_to_json(back)["devices"]}
 
     def test_missing_field(self):
         with pytest.raises(DatasetFormatError, match="missing field"):
@@ -219,6 +237,7 @@ class TestGenTopology:
         )
         counts = topo.feasible.sum(axis=1)
         assert counts.min() >= 1 and counts.max() <= 3
+        assert topo.feasible.sum() == len(topo.link_params)
 
     def test_deterministic(self):
         spec = TopologySpec(num_devices=10, num_gateways=3, model_bytes=1000)
