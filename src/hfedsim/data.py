@@ -100,15 +100,15 @@ def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
 
 
 def refresh_shard(
-    shard: Shard,
     class_map_entry: list[int],
     spec: DataSpec,
     round_seed: int,
     centroids: np.ndarray | None,
 ) -> Shard:
-    """Redraw a shard from its device's class distribution; no-op when refresh is off."""
-    if not spec.refresh:
-        return shard
+    """Redraw a shard from its device's class distribution.
+
+    The caller decides when a shard refreshes; `spec.refresh` is not read here.
+    """
     if centroids is None:
         raise ConfigurationError("refresh requires generator centroids (synthetic data)")
     return _draw_shard(np.random.default_rng(round_seed), class_map_entry, spec, centroids)

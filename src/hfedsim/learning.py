@@ -5,15 +5,15 @@ every function here is pure and deterministic given its inputs and seed.
 
 There is one SGD loop, `local_train_cohort`. It trains K devices in lockstep,
 holding their parameters as one [K, param_count] array: row k has its own start
-and its own proximal anchor (both given as [K, param_count] stacks), so one
+(given as a [K, param_count] stack), which is also its proximal anchor, so one
 block can mix devices sent different models. Each step gathers a [K, b, d]
 stack of batches, every device in its own seeded order, and runs the forward
 and backward passes as stacked matmuls. np.matmul runs one gemm per slice and
 every other operation acts on each slice alone, so each row is bit-identical to
 training that device by itself. One device alone is the K = 1 call, with
-``start[None]`` and ``anchor[None]``; `raise_if_diverged` checks a trained row
-(and the simulator's aggregates) and `grad_regularized` gives the full-shard
-gradient a device reports.
+``start[None]``; `raise_if_diverged` checks a trained row (and the simulator's
+aggregates) and `grad_regularized` gives the full-shard gradient a device
+reports, anchored at the start it trained from.
 """
 
 from __future__ import annotations
@@ -223,7 +223,6 @@ def _batches(rngs: list[np.random.Generator], n: int, batch_size: int) -> list[n
 
 def local_train_cohort(
     start: np.ndarray,
-    anchor: np.ndarray,
     arch: ModelArch,
     shards: list[Shard],
     cfg: TrainConfig,
@@ -231,12 +230,12 @@ def local_train_cohort(
 ) -> np.ndarray:
     """Run ``cfg.epochs`` of mini-batch SGD for K devices in lockstep.
 
-    ``start`` and ``anchor`` are [K, P]: row k starts from ``start[k]``, is
-    anchored at ``anchor[k]``, trains on ``shards[k]`` and draws its batch
-    order from ``seeds[k]``. All shards hold the same number of samples, so
-    every step moves all K rows at once. Returns the final parameters [K, P],
-    a new array; row k is bit-identical to training device k alone, i.e. to
-    the K = 1 call on ``start[k][None]`` and ``anchor[k][None]``.
+    ``start`` is [K, P]: row k starts from ``start[k]``, is anchored there
+    (the proximal term pulls it back toward its own start), trains on
+    ``shards[k]`` and draws its batch order from ``seeds[k]``. All shards hold
+    the same number of samples, so every step moves all K rows at once.
+    Returns the final parameters [K, P], a new array; row k is bit-identical to
+    training device k alone, i.e. to the K = 1 call on ``start[k][None]``.
 
     A row that diverges keeps running: the update never turns a non-finite
     weight finite again, so `raise_if_diverged` on a final row tells whether
@@ -245,8 +244,8 @@ def local_train_cohort(
     k = len(shards)
     if not shards or k != len(seeds):
         raise ConfigurationError("need one seed per shard and at least one shard")
-    if start.shape != (k, arch.param_count) or anchor.shape != start.shape:
-        raise ConfigurationError(f"start and anchor must be [{k}, {arch.param_count}]")
+    if start.shape != (k, arch.param_count):
+        raise ConfigurationError(f"start must be [{k}, {arch.param_count}]")
     n = shards[0].n
     for shard in shards:
         if shard.n != n:
@@ -264,7 +263,7 @@ def local_train_cohort(
             for idx in _batches(rngs, n, cfg.batch_size):
                 _, grad = _loss_grad_stacked(layers, arch, features[rows, idx], labels[rows, idx])
                 if cfg.rho != 0.0:
-                    grad += cfg.rho * (params - anchor)
+                    grad += cfg.rho * (params - start)
                 params -= cfg.gamma * grad
     return params
 

@@ -231,15 +231,9 @@ def _association_exact(inst: AssociationInstance) -> list[int | None]:
         if bound < best_obj:
             return
         if i == n:
-            # Fresh summation in device order: leaf value is independent of
-            # the DFS path's incremental float updates.
-            fresh_u = [0.0] * g
-            fresh_r = [0.0] * g
-            for dev, j in enumerate(assign):
-                if j is not None:
-                    fresh_u[j] += float(inst.u[dev])
-                    fresh_r[j] += float(inst.rates[dev, j]) / float(inst.bandwidth[j])
-            obj = min(fresh_u) - inst.phi * max(fresh_r)
+            # Fresh summation in device order, as for the returned Assignment:
+            # the leaf value is independent of the DFS path's incremental updates.
+            obj = _assignment_from_vector(inst, assign).objective
             key = _pref_key(assign, g)
             if obj > best_obj or (obj == best_obj and (best_key is None or key < best_key)):
                 best_obj, best_assign, best_key = obj, assign.copy(), key

@@ -26,32 +26,33 @@ drop removes it. A gateway's load is the sum of its flights' rates. The device
 events carry the `Flight` itself, so an event whose flight is no longer the
 device's entry in `flights` belongs to a voided round and does nothing.
 
-Local training is lazy. A flight's round depends only on its anchor (the
-gateway model sent), shard and seed, and all three are fixed at dispatch: the
-seed comes from the device's round count and its shard refreshes only on
-upload. When an upload lands before its flight has trained, every flight then
-in the air trains at once, in lockstep blocks of devices that share a shard
-size (`local_train_cohort`), and each keeps its row until its own upload. An
-async gateway sends to about one device at a time, so this fills blocks that
-dispatch-time training would run one row at a time, and the trace is the same
-as if each device had trained alone on arrival. A divergence raises at the
-device's upload, so only a live flight raises; a voided flight is dropped with
-whatever it holds.
+Local training is lazy. A flight trains on its device's shard, from the
+gateway model it was sent, which is also its proximal anchor, with a seed drawn
+from the device's round count. All three are fixed while the flight is in the
+air: the model and seed at dispatch, and the shard because it refreshes only
+after its own upload has removed the flight. When an upload lands before its
+flight has trained, every flight then in the air trains at once, in lockstep
+blocks of devices that share a shard size (`local_train_cohort`), and each
+keeps its row until its own upload. An async gateway sends to about one device
+at a time, so this fills blocks that dispatch-time training would run one row
+at a time, and the trace is the same as if each device had trained alone on
+arrival. A divergence raises at the device's upload, so only a live flight
+raises; a voided flight is dropped with whatever it holds.
 
 Warmup. The utility and loss selectors open with a sweep that seeds the
 learning utility and the PCA compressor: each gateway's first dispatch, on the
 initial model (`tau == 0 and cycle == 0`), sends to every idle member and
-ignores the cap. Until the warmup ends, every later dispatch selects nothing.
-When the last sweep flight lands or drops, the utility selector fits the
-compressor (if at least two gradients came in; otherwise the run stays
-uncompressed) and every gateway dispatches again. No sweep flight can land or
-drop before every gateway has swept: `run` schedules the initial model
-arrivals one after another with one delay, so they are consecutive heap
-entries, and the only events due at that instant that come before them are
-fault timers (scheduled first) and, with no cloud delay, the first
-evaluation. A barrier or window gateway would spin through empty rounds while
-other sweeps are out, so `Policy` allows a warmup selector only on an async
-gateway.
+ignores the cap. Until the warmup ends, every later dispatch selects nothing,
+so the sweep is the flights in the air; no separate set tracks it. When the
+last flight lands or drops, the utility selector fits the compressor (if at
+least two gradients came in; otherwise the run stays uncompressed) and every
+gateway dispatches again. No sweep flight can land or drop before every
+gateway has swept: `run` schedules the initial model arrivals one after
+another with one delay, so they are consecutive heap entries, and the only
+events due at that instant that come before them are fault timers (scheduled
+first) and, with no cloud delay, the first evaluation. A barrier or window
+gateway would spin through empty rounds while other sweeps are out, so
+`Policy` allows a warmup selector only on an async gateway.
 
 A barrier cloud weighs each gateway's model by the samples its rounds
 aggregated since its last download (`cycle_samples`). An async gateway runs no
@@ -350,7 +351,6 @@ class Flight:
     stamp: int  # the gateway's version at dispatch
     rate: float  # admitted rate, counted against the gateway's bandwidth
     anchor: np.ndarray | None  # the gateway model sent; kept for the reported gradient
-    shard: Shard
     seed: int
     observed_tau: float  # dispatch-to-upload latency
     params: np.ndarray | None = None  # trained parameters, once trained
@@ -394,7 +394,6 @@ class _Simulation:
         # Every flight in the air, by device, in dispatch order.
         self.flights: dict[int, Flight] = {}
 
-        self.warmup_pending: set[int] = set()  # devices whose sweep flight is out
         self.warmup_done = self.policy.selector == "random"
 
         # Cloud barrier state: gateway -> (params, weight).
@@ -498,16 +497,17 @@ class _Simulation:
 
     def _train_flights(self) -> None:
         """Train every flight in the air not trained yet, in blocks that share a shard size."""
-        by_n: dict[int, list[Flight]] = {}
-        for f in self.flights.values():
+        by_n: dict[int, list[int]] = {}
+        for i, f in self.flights.items():
             if f.params is None:
-                by_n.setdefault(f.shard.n, []).append(f)
+                by_n.setdefault(self.devices[i].shard.n, []).append(i)
         for group in by_n.values():
             for k in range(0, len(group), COHORT_BLOCK):
-                block = group[k : k + COHORT_BLOCK]
+                ids = group[k : k + COHORT_BLOCK]
+                block = [self.flights[i] for i in ids]
                 starts = np.stack([f.anchor for f in block])
-                shards, seeds = [f.shard for f in block], [f.seed for f in block]
-                rows = local_train_cohort(starts, starts, self.arch, shards, self.cfg.train, seeds)
+                shards, seeds = [self.devices[i].shard for i in ids], [f.seed for f in block]
+                rows = local_train_cohort(starts, self.arch, shards, self.cfg.train, seeds)
                 for f, row in zip(block, rows):
                     # One copy per flight: a row view would keep its whole block
                     # alive until the block's last flight lands, and raise peak memory.
@@ -518,10 +518,10 @@ class _Simulation:
     def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
         """Send the gateway model, stamped with its version, to each device.
 
-        Nothing trains here. Each flight records its anchor (the gateway model),
-        shard and seed (from `rounds_started`); all three are fixed now, because
-        a device's shard refreshes only on its upload, so the flight can train
-        any time before its upload lands.
+        Nothing trains here. Each flight records the gateway model (its start
+        and anchor) and its seed (from `rounds_started`). It trains on its
+        device's shard, which refreshes only after this flight's upload, so
+        the flight can train any time before its upload lands.
         """
         for i in device_ids:
             dev = self.devices[i]
@@ -532,20 +532,13 @@ class _Simulation:
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
             seed = self._train_seed(i, dev.rounds_started)
-            flight = Flight(gw.id, gw.version, rate, gw.params, dev.shard, seed, total)
+            flight = Flight(gw.id, gw.version, rate, gw.params, seed, total)
             self.flights[i] = flight
             dev.rounds_started += 1
             self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
             self.schedule(down, self.on_device_model_arrives, i, flight, comp + up)
 
     # ---- warmup -------------------------------------------------------------
-
-    def _end_sweep_flight(self, device: int) -> None:
-        """Fit once the last sweep flight has landed or dropped."""
-        if device in self.warmup_pending:
-            self.warmup_pending.discard(device)
-            if not self.warmup_pending:
-                self.finish_warmup()
 
     def finish_warmup(self) -> None:
         self.warmup_done = True
@@ -617,12 +610,6 @@ class _Simulation:
             else:
                 self.gateway_of[i] = target
 
-    def _apply_pending_assoc(self, device: int) -> None:
-        if device in self.pending_assoc:
-            target = self.pending_assoc.pop(device)
-            if target < 0 or self.feasible[device, target]:
-                self.gateway_of[device] = target
-
     # ---- metric rows -----------------------------------------------------------
 
     def record_eval(self) -> None:
@@ -675,21 +662,22 @@ class _Simulation:
 
     # ---- gateway rounds -------------------------------------------------------------
 
-    def _has_flights(self, gw: GatewayState) -> bool:
-        return any(f.gateway == gw.id for f in self.flights.values())
-
     def _start_round(self, gw: GatewayState) -> None:
         """Select and dispatch against the gateway's current model.
 
-        A window round closes on its timer; a barrier round once nothing is in flight.
+        A window round closes on its timer; a barrier round once nothing is in
+        flight, at once if nothing was selected.
         """
-        selected = self.select_devices(gw)
-        if not self.warmup_done:
-            self.warmup_pending.update(selected)
-        self.dispatch(gw, selected)
+        self.dispatch(gw, self.select_devices(gw))
         if self.policy.gateway == "window":
             self.schedule(self.cfg.semi_window, self.on_window_timer, gw, gw.version)
-        elif self.policy.gateway == "barrier" and not selected:
+        self._flight_ended(gw)
+
+    def _flight_ended(self, gw: GatewayState) -> None:
+        """Close the gateway's barrier round if it has nothing left in flight."""
+        if self.policy.gateway == "barrier" and not any(
+            f.gateway == gw.id for f in self.flights.values()
+        ):
             self._close_round(gw)
 
     def _close_round(self, gw: GatewayState) -> None:
@@ -764,13 +752,16 @@ class _Simulation:
         if self.cfg.data_spec is not None and self.cfg.data_spec.refresh:
             rs = self._train_seed(i, 10_000_019 + dev.rounds_done)
             dev.shard = refresh_shard(
-                dev.shard,
                 self.cfg.dataset.class_map[i],
                 self.cfg.data_spec,
                 rs,
                 self.cfg.dataset.centroids,
             )
 
+        # A pending target is feasible here: it was when chosen, and a device
+        # whose links a drop has cut since has no flight to upload until a
+        # restore copies every link back.
+        self.gateway_of[i] = self.pending_assoc.pop(i, self.gateway_of[i])
         if self.policy.gateway == "async":
             gw.version += 1
             gw.cycle += 1
@@ -781,8 +772,8 @@ class _Simulation:
                 gw.params, params, self.cfg.beta, delta, self.cfg.staleness_exp
             )
             raise_if_diverged(gw.params, f"after aggregation at gateway {gw.id}")
-            self._apply_pending_assoc(i)
-            self._end_sweep_flight(i)
+            if not self.warmup_done and not self.flights:
+                self.finish_warmup()
             if gw.cycle == self.cfg.gateway_epochs:
                 self._gateway_upload(gw)
             self._start_round(gw)
@@ -791,9 +782,7 @@ class _Simulation:
             assert lateness >= 0
             self.max_stale_gw = max(self.max_stale_gw, lateness)
             gw.buffer.append((params, float(dev.shard.n), lateness))
-            self._apply_pending_assoc(i)
-            if self.policy.gateway == "barrier" and not self._has_flights(gw):
-                self._close_round(gw)
+            self._flight_ended(gw)
 
     def on_gateway_upload_arrives(
         self, gw: GatewayState, params: np.ndarray, tau_stamp: int, weight: float
@@ -826,16 +815,18 @@ class _Simulation:
             self.feasible[i] = self.topo.feasible[i]
             self.slowdown[i] = 1.0
             return
-        # A drop cuts every link of the device and voids its flight. If the drop
-        # ends the warmup, the fit's dispatch still counts the voided flight's rate.
+        # A drop cuts every link of the device and voids its flight. Before the
+        # fit every flight in the air is a sweep flight, so voiding the last one
+        # ends the warmup. That happens before the pop, so the fit's dispatch
+        # still counts the voided flight's rate; ROADMAP item 2 pops first and
+        # then runs the upload's `not self.flights` test.
         self.feasible[i] = 0
         self.gateway_of[i] = -1
-        self._end_sweep_flight(i)
+        if not self.warmup_done and self.flights.keys() == {i}:
+            self.finish_warmup()
         flight = self.flights.pop(i, None)
-        if flight is not None and self.policy.gateway == "barrier":
-            gw = self.gateways[flight.gateway]
-            if not self._has_flights(gw):
-                self._close_round(gw)
+        if flight is not None:
+            self._flight_ended(self.gateways[flight.gateway])
 
     def on_window_timer(self, gw: GatewayState, stamp: int) -> None:
         if stamp == gw.version:

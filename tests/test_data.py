@@ -10,6 +10,8 @@ from hfedsim.data import (
     save_dataset,
 )
 from hfedsim.errors import ConfigurationError, DatasetFormatError
+from hfedsim.simulator import _Simulation
+from simtools import small_config
 
 
 def spec(**kw):
@@ -75,14 +77,20 @@ class TestGenSynthetic:
 
 class TestRefreshShard:
     def test_disabled_returns_same_object(self):
-        ds = gen_synthetic(spec(), seed=1)
-        out = refresh_shard(ds.shards[0], ds.class_map[0], spec(), 99, ds.centroids)
-        assert out is ds.shards[0]
+        # Only the simulator decides whether a shard refreshes: with refresh
+        # off, every device keeps the very shard it was given.
+        cfg = small_config(seed=1)
+        assert cfg.data_spec is not None and not cfg.data_spec.refresh
+        sim = _Simulation(cfg)
+        assert sim.run().stop_reason == "done"
+        assert all(d.rounds_done > 0 for d in sim.devices)
+        for dev, shard in zip(sim.devices, cfg.dataset.shards, strict=True):
+            assert dev.shard is shard
 
     def test_preserves_size_and_labels(self):
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
-        out = refresh_shard(ds.shards[0], ds.class_map[0], s, 99, ds.centroids)
+        out = refresh_shard(ds.class_map[0], s, 99, ds.centroids)
         assert out is not ds.shards[0]
         assert out.n == ds.shards[0].n
         assert set(out.labels.tolist()) == set(ds.shards[0].labels.tolist())
@@ -91,7 +99,7 @@ class TestRefreshShard:
     def test_mean_tracks_centroid_mixture(self):
         s = spec(refresh=True, samples_per_device=4000, cluster_spread=0.5)
         ds = gen_synthetic(s, seed=8)
-        out = refresh_shard(ds.shards[0], ds.class_map[0], s, 123, ds.centroids)
+        out = refresh_shard(ds.class_map[0], s, 123, ds.centroids)
         mixture_mean = ds.centroids[ds.class_map[0]].mean(axis=0)
         tol = 3 * 0.5 / np.sqrt(out.n)
         assert np.all(np.abs(out.features.mean(axis=0) - mixture_mean) < tol * 3)
@@ -100,7 +108,7 @@ class TestRefreshShard:
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
         with pytest.raises(ConfigurationError):
-            refresh_shard(ds.shards[0], ds.class_map[0], s, 0, None)
+            refresh_shard(ds.class_map[0], s, 0, None)
 
 
 class TestRoundTrip:

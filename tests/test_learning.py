@@ -159,15 +159,18 @@ class TestLocalTrain:
     def test_zero_lr_is_identity(self):
         arch, shard, start = self._setup()
         cfg = TrainConfig(gamma=0.0, rho=0.1, epochs=3, batch_size=4)
-        final = local_train_cohort(start[None], start[None], arch, [shard], cfg, [1])[0]
+        final = local_train_cohort(start[None], arch, [shard], cfg, [1])[0]
         np.testing.assert_array_equal(final, start)
 
-    def test_single_full_batch_step(self):
+    def test_two_full_batch_steps(self):
+        # The proximal term is zero at the start and pulls back toward it in
+        # the second step.
         arch, shard, start = self._setup(seed=2)
-        anchor = start + 0.3
-        cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=1, batch_size=shard.n)
-        final = local_train_cohort(start[None], anchor[None], arch, [shard], cfg, [9])[0]
-        expected = start - 0.05 * grad_regularized(start, anchor, arch, shard, 0.2)
+        cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=2, batch_size=shard.n)
+        final = local_train_cohort(start[None], arch, [shard], cfg, [9])[0]
+        first = start - 0.05 * grad_regularized(start, start, arch, shard, 0.2)
+        assert not np.array_equal(first, start)
+        expected = first - 0.05 * grad_regularized(first, start, arch, shard, 0.2)
         np.testing.assert_array_equal(final, expected)
 
     def test_loss_improves_on_separable_shard(self):
@@ -179,7 +182,7 @@ class TestLocalTrain:
         shard = Shard(centers + rng.normal(0, 0.3, (n, 2)), labels)
         start = init_params(arch, 1)
         cfg = TrainConfig(gamma=0.2, rho=0.0, epochs=5, batch_size=8)
-        final = local_train_cohort(start[None], start[None], arch, [shard], cfg, [3])[0]
+        final = local_train_cohort(start[None], arch, [shard], cfg, [3])[0]
         loss0, _ = loss_and_grad(start, arch, shard)
         loss1, _ = loss_and_grad(final, arch, shard)
         assert loss1 < loss0
@@ -187,8 +190,8 @@ class TestLocalTrain:
     def test_deterministic(self):
         arch, shard, start = self._setup(seed=4)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=2, batch_size=5)
-        a = local_train_cohort(start[None], start[None], arch, [shard], cfg, [5])[0]
-        b = local_train_cohort(start[None], start[None], arch, [shard], cfg, [5])[0]
+        a = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
+        b = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
         assert np.array_equal(a, b)
         reported = grad_regularized(a, start, arch, shard, cfg.rho)
         assert np.array_equal(reported, grad_regularized(b, start, arch, shard, cfg.rho))
@@ -196,7 +199,7 @@ class TestLocalTrain:
     def test_divergence_names_device(self):
         arch, shard, start = self._setup(seed=6)
         cfg = TrainConfig(gamma=1e12, rho=1.0, epochs=30, batch_size=4)
-        final = local_train_cohort(start[None], start[None], arch, [shard], cfg, [0])[0]
+        final = local_train_cohort(start[None], arch, [shard], cfg, [0])[0]
         with pytest.raises(NumericDivergenceError, match="device 17"):
             raise_if_diverged(final, "while training device 17")
 
@@ -301,8 +304,7 @@ class TestLocalTrainCohort:
             Shard(rng.normal(0, 1, (n, 4)), rng.integers(0, 3, n)) for _ in range(k)
         ]
         seeds = [int(s) for s in rng.integers(0, 2**32, k)]
-        start = init_params(arch, seed)
-        return arch, shards, seeds, start, start + rng.normal(0, 0.2, start.shape)
+        return arch, shards, seeds, init_params(arch, seed)
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("k", [1, 2, 8, 9, 20])
@@ -317,73 +319,63 @@ class TestLocalTrainCohort:
     )
     def test_rows_match_sequential(self, kind, k, cfg):
         n = 13  # not a multiple of either batch size: every epoch ends on a short batch
-        arch, shards, seeds, start, anchor = self._cohort(kind, k, n, seed=k)
-        rows = local_train_cohort(_rows(start, k), _rows(anchor, k), arch, shards, cfg, seeds)
+        arch, shards, seeds, start = self._cohort(kind, k, n, seed=k)
+        rows = local_train_cohort(_rows(start, k), arch, shards, cfg, seeds)
         assert rows.shape == (k, arch.param_count)
         for row, shard, seed in zip(rows, shards, seeds):
-            alone = local_train_cohort(start[None], anchor[None], arch, [shard], cfg, [seed])[0]
+            alone = local_train_cohort(start[None], arch, [shard], cfg, [seed])[0]
             assert np.array_equal(row, alone)
-            assert np.array_equal(row, reference_sgd(start, anchor, arch, shard, cfg, seed))
+            assert np.array_equal(row, reference_sgd(start, start, arch, shard, cfg, seed))
 
     def test_diverging_row_leaves_the_others_intact(self):
-        arch, shards, seeds, start, anchor = self._cohort("logistic", 5, 12, seed=3)
+        arch, shards, seeds, start = self._cohort("logistic", 5, 12, seed=3)
         bad = 2
         shards[bad] = Shard(shards[bad].features * 1e200, shards[bad].labels)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
-        rows = local_train_cohort(_rows(start, 5), _rows(anchor, 5), arch, shards, cfg, seeds)
+        rows = local_train_cohort(_rows(start, 5), arch, shards, cfg, seeds)
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(rows[bad], "while training device 42")
-        alone = local_train_cohort(
-            start[None], anchor[None], arch, [shards[bad]], cfg, [seeds[bad]]
-        )[0]
+        alone = local_train_cohort(start[None], arch, [shards[bad]], cfg, [seeds[bad]])[0]
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(alone, "while training device 42")
         for k in range(5):
             if k != bad:
                 raise_if_diverged(rows[k], f"while training device {k}")
-                alone = local_train_cohort(
-                    start[None], anchor[None], arch, [shards[k]], cfg, [seeds[k]]
-                )[0]
+                alone = local_train_cohort(start[None], arch, [shards[k]], cfg, [seeds[k]])[0]
                 assert np.array_equal(rows[k], alone)
 
     def test_unequal_shard_sizes_rejected(self):
-        arch, shards, seeds, start, _ = self._cohort("logistic", 2, 6)
+        arch, shards, seeds, start = self._cohort("logistic", 2, 6)
         shards[1] = Shard(shards[1].features[:5], shards[1].labels[:5])
         cfg = TrainConfig(gamma=0.1, rho=0.0, epochs=1, batch_size=2)
         with pytest.raises(ConfigurationError, match="same number of samples"):
-            local_train_cohort(_rows(start, 2), _rows(start, 2), arch, shards, cfg, seeds)
+            local_train_cohort(_rows(start, 2), arch, shards, cfg, seeds)
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("k", [1, 2, 8, 9])
     def test_rows_with_their_own_start_and_anchor(self, kind, k):
-        # Every row starts and is anchored somewhere else, as when one block
-        # trains flights that different gateway models were sent to.
-        arch, shards, seeds, _, _ = self._cohort(kind, k, 13, seed=100 + k)
-        rng = np.random.default_rng(k)
+        # Every row starts somewhere else and is anchored at its own start, as
+        # when one block trains flights that different gateway models were sent to.
+        arch, shards, seeds, _ = self._cohort(kind, k, 13, seed=100 + k)
         starts = np.stack([init_params(arch, 200 + r) for r in range(k)])
-        anchors = starts + rng.normal(0, 0.3, starts.shape)
         cfg = TrainConfig(gamma=0.1, rho=0.4, epochs=2, batch_size=5)
-        rows = local_train_cohort(starts, anchors, arch, shards, cfg, seeds)
+        rows = local_train_cohort(starts, arch, shards, cfg, seeds)
         assert len({r.tobytes() for r in starts}) == k
-        assert not np.array_equal(starts, anchors)
         for r in range(k):
-            alone = local_train_cohort(
-                starts[r][None], anchors[r][None], arch, [shards[r]], cfg, [seeds[r]]
-            )[0]
+            alone = local_train_cohort(starts[r][None], arch, [shards[r]], cfg, [seeds[r]])[0]
             assert np.array_equal(rows[r], alone)
-            expected = reference_sgd(starts[r], anchors[r], arch, shards[r], cfg, seeds[r])
+            expected = reference_sgd(starts[r], starts[r], arch, shards[r], cfg, seeds[r])
             assert np.array_equal(rows[r], expected)
 
     def test_one_start_and_anchor_per_row_required(self):
-        arch, shards, seeds, start, anchor = self._cohort("logistic", 3, 6)
+        arch, shards, seeds, start = self._cohort("logistic", 3, 6)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=1, batch_size=2)
-        for bad_start, bad_anchor in [
-            (start, anchor),  # one flat vector for the whole block
-            (start[None], anchor[None]),  # one row for three shards
-            (_rows(start, 3), anchor[None]),
+        for bad_start in [
+            start,  # one flat vector for the whole block
+            start[None],  # one row for three shards
         ]:
             with pytest.raises(ConfigurationError, match=r"must be \[3, "):
-                local_train_cohort(bad_start, bad_anchor, arch, shards, cfg, seeds)
+                local_train_cohort(bad_start, arch, shards, cfg, seeds)
 
 
 def _rows(v, k):

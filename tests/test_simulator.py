@@ -437,9 +437,9 @@ class TestCohortTraining:
     def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg):
         sizes = []
 
-        def spy(start, anchor, arch, shards, cfg, seeds):
+        def spy(start, arch, shards, cfg, seeds):
             sizes.append(len(shards))
-            return local_train_cohort(start, anchor, arch, shards, cfg, seeds)
+            return local_train_cohort(start, arch, shards, cfg, seeds)
 
         monkeypatch.setattr(simulator, "local_train_cohort", spy)
         batched = _outputs(make_cfg())
@@ -481,8 +481,8 @@ class TestCohortTraining:
         cfg.dataset.shards[0] = Shard(bad.features * 1e200, bad.labels)
         diverged = []
 
-        def spy(start, anchor, arch, shards, train, seeds):
-            rows = local_train_cohort(start, anchor, arch, shards, train, seeds)
+        def spy(start, arch, shards, train, seeds):
+            rows = local_train_cohort(start, arch, shards, train, seeds)
             diverged.extend(not np.isfinite(row).all() for row in rows)
             return rows
 
@@ -501,9 +501,9 @@ class TestCohortTraining:
         sim = simulator._Simulation(cfg)
         seeds_trained = []
 
-        def spy(start, anchor, arch, shards, train, seeds):
+        def spy(start, arch, shards, train, seeds):
             seeds_trained.extend(seeds)
-            return local_train_cohort(start, anchor, arch, shards, train, seeds)
+            return local_train_cohort(start, arch, shards, train, seeds)
 
         drops = []
         on_fault = simulator._Simulation.on_fault_timer
