@@ -11,7 +11,3 @@ class NumericDivergenceError(RuntimeError):
 
 class DatasetFormatError(ValueError):
     """Malformed or invalid shard/manifest file."""
-
-
-class InstanceTooLargeError(ValueError):
-    """Brute-force solver refused an instance beyond its enumeration limit."""

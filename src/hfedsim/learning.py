@@ -6,14 +6,25 @@ every function here is pure and deterministic given its inputs and seed.
 There is one SGD loop, `local_train_cohort`. It trains K devices in lockstep,
 holding their parameters as one [K, param_count] array: row k has its own start
 (given as a [K, param_count] stack), which is also its proximal anchor, so one
-block can mix devices sent different models. Each step gathers a [K, b, d]
-stack of batches, every device in its own seeded order, and runs the forward
-and backward passes as stacked matmuls. np.matmul runs one gemm per slice and
+block can mix devices sent different models. Each step takes a [K, b, d] stack
+of batches, every device in its own seeded order, and runs the forward and
+backward passes as stacked matmuls. np.matmul runs one gemm per slice and
 every other operation acts on each slice alone, so each row is bit-identical to
 training that device by itself. One device alone is the K = 1 call, with
 ``start[None]``; `raise_if_diverged` checks a trained row (and the simulator's
 aggregates) and `grad_regularized` gives the full-shard gradient a device
 reports, anchored at the start it trained from.
+
+Three things keep a step lean without changing a bit of it. Each epoch gathers
+its shuffled features and one-hot labels once, and a step slices its batch out
+of them: the slice holds the same values in the same [b, d] layout as a batch
+gathered alone, so every gemm sees the same operands. The softmax gradient
+subtracts that one-hot instead of subtracting 1.0 at each label: x - 0.0 is x,
+so only the label's entry moves, by the same 1.0. And the gradient is written
+through `unpack` views into one [K, P] buffer that lives for the whole call,
+in place of a concatenation per step: a gemm or a sum computes the same values
+wherever its output lies. The one stacked gradient function, `_grad_stacked`,
+serves both the training step and `loss_and_grad`.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ class ModelArch:
         return sum(fi * fo + fo for fi, fo in self.layers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Shard:
     """One device's local dataset: feature matrix [n, input_dim] and int labels [n]."""
 
@@ -131,17 +142,28 @@ def _forward(
         )
     if arch.kind == "logistic":
         (w, b), = layers
-        return x @ w + b, None
+        return _affine(x, w, b), None
     (w1, b1), (w2, b2) = layers
-    h = np.tanh(x @ w1 + b1)
-    return h @ w2 + b2, h
+    h = _affine(x, w1, b1)
+    np.tanh(h, out=h)
+    return _affine(h, w2, b2), h
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, adding the bias in place."""
+    out = x @ w
+    out += b
+    return out
 
 
 def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shifted logits, their exponentials, and the sums of those over classes."""
-    shifted = logits - logits.max(axis=2, keepdims=True)
-    probs = np.exp(shifted)
-    return shifted, probs, probs.sum(axis=2)
+    """Max-shifted logits, their exponentials, and the sums of those over classes.
+
+    The shift is made in place: the shifted logits are ``logits`` itself.
+    """
+    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    probs = np.exp(logits)
+    return logits, probs, np.add.reduce(probs, axis=2)
 
 
 def _mean_nll(shifted: np.ndarray, norm: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,48 +172,52 @@ def _mean_nll(shifted: np.ndarray, norm: np.ndarray, y: np.ndarray) -> np.ndarra
     return (np.log(norm) - shifted[np.arange(k)[:, None], np.arange(n), y]).mean(axis=1)
 
 
-def _loss_grad_stacked(
+def _grad_stacked(
     layers: list[tuple[np.ndarray, np.ndarray]],
     arch: ModelArch,
     x: np.ndarray,
-    y: np.ndarray,
-    with_loss: bool = False,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Mean cross-entropy and its gradient for K models, each on its own batch.
+    onehot: np.ndarray,
+    grad_layers: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of the mean cross-entropy of K models, each on its own batch.
 
-    ``layers`` come from `unpack` of a [K, P] stack; x is [K, b, d] and y is
-    [K, b]. Every operation acts on each [b, ...] slice alone (np.matmul runs
-    one gemm per slice), so row k is bit-identical to the same model on the
-    same batch computed with K = 1. Returns (loss [K] or None, grad [K, P]).
+    ``layers`` and ``grad_layers`` come from `unpack` of two [K, P] stacks, the
+    parameters and a gradient buffer; x is [K, b, d] and onehot [K, b, C], the
+    batch's labels one-hot. The gradient is written into ``grad_layers``, which
+    cover every entry of the buffer. Returns the max-shifted logits and their
+    softmax norms, from which `_mean_nll` gives the loss. Every operation acts
+    on each [b, ...] slice alone (np.matmul runs one gemm per slice), so row k
+    is bit-identical to the same model on the same batch computed with K = 1.
     """
-    k, n = y.shape
     logits, h = _forward(layers, arch, x)
-    shifted, probs, norm = _softmax_terms(logits)
-    loss = _mean_nll(shifted, norm, y) if with_loss else None
-
-    dlogits = probs / norm[:, :, None]
-    dlogits[np.arange(k)[:, None], np.arange(n), y] -= 1.0
-    dlogits /= n
-
-    xt = x.transpose(0, 2, 1)
+    shifted, dlogits, norm = _softmax_terms(logits)
+    dlogits /= norm[:, :, None]
+    dlogits -= onehot  # x - 0.0 is x: only the label's entry moves, by exactly 1.0
+    dlogits /= x.shape[1]
     if arch.kind == "logistic":
-        parts = (xt @ dlogits, dlogits.sum(axis=1))
+        deltas = [(x, dlogits)]
     else:
-        w2 = layers[1][0]
-        dh = (dlogits @ w2.transpose(0, 2, 1)) * (1.0 - h * h)
-        parts = (xt @ dh, dh.sum(axis=1), h.transpose(0, 2, 1) @ dlogits, dlogits.sum(axis=1))
-    return loss, np.concatenate([p.reshape(k, -1) for p in parts], axis=1)
+        dh = dlogits @ layers[1][0].transpose(0, 2, 1)
+        slope = h * h
+        np.subtract(1.0, slope, out=slope)
+        dh *= slope
+        deltas = [(x, dh), (h, dlogits)]
+    for (inputs, delta), (gw, gb) in zip(deltas, grad_layers):
+        np.matmul(inputs.transpose(0, 2, 1), delta, out=gw)
+        np.add.reduce(delta, axis=1, keepdims=True, out=gb)
+    return shifted, norm
 
 
 def loss_and_grad(
     params: np.ndarray, arch: ModelArch, batch: Shard
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its analytic gradient."""
-    loss, grad = _loss_grad_stacked(
-        unpack(arch, params[None]), arch,
-        batch.features[None], batch.labels[None], with_loss=True,
+    grad = np.empty((1, arch.param_count))
+    onehot = np.eye(arch.num_classes)[batch.labels]
+    shifted, norm = _grad_stacked(
+        unpack(arch, params[None]), arch, batch.features[None], onehot[None], unpack(arch, grad)
     )
-    return float(loss[0]), grad[0]
+    return float(_mean_nll(shifted, norm, batch.labels[None])[0]), grad[0]
 
 
 def grad_regularized(
@@ -210,15 +236,17 @@ def grad_regularized(
     return grad
 
 
-def _batches(rngs: list[np.random.Generator], n: int, batch_size: int) -> list[np.ndarray]:
-    """One epoch of batch indices [K, b]: row k is a seeded permutation from rngs[k],
-    cut into batches and sorted within each batch.
+def _epoch_order(rngs: list[np.random.Generator], n: int, batch_size: int) -> np.ndarray:
+    """One epoch's sample order [K, n]: row k is a seeded permutation from rngs[k],
+    sorted within each batch of ``batch_size`` consecutive entries.
 
     Sorting inside a batch keeps summation order independent of the shuffle, so
     a full-batch step is bit-identical to an unshuffled gradient step.
     """
-    perms = np.stack([rng.permutation(n) for rng in rngs])
-    return [np.sort(perms[:, k : k + batch_size], axis=1) for k in range(0, n, batch_size)]
+    order = np.stack([rng.permutation(n) for rng in rngs])
+    for s in range(0, n, batch_size):
+        order[:, s : s + batch_size].sort(axis=1)
+    return order
 
 
 def local_train_cohort(
@@ -237,6 +265,15 @@ def local_train_cohort(
     Returns the final parameters [K, P], a new array; row k is bit-identical to
     training device k alone, i.e. to the K = 1 call on ``start[k][None]``.
 
+    Each epoch gathers its features and one-hot labels in shuffled order with
+    one fancy index each. A step's batch is a slice of them, with the same
+    values in the same [b, d] layout as a batch gathered alone, so each gemm
+    sees the same operands. The step subtracts the one-hot where it used to
+    subtract 1.0 at each label; x - 0.0 is x, so no other entry moves. It
+    writes its gradient through `unpack` views into one [K, P] buffer, and
+    the update computes its terms in a second one: a gemm, a sum or a product
+    gives the same values wherever its output lies.
+
     A row that diverges keeps running: the update never turns a non-finite
     weight finite again, so `raise_if_diverged` on a final row tells whether
     that device diverged at any step.
@@ -254,17 +291,25 @@ def local_train_cohort(
             raise ConfigurationError("shard input_dim does not match architecture")
     rows = np.arange(k)[:, None]
     features = np.stack([s.features for s in shards])
-    labels = np.stack([s.labels for s in shards])
+    onehots = np.eye(arch.num_classes)[np.stack([s.labels for s in shards])]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = start.copy()
-    layers = unpack(arch, params)  # views: they follow the in-place updates
+    grad, step = np.empty_like(params), np.empty_like(params)
+    # Views: they follow the in-place updates of params and grad.
+    layers, grad_layers = unpack(arch, params), unpack(arch, grad)
+    b = cfg.batch_size
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            for idx in _batches(rngs, n, cfg.batch_size):
-                _, grad = _loss_grad_stacked(layers, arch, features[rows, idx], labels[rows, idx])
+            order = _epoch_order(rngs, n, b)
+            xs, ts = features[rows, order], onehots[rows, order]
+            for s in range(0, n, b):
+                _grad_stacked(layers, arch, xs[:, s : s + b], ts[:, s : s + b], grad_layers)
                 if cfg.rho != 0.0:
-                    grad += cfg.rho * (params - start)
-                params -= cfg.gamma * grad
+                    np.subtract(params, start, out=step)
+                    step *= cfg.rho
+                    grad += step
+                np.multiply(grad, cfg.gamma, out=step)
+                params -= step
     return params
 
 
@@ -281,6 +326,6 @@ def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, f
     The forward pass and the loss are `loss_and_grad`'s at K = 1, without the gradient.
     """
     logits, _ = _forward(unpack(arch, params[None]), arch, test.features[None])
-    shifted, _, norm = _softmax_terms(logits)
     acc = float((logits[0].argmax(axis=1) == test.labels).mean())
+    shifted, _, norm = _softmax_terms(logits)
     return acc, float(_mean_nll(shifted, norm, test.labels[None])[0])

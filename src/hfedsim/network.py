@@ -109,7 +109,7 @@ class FaultEvent:
             raise ConfigurationError("fault time must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
     """The network a run is given: links, delays, caps and the fault schedule."""
 

@@ -7,25 +7,22 @@ sum minus phi times the worst bandwidth-utilization ratio, with each device
 attached to at most one feasible gateway.
 
 Both problems get an exact solver for small instances (branch and bound /
-pruned enumeration), a greedy+local-search heuristic at scale, and a plain
-exhaustive oracle for testing.
+pruned enumeration) and a greedy+local-search heuristic at scale. The plain
+exhaustive oracles that check the exact solvers live with the tests.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InstanceTooLargeError
+from .errors import ConfigurationError
 
 EXACT_SELECTION_LIMIT = 25  # branch-and-bound beyond this degrades to greedy
 EXACT_ASSOCIATION_N = 12
 EXACT_ASSOCIATION_G = 4
-BRUTE_SELECTION_LIMIT = 20
-BRUTE_ASSOCIATION_LIMIT = 2**22
 
 
 @dataclass(frozen=True)
@@ -126,31 +123,7 @@ def _knapsack_branch_and_bound(items, capacity) -> set[int]:
     return set(best_ids)
 
 
-def brute_force_selection(inst: SelectionInstance) -> set[int]:
-    """Exhaustive optimum over all candidate subsets; refuses large instances."""
-    if len(inst.candidates) > BRUTE_SELECTION_LIMIT:
-        raise InstanceTooLargeError(
-            f"{len(inst.candidates)} candidates exceeds brute-force limit "
-            f"{BRUTE_SELECTION_LIMIT}"
-        )
-    items = _selection_items(inst)
-    best_value, best_ids = 0.0, ()
-    for mask in range(1 << len(items)):
-        value = load = 0.0
-        ids = []
-        for k, (dev, v, r) in enumerate(items):
-            if mask >> k & 1:
-                value += v
-                load += r
-                ids.append(dev)
-        if load > inst.bandwidth:
-            continue
-        if _better(value, ids, best_value, best_ids):
-            best_value, best_ids = value, tuple(ids)
-    return set(best_ids)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssociationInstance:
     feasible: np.ndarray  # [N, G] 0/1
     u: np.ndarray  # [N]
@@ -330,34 +303,3 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
         if not improved:
             break
     return assign
-
-
-def brute_force_association(inst: AssociationInstance) -> Assignment:
-    """Exhaustive optimum over every feasible assignment; refuses large instances."""
-    n, g = inst.shape
-    option_lists = [_options(inst, i) for i in range(n)]
-    total = 1
-    for opts in option_lists:
-        total *= len(opts)
-        if total > BRUTE_ASSOCIATION_LIMIT:
-            raise InstanceTooLargeError(
-                f"assignment space exceeds brute-force limit {BRUTE_ASSOCIATION_LIMIT}"
-            )
-    u = inst.u.tolist()
-    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
-    phi = inst.phi
-    best_obj = -float("inf")
-    best_combo = best_key = None
-    for combo in itertools.product(*option_lists):
-        sums_u = [0.0] * g
-        sums_r = [0.0] * g
-        for i, j in enumerate(combo):
-            if j is not None:
-                sums_u[j] += u[i]
-                sums_r[j] += ratio[i][j]
-        obj = min(sums_u) - phi * max(sums_r)
-        key = _pref_key(combo, g)
-        if obj > best_obj or (obj == best_obj and key < best_key):
-            best_obj, best_combo, best_key = obj, combo, key
-    assert best_combo is not None
-    return _assignment_from_vector(inst, list(best_combo))

@@ -39,6 +39,13 @@ at a time, and the trace is the same as if each device had trained alone on
 arrival. A divergence raises at the device's upload, so only a live flight
 raises; a voided flight is dropped with whatever it holds.
 
+Evaluation. The evaluation timer records a trace row every `eval_every`
+seconds, and most rows see the cloud model of the row before: a barrier cloud
+aggregates far less often than the timer fires. Each cloud model is evaluated
+once. `cloud_params` is replaced, never mutated, so `record_eval` keeps the
+last model it evaluated with its accuracy and loss, and reuses them while
+`cloud_params` is still that same object.
+
 Warmup. The utility and loss selectors open with a sweep that seeds the
 learning utility and the PCA compressor: each gateway's first dispatch, on the
 initial model (`tau == 0 and cycle == 0`), sends to every idle member and
@@ -155,9 +162,13 @@ MODES: dict[str, Policy] = {
     "semi-async": Policy("window", "barrier", "random"),
     "sync-gw-async-cloud": Policy("barrier", "reply", "random"),
 }
-# Flights trained in one stacked pass. Larger blocks gain little speed and
-# raise peak memory.
-COHORT_BLOCK = 8
+# Flights trained in one stacked pass. On the cohort-sync benchmark (perfbench,
+# 15 s runs, seeds 91-94, one run each on a 2-core container), blocks of 8, 16,
+# 32 and uncapped ran a median 2886, 3009, 3057 and 3179 rounds/s at a peak RSS
+# of 44.2, 44.9, 46.2 and 51.9 MB. Uncapped blocks are 6% faster than 16 but
+# take 16% more RSS (17% more than 8; 12.6% more than 8 in an earlier run with
+# the per-step SGD), past the benchmark's 10% bound. 32 buys 1.6% for 3% more.
+COHORT_BLOCK = 16
 
 
 def staleness(q: float, delta: int) -> float:
@@ -405,6 +416,7 @@ class _Simulation:
         self.max_stale_cloud = 0
         self.max_stale_gw = 0
         self.trace = MetricTrace()
+        self._evaluated: tuple = (None, 0.0, 0.0)  # (cloud model, accuracy, loss)
         self.done = False
 
     # ---- plumbing ---------------------------------------------------------
@@ -613,7 +625,15 @@ class _Simulation:
     # ---- metric rows -----------------------------------------------------------
 
     def record_eval(self) -> None:
-        acc, loss = evaluate(self.cloud_params, self.arch, self.cfg.dataset.test)
+        # Invariant: `cloud_params` is replaced, never mutated. An aggregation
+        # builds a new array or keeps the old one as it is, so one object has
+        # one evaluation. The cache holds the object, so no later array can
+        # be taken for it.
+        if self._evaluated[0] is not self.cloud_params:
+            self._evaluated = (
+                self.cloud_params, *evaluate(self.cloud_params, self.arch, self.cfg.dataset.test)
+            )
+        _, acc, loss = self._evaluated
         self.trace.append(
             TraceRow(
                 t=self.now,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcaModel:
     mean: np.ndarray  # [d]
     components: np.ndarray  # [p, d], orthonormal rows
@@ -77,13 +77,6 @@ def pca_project(model: PcaModel, g: np.ndarray) -> np.ndarray:
             f"gradient length {g.shape} does not match PCA dim {model.mean.shape}"
         )
     return model.components @ (g - model.mean)
-
-
-def pca_reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
-    """Map component coordinates back to the full gradient space."""
-    if coords.shape != (model.dim,):
-        raise ConfigurationError("coordinate length does not match component count")
-    return model.mean + model.components.T @ coords
 
 
 def pca_bytes(model: PcaModel) -> int:

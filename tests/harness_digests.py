@@ -1,0 +1,57 @@
+"""Digests of the benchmark's scenarios, printed as one JSON object.
+
+Run from the repository root:
+
+    python tests/harness_digests.py > digests.json
+
+Each digest is `simtools.digest` of one run: the trace CSV, the byte
+counters, the final parameters and the full transfer log. The scenarios are
+the `perfbench/workloads.py` workloads (cohort-sync, stream-faults and
+sched-scale), seeds 1-3 by every replica: 36 runs, about a minute. A change
+that must keep traces byte-identical runs this in the parent's checkout and in
+its own, and the two outputs must be equal. Options: `--seeds` and
+`--workloads` narrow the set.
+
+The file is not named `test_*.py`, so pytest does not collect it. It reads
+`perfbench/workloads.py` and changes nothing there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--workloads", nargs="+")
+    args = ap.parse_args(argv)
+
+    # The benchmark's BLAS setting, fixed before numpy loads.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    from hfedsim.simulator import run
+    from simtools import digest
+    from workloads import REPLICAS, WORKLOADS, build
+
+    names = args.workloads or list(WORKLOADS)
+    digests = {}
+    for name in names:
+        for seed in args.seeds:
+            for replica in range(REPLICAS):
+                cfg, _ = build(WORKLOADS[name], seed, replica)
+                digests[f"{name}/seed{seed}/replica{replica}"] = digest(run(cfg))
+    json.dump(digests, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

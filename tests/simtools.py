@@ -1,4 +1,6 @@
-"""Shared builders for simulator tests: small deterministic scenarios."""
+"""Shared builders for simulator tests: small deterministic scenarios, and the run digest."""
+
+import hashlib
 
 import numpy as np
 
@@ -72,3 +74,13 @@ def small_config(
     )
     kwargs.update(overrides)
     return SimConfig(**kwargs)
+
+
+def digest(result) -> str:
+    """sha256 of the trace CSV, the byte counters, the final parameters and every transfer."""
+    h = hashlib.sha256(result.trace.to_csv().encode())
+    h.update(f"{result.bytes_total},{result.bytes_overhead}".encode())
+    h.update(result.final_params.tobytes())
+    for tr in result.transfers:
+        h.update(repr((tr.time, tr.kind, tr.src, tr.dst, tr.size, tr.overhead)).encode())
+    return h.hexdigest()

@@ -15,7 +15,6 @@ differ across numpy builds and CPUs, so the digests pin one environment.
 """
 
 import dataclasses
-import hashlib
 import json
 from pathlib import Path
 
@@ -27,18 +26,9 @@ from hfedsim.network import (
     FaultEvent, TopologySpec, gen_topology, load_topology, save_topology,
 )
 from hfedsim.simulator import MODES, run
-from simtools import small_config, uniform_topology
+from simtools import digest, small_config, uniform_topology
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
-
-
-def digest(result) -> str:
-    h = hashlib.sha256(result.trace.to_csv().encode())
-    h.update(f"{result.bytes_total},{result.bytes_overhead}".encode())
-    h.update(result.final_params.tobytes())
-    for tr in result.transfers:
-        h.update(repr((tr.time, tr.kind, tr.src, tr.dst, tr.size, tr.overhead)).encode())
-    return h.hexdigest()
 
 
 def _faults_refresh(mode):

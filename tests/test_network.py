@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hfedsim.errors import ConfigurationError, DatasetFormatError
+from hfedsim.learning import Shard
 from hfedsim.network import (
     DelayParams,
     FaultEvent,
@@ -16,8 +17,10 @@ from hfedsim.network import (
     topology_from_json,
     topology_to_json,
 )
+from hfedsim.selection import AssociationInstance
 from hfedsim.simulator import _Simulation
-from simtools import small_config
+from hfedsim.utility import PcaModel
+from simtools import small_config, uniform_topology
 
 
 class TestSampleRoundLatency:
@@ -255,3 +258,21 @@ class TestGenTopology:
             seed=3,
         )
         np.testing.assert_allclose(half.bandwidth, full.bandwidth / 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: uniform_topology(3, 2),
+        lambda: Shard(np.zeros((2, 3)), np.zeros(2, dtype=int)),
+        lambda: PcaModel(np.zeros(3), np.eye(3)),
+        lambda: AssociationInstance(np.ones((2, 1)), np.ones(2), np.ones((2, 1)), np.ones(1)),
+    ],
+    ids=["Topology", "Shard", "PcaModel", "AssociationInstance"],
+)
+def test_records_with_array_fields_compare_by_identity(build):
+    # A generated __eq__ would compare the arrays inside a tuple and raise
+    # "truth value of an array is ambiguous"; two equal-valued records differ.
+    a, b = build(), build()
+    assert a == a
+    assert a != b

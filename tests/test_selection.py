@@ -1,24 +1,33 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hfedsim.errors import InstanceTooLargeError
 from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
     Assignment,
     AssociationInstance,
     Candidate,
     SelectionInstance,
-    brute_force_association,
-    brute_force_selection,
     solve_association,
     solve_selection,
 )
 from hfedsim.selection import (
     _association_heuristic,
     _assignment_from_vector,
+    _better,
     _knapsack_greedy,
     _options,
+    _pref_key,
+    _selection_items,
 )
+
+BRUTE_SELECTION_LIMIT = 20
+BRUTE_ASSOCIATION_LIMIT = 2**22
+
+
+class InstanceTooLargeError(ValueError):
+    """A brute-force oracle refused an instance beyond its enumeration limit."""
 
 
 def assert_within_feasibility(out: Assignment, feasible: np.ndarray) -> None:
@@ -66,6 +75,61 @@ def random_association_instance(rng, n=None, g=None):
         bandwidth=rng.uniform(10.0, 60.0, g),
         phi=float(rng.choice([0.0, 0.1, 0.5])),
     )
+
+
+def brute_force_selection(inst: SelectionInstance) -> set[int]:
+    """Exhaustive optimum over all candidate subsets; refuses large instances."""
+    if len(inst.candidates) > BRUTE_SELECTION_LIMIT:
+        raise InstanceTooLargeError(
+            f"{len(inst.candidates)} candidates exceeds brute-force limit "
+            f"{BRUTE_SELECTION_LIMIT}"
+        )
+    items = _selection_items(inst)
+    best_value, best_ids = 0.0, ()
+    for mask in range(1 << len(items)):
+        value = load = 0.0
+        ids = []
+        for k, (dev, v, r) in enumerate(items):
+            if mask >> k & 1:
+                value += v
+                load += r
+                ids.append(dev)
+        if load > inst.bandwidth:
+            continue
+        if _better(value, ids, best_value, best_ids):
+            best_value, best_ids = value, tuple(ids)
+    return set(best_ids)
+
+
+def brute_force_association(inst: AssociationInstance) -> Assignment:
+    """Exhaustive optimum over every feasible assignment; refuses large instances."""
+    n, g = inst.shape
+    option_lists = [_options(inst, i) for i in range(n)]
+    total = 1
+    for opts in option_lists:
+        total *= len(opts)
+        if total > BRUTE_ASSOCIATION_LIMIT:
+            raise InstanceTooLargeError(
+                f"assignment space exceeds brute-force limit {BRUTE_ASSOCIATION_LIMIT}"
+            )
+    u = inst.u.tolist()
+    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
+    phi = inst.phi
+    best_obj = -float("inf")
+    best_combo = best_key = None
+    for combo in itertools.product(*option_lists):
+        sums_u = [0.0] * g
+        sums_r = [0.0] * g
+        for i, j in enumerate(combo):
+            if j is not None:
+                sums_u[j] += u[i]
+                sums_r[j] += ratio[i][j]
+        obj = min(sums_u) - phi * max(sums_r)
+        key = _pref_key(combo, g)
+        if obj > best_obj or (obj == best_obj and key < best_key):
+            best_obj, best_combo, best_key = obj, combo, key
+    assert best_combo is not None
+    return _assignment_from_vector(inst, list(best_combo))
 
 
 def reference_association_heuristic(inst: AssociationInstance) -> list[int | None]:

@@ -12,6 +12,7 @@ from hfedsim.learning import (
     ModelArch,
     Shard,
     TrainConfig,
+    evaluate,
     init_params,
     local_train_cohort,
     loss_and_grad,
@@ -428,13 +429,18 @@ class TestCohortTraining:
     """Training every flight in the air in lockstep blocks changes no output."""
 
     @pytest.mark.parametrize(
-        "make_cfg",
-        [*(lambda m=m: small_config(mode=m, seed=19) for m in MODES),
-         _mlp_unequal_shards, _refresh_with_faults,
-         lambda: _refresh_with_faults("async-random")],
-        ids=[*MODES, "mlp-unequal-shards", "refresh-faults", "async-refresh-faults"],
+        "make_cfg, least_block",
+        [*((lambda m=m: small_config(mode=m, seed=19), 2) for m in MODES),
+         (_mlp_unequal_shards, 2), (_refresh_with_faults, 2),
+         (lambda: _refresh_with_faults("async-random"), 2),
+         # 24 equal shards and no jitter: every flight is in the air at the
+         # first upload, so one block holds more than 8 rows.
+         (lambda: small_config(mode="sync-random", n=24, seed=19,
+                               topology=uniform_topology(24, 2)), 9)],
+        ids=[*MODES, "mlp-unequal-shards", "refresh-faults", "async-refresh-faults",
+             "sync-random-24-devices"],
     )
-    def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg):
+    def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg, least_block):
         sizes = []
 
         def spy(start, arch, shards, cfg, seeds):
@@ -443,7 +449,7 @@ class TestCohortTraining:
 
         monkeypatch.setattr(simulator, "local_train_cohort", spy)
         batched = _outputs(make_cfg())
-        assert max(sizes) > 1
+        assert max(sizes) >= least_block
         sizes.clear()
         monkeypatch.setattr(simulator, "COHORT_BLOCK", 1)
         assert _outputs(make_cfg()) == batched
@@ -563,6 +569,32 @@ class TestCohortTraining:
         for i, flight in sim.flights.items():
             assert flight.seed == sim._train_seed(i, sim.devices[i].rounds_started - 1)
             assert f"gw{flight.gateway}" == result.transfers[last_dispatch[i]].src
+
+
+class TestEvaluationCache:
+    def test_each_cloud_model_is_evaluated_once(self, monkeypatch):
+        # The evaluation timer fires every 5 s, far more often than the barrier
+        # cloud aggregates, so most trace rows see a model already evaluated.
+        evaluated, row_models = [], []
+        record_eval = simulator._Simulation.record_eval
+
+        def spy_evaluate(params, arch, test):
+            evaluated.append(params)
+            return evaluate(params, arch, test)
+
+        def spy_record_eval(sim):
+            row_models.append(sim.cloud_params)
+            record_eval(sim)
+
+        monkeypatch.setattr(simulator, "evaluate", spy_evaluate)
+        monkeypatch.setattr(simulator._Simulation, "record_eval", spy_record_eval)
+        result = run(small_config(mode="sync-random", seed=3, eval_every=5.0))
+        assert len(row_models) == len(result.trace.rows) > 2 * len(evaluated)
+        # Both lists hold their arrays alive, so no two of them share an id.
+        distinct = list({id(p): p for p in row_models}.values())
+        assert len(evaluated) == len(distinct) > 1
+        assert all(a is b for a, b in zip(evaluated, distinct))
+        assert all(a is not b for a, b in zip(evaluated, evaluated[1:]))
 
 
 class TestNonFiniteAggregate:

@@ -10,8 +10,12 @@ from hfedsim.utility import (
     pca_bytes,
     pca_fit,
     pca_project,
-    pca_reconstruct,
 )
+
+
+def pca_reconstruct(model, coords):
+    """Map component coordinates back to the full gradient space."""
+    return model.mean + model.components.T @ coords
 
 
 def utilities(vectors):
