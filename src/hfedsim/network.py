@@ -270,14 +270,14 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
     comp_het = rng.lognormal(0.0, spec.het_sigma, n)
 
     link_params = {}
-    comp = spec.base_comp * comp_het
+    comp = (spec.base_comp * comp_het).tolist()
     rates: list[list[float]] = [[] for _ in range(g)]  # per gateway, in device order
     for i in range(n):
         dist = np.linalg.norm(gw_pos - dev_pos[i], axis=1)
         k = min(g, int(rng.integers(1, 4)))
         for j in np.argsort(dist)[:k]:
             j = int(j)
-            scale = link_het[i] * (0.5 + dist[j])
+            scale = float(link_het[i] * (0.5 + dist[j]))
             p = link_params[(i, j)] = DelayParams(
                 mean_down=spec.base_down * scale,
                 mean_comp=comp[i],

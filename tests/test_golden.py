@@ -7,10 +7,12 @@ it is not part of the digest.
 
 The digests live in `golden_digests.json` beside this file. Regenerate it with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-and only at a commit whose traces changed on purpose, saying in that commit
-why they changed. Never regenerate to make a refactor pass. Float results can
+which re-captures only the named scenarios (printing old -> new for each) or,
+with no names, every scenario. Do so only at a commit whose traces changed on
+purpose, re-capturing only the scenarios it means to change, and say in that
+commit why they changed. Never regenerate to make a refactor pass. Float results can
 differ across numpy builds and CPUs, so the digests pin one environment.
 """
 
@@ -190,6 +192,16 @@ def test_empty_gateway_survives_save_and_load(tmp_path):
 
 
 if __name__ == "__main__":
-    digests = {name: digest(run(build())) for name, build in sorted(SCENARIOS.items())}
-    GOLDEN.write_text(json.dumps(digests, indent=1) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    import sys
+
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(SCENARIOS))
+    if unknown:
+        sys.exit(f"unknown scenarios: {' '.join(unknown)}")
+    digests = json.loads(GOLDEN.read_text()) if names else {}
+    for name in names or sorted(SCENARIOS):
+        old, digests[name] = digests.get(name), digest(run(SCENARIOS[name]()))
+        if names:
+            print(f"{name}: {old} -> {digests[name]}")
+    GOLDEN.write_text(json.dumps(dict(sorted(digests.items())), indent=1) + "\n")
+    print(f"wrote {len(names or digests)} of {len(digests)} digests to {GOLDEN}")

@@ -17,7 +17,7 @@ from hfedsim.learning import (
     local_train_cohort,
     loss_and_grad,
 )
-from hfedsim.network import FaultEvent
+from hfedsim.network import FaultEvent, TopologySpec, gen_topology
 from hfedsim.simulator import (
     MODES,
     SimConfig,
@@ -285,6 +285,17 @@ class TestModesRun:
         cfg.data_spec = spec
         result = run(cfg)
         assert result.cloud_epochs_done == 12
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_generated_network_gives_plain_numbers(self, mode):
+        """`np.float64` subclasses `float`, so `isinstance` would not see its repr
+        (`np.float64(36.8)`) leak into the CSV and the transfer log."""
+        topo = gen_topology(TopologySpec(10, 3, model_bytes=8000), seed=5)
+        result = run(small_config(mode=mode, n=10, g=3, seed=5, topology=topo))
+        for line in result.trace.to_csv().splitlines()[1:]:
+            for value in line.split(","):
+                float(value) if "." in value or "e" in value else int(value)
+        assert {type(t.time) for t in result.transfers} == {float}
 
     def test_time_budget_stops_run(self):
         result = run(small_config(mode="async-random", seed=4, time_budget=50.0))
