@@ -116,6 +116,17 @@ def _drop_ends_warmup():
     )
 
 
+def _drop_pending_assoc():
+    """An association every cloud epoch. Device 2 is in the air when the one at
+    35.88 s picks gateway 0 for it, drops at 37.5 s before it uploads, and is
+    restored at 67.5 s; the association at 68.96 s then picks gateway 1."""
+    faults = [FaultEvent(37.5, 2, "drop"), FaultEvent(67.5, 2, "restore")]
+    return small_config(
+        mode="async-random", seed=1, assoc_period=1,
+        topology=uniform_topology(6, 2, sigma=0.5, faults=faults),
+    )
+
+
 def _gen_topology(mode):
     topo = gen_topology(TopologySpec(10, 3, model_bytes=8000), seed=5)
     return small_config(mode=mode, n=10, g=3, seed=5, topology=topo)
@@ -160,6 +171,7 @@ def scenarios():
     out["async-sched/drop-at-arrival"] = _drop_at_arrival
     out["async-sched/one-warmup-gradient"] = _one_warmup_gradient
     out["async-sched/drop-ends-warmup"] = _drop_ends_warmup
+    out["async-random/drop-pending-assoc"] = _drop_pending_assoc
     return out
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
+    EXACT_SELECTION_LIMIT,
     Assignment,
     AssociationInstance,
     Candidate,
@@ -16,6 +17,7 @@ from hfedsim.selection import (
     _association_heuristic,
     _assignment_from_vector,
     _better,
+    _knapsack_branch_and_bound,
     _knapsack_greedy,
     _options,
     _pref_key,
@@ -273,6 +275,17 @@ class TestSolveSelection:
         assert selection_objective(inst, solve_selection(inst)) == pytest.approx(
             selection_objective(permuted, solve_selection(permuted)), abs=1e-12
         )
+
+    def test_large_instance_takes_the_greedy_path(self):
+        rng = np.random.default_rng(105)
+        inst = random_selection_instance(rng, n=60)
+        items = _selection_items(inst)
+        assert len(items) > EXACT_SELECTION_LIMIT
+        got = solve_selection(inst)
+        assert got == _knapsack_greedy(items, inst.bandwidth)
+        assert got != _knapsack_branch_and_bound(items, inst.bandwidth)
+        assert 0 < len(got) < len(items)
+        assert selection_load(inst, got) <= inst.bandwidth
 
     def test_greedy_quality_report(self, capsys):
         rng = np.random.default_rng(104)

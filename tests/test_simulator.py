@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import weakref
 
@@ -296,6 +297,13 @@ class TestModesRun:
             for value in line.split(","):
                 float(value) if "." in value or "e" in value else int(value)
         assert {type(t.time) for t in result.transfers} == {float}
+
+    @pytest.mark.parametrize("mode", [m for m, p in MODES.items() if p.gateway == "async"])
+    def test_network_without_links_stalls(self, mode):
+        topo = dataclasses.replace(uniform_topology(4, 2), link_params={})
+        result = run(small_config(mode=mode, n=4, topology=topo))
+        assert result.stop_reason == "stalled"
+        assert result.cloud_epochs_done == 0
 
     def test_time_budget_stops_run(self):
         result = run(small_config(mode="async-random", seed=4, time_budget=50.0))
