@@ -16,7 +16,8 @@ keep it in a reference cycle that only the cyclic collector frees.
 The `Topology` is input only; the link state a run changes lives on the
 simulation. `feasible` starts as a copy of the topology's: a drop zeroes the
 device's row and a restore copies it back. `gateway_of` holds each device's
-gateway (-1 for none), set by the association and cleared by a drop.
+gateway (-1 for none), set at once by the association, for devices in the air
+too, and cleared by a drop. A flight keeps the gateway it was sent from.
 `slowdown` holds each device's delay factor, set by a slowdown fault and
 reset by a restore.
 
@@ -401,7 +402,6 @@ class _Simulation:
         self.utilities: dict[int, float] = {}
         self._utilities_dirty = False
         self.pca_model = None
-        self.pending_assoc: dict[int, int] = {}
         # Every flight in the air, by device, in dispatch order.
         self.flights: dict[int, Flight] = {}
 
@@ -615,12 +615,7 @@ class _Simulation:
             targets = [-1 if j is None else j for j in solve_association(inst).gateway_of]
         else:
             targets = self._random_association()
-        for i, target in enumerate(targets):
-            if i in self.flights:
-                # Mid-round devices upload to their current gateway first.
-                self.pending_assoc[i] = target
-            else:
-                self.gateway_of[i] = target
+        self.gateway_of[:] = targets
 
     # ---- metric rows -----------------------------------------------------------
 
@@ -778,10 +773,6 @@ class _Simulation:
                 self.cfg.dataset.centroids,
             )
 
-        # A pending target is feasible here: it was when chosen, and a device
-        # whose links a drop has cut since has no flight to upload until a
-        # restore copies every link back.
-        self.gateway_of[i] = self.pending_assoc.pop(i, self.gateway_of[i])
         if self.policy.gateway == "async":
             gw.version += 1
             gw.cycle += 1

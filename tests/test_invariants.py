@@ -175,11 +175,6 @@ _EMPTY_ASSOCIATION = pytest.mark.xfail(
     reason="ROADMAP item 2: the association can leave every device unassigned, and the run stalls",
 )
 XFAIL = {
-    "async-random/drop-pending-assoc": pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 2: a drop leaves the device's pending association, which its "
-        "upload applies after a later association",
-    ),
     "async-sched/gen-topology": _EMPTY_ASSOCIATION,
     "async-sched/one-capped-gateway": _EMPTY_ASSOCIATION,
 }
