@@ -52,9 +52,9 @@ learning utility and the PCA compressor: each gateway's first dispatch, on the
 initial model (`tau == 0 and cycle == 0`), sends to every idle member and
 ignores the cap. Until the warmup ends, every later dispatch selects nothing,
 so the sweep is the flights in the air; no separate set tracks it. When the
-last flight lands or drops, the utility selector fits the compressor (if at
-least two gradients came in; otherwise the run stays uncompressed) and every
-gateway dispatches again. No sweep flight can land or drop before every
+last flight lands or drops (`_flight_ended`, the one place a flight ends), the
+utility selector fits the compressor (if at least two gradients came in;
+otherwise the run stays uncompressed) and every gateway dispatches again. No sweep flight can land or drop before every
 gateway has swept: `run` schedules the initial model arrivals one after
 another with one delay, so they are consecutive heap entries, and the only
 events due at that instant that come before them are fault timers (scheduled
@@ -680,16 +680,24 @@ class _Simulation:
     def _start_round(self, gw: GatewayState) -> None:
         """Select and dispatch against the gateway's current model.
 
-        A window round closes on its timer; a barrier round once nothing is in
-        flight, at once if nothing was selected.
+        A window round closes on its timer; a barrier round once its last
+        flight has ended, at once if nothing was selected.
         """
-        self.dispatch(gw, self.select_devices(gw))
+        ids = self.select_devices(gw)
+        self.dispatch(gw, ids)
         if self.policy.gateway == "window":
             self.schedule(self.cfg.semi_window, self.on_window_timer, gw, gw.version)
-        self._flight_ended(gw)
+        elif self.policy.gateway == "barrier" and not ids:
+            self._close_round(gw)
 
     def _flight_ended(self, gw: GatewayState) -> None:
-        """Close the gateway's barrier round if it has nothing left in flight."""
+        """The one place a flight ends, once its upload or drop has removed it.
+
+        The warmup ends when no flight is left in the air, and a barrier
+        round closes when none of its gateway's is.
+        """
+        if not self.warmup_done and not self.flights:
+            self.finish_warmup()
         if self.policy.gateway == "barrier" and not any(
             f.gateway == gw.id for f in self.flights.values()
         ):
@@ -783,8 +791,7 @@ class _Simulation:
                 gw.params, params, self.cfg.beta, delta, self.cfg.staleness_exp
             )
             raise_if_diverged(gw.params, f"after aggregation at gateway {gw.id}")
-            if not self.warmup_done and not self.flights:
-                self.finish_warmup()
+            self._flight_ended(gw)
             if gw.cycle == self.cfg.gateway_epochs:
                 self._gateway_upload(gw)
             self._start_round(gw)
@@ -826,15 +833,9 @@ class _Simulation:
             self.feasible[i] = self.topo.feasible[i]
             self.slowdown[i] = 1.0
             return
-        # A drop cuts every link of the device and voids its flight. Before the
-        # fit every flight in the air is a sweep flight, so voiding the last one
-        # ends the warmup. That happens before the pop, so the fit's dispatch
-        # still counts the voided flight's rate; ROADMAP item 2 pops first and
-        # then runs the upload's `not self.flights` test.
+        # A drop cuts every link of the device and voids its flight.
         self.feasible[i] = 0
         self.gateway_of[i] = -1
-        if not self.warmup_done and self.flights.keys() == {i}:
-            self.finish_warmup()
         flight = self.flights.pop(i, None)
         if flight is not None:
             self._flight_ended(self.gateways[flight.gateway])
