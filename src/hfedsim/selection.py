@@ -4,7 +4,7 @@ Selection is a 0-1 knapsack: maximize utility-per-latency of dispatched
 devices subject to the gateway's bandwidth cap on the summed average data
 rates. Association is a min-max program: maximize the worst gateway's utility
 sum minus phi times the worst bandwidth-utilization ratio, with each device
-attached to at most one feasible gateway.
+attached to exactly one feasible gateway when it has any.
 
 Both problems get an exact solver for small instances (branch and bound /
 pruned enumeration) and a greedy+local-search heuristic at scale. The plain
@@ -145,7 +145,7 @@ class AssociationInstance:
 
 @dataclass(frozen=True)
 class Assignment:
-    gateway_of: list[int | None]  # per device: a feasible gateway, or None
+    gateway_of: list[int | None]  # per device: a feasible gateway, None if it has none
     objective: float
     u_slack: float  # min over gateways of assigned utility sum
     r_slack: float  # max over gateways of assigned rate / bandwidth
@@ -180,8 +180,7 @@ def solve_association(inst: AssociationInstance) -> Assignment:
 
 def _options(inst: AssociationInstance, i: int) -> list[int | None]:
     feas: list[int | None] = [j for j in range(inst.shape[1]) if inst.feasible[i, j]]
-    feas.append(None)
-    return feas
+    return feas or [None]
 
 
 def _association_exact(inst: AssociationInstance) -> list[int | None]:

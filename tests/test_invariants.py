@@ -1,4 +1,4 @@
-"""Whole-run invariants, checked after every event of small runs.
+"""Whole-run invariants, checked after every event of small fixed and drawn runs.
 
 `CheckedSimulation` is a test-only `_Simulation` whose event handlers run the
 simulation's own and then check the run's state. The heap holds the plain
@@ -23,6 +23,8 @@ import types
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hfedsim import simulator
 from hfedsim.data import DataSpec, gen_synthetic
@@ -153,35 +155,54 @@ def drawn_config(mode, n, g, sigma, bandwidth, faults, refresh, seed, assoc_peri
 
 
 def _one_capped_gateway():
-    """Nine devices share one gateway whose cap admits two at a time."""
+    """Nine devices share one gateway whose cap admits two at a time. The
+    association once left them all unassigned here, and the run stalled."""
     return drawn_config(
         "async-sched", n=9, g=1, sigma=0.0, bandwidth=1500.0, faults=[], refresh=False,
         seed=0, assoc_period=1,
     )
 
 
-CASES = {name: SCENARIOS[name] for name in (
-    "async-random/drop-pending-assoc",
-    "async-sched/gen-topology",
-    "async-sched/drop-ends-warmup",
-    "async-sched/one-warmup-gradient",
-    "async-random/ties-drop-restore",
-    "async-hl/empty-gateway",
-    *(f"{mode}/faults-refresh" for mode in MODES),
-)}
-CASES["async-sched/one-capped-gateway"] = _one_capped_gateway
-_EMPTY_ASSOCIATION = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 2: the association can leave every device unassigned, and the run stalls",
-)
-XFAIL = {
-    "async-sched/gen-topology": _EMPTY_ASSOCIATION,
-    "async-sched/one-capped-gateway": _EMPTY_ASSOCIATION,
+CASES = {
+    **{name: SCENARIOS[name] for name in (
+        "async-random/drop-pending-assoc",
+        "async-sched/gen-topology",
+        "async-sched/drop-ends-warmup",
+        "async-sched/one-warmup-gradient",
+        "async-random/ties-drop-restore",
+        "async-hl/empty-gateway",
+        *(f"{mode}/faults-refresh" for mode in MODES),
+    )},
+    "async-sched/one-capped-gateway": _one_capped_gateway,
 }
 
 
-@pytest.mark.parametrize(
-    "name", [pytest.param(name, marks=XFAIL.get(name, ())) for name in CASES]
-)
+@pytest.mark.parametrize("name", CASES)
 def test_run_keeps_the_invariants(name):
     check_run(CASES[name])
+
+
+_grid = st.integers(0, 160).map(lambda k: 0.5 * k)  # coarse, so faults tie with uploads
+
+
+@st.composite
+def drawn_params(draw):
+    n = draw(st.integers(3, 12))
+    fault = st.tuples(_grid, st.integers(0, n - 1), st.sampled_from(["drop", "restore", "slowdown"]))
+    return dict(
+        mode=draw(st.sampled_from(list(MODES))),
+        n=n,
+        g=draw(st.integers(1, 3)),
+        sigma=draw(st.sampled_from([0.0, 0.5])),
+        bandwidth=draw(st.sampled_from([1500.0, 3000.0, 1e9])),
+        faults=draw(st.lists(fault, max_size=6)),
+        refresh=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
+        assoc_period=draw(st.sampled_from([1, 4])),
+    )
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(drawn_params())
+def test_drawn_runs_keep_the_invariants(params):
+    check_run(lambda: drawn_config(**params))

@@ -33,9 +33,12 @@ class InstanceTooLargeError(ValueError):
 
 
 def assert_within_feasibility(out: Assignment, feasible: np.ndarray) -> None:
-    """One entry per device, each None or a gateway that device can reach."""
+    """One entry per device: a gateway it can reach, or None if it can reach none."""
     assert len(out.gateway_of) == len(feasible)
-    assert all(j is None or feasible[i, j] for i, j in enumerate(out.gateway_of))
+    assert all(
+        feasible[i].any() == (j is not None) and (j is None or feasible[i, j])
+        for i, j in enumerate(out.gateway_of)
+    )
 
 
 def selection_objective(inst: SelectionInstance, chosen: set[int]) -> float:
