@@ -54,13 +54,16 @@ ignores the cap. Until the warmup ends, every later dispatch selects nothing,
 so the sweep is the flights in the air; no separate set tracks it. When the
 last flight lands or drops (`_flight_ended`, the one place a flight ends), the
 utility selector fits the compressor (if at least two gradients came in;
-otherwise the run stays uncompressed) and every gateway dispatches again. No sweep flight can land or drop before every
-gateway has swept: `run` schedules the initial model arrivals one after
-another with one delay, so they are consecutive heap entries, and the only
-events due at that instant that come before them are fault timers (scheduled
-first) and, with no cloud delay, the first evaluation. A barrier or window
-gateway would spin through empty rounds while other sweeps are out, so
-`Policy` allows a warmup selector only on an async gateway.
+otherwise the run stays uncompressed) and every gateway dispatches again. No
+sweep flight can land or drop before every gateway has swept: `run` schedules
+the initial model arrivals one after another with one delay, so they are
+consecutive heap entries, and the only events due at that instant that come
+before them are fault timers (scheduled first) and, with no cloud delay, the
+first evaluation. A barrier or window gateway would spin through empty rounds
+while other sweeps are out, so `Policy` allows a warmup selector only on an
+async gateway. `_start_round` closes an empty barrier round itself rather
+than through `_flight_ended`, because there a gateway with no members would
+end the warmup before the other gateways had swept.
 
 A barrier cloud weighs each gateway's model by the samples its rounds
 aggregated since its last download (`cycle_samples`). An async gateway runs no

@@ -12,12 +12,14 @@ The digests live in `golden_digests.json` beside this file. Regenerate it with
 which re-captures only the named scenarios (printing old -> new for each) or,
 with no names, every scenario. Do so only at a commit whose traces changed on
 purpose, re-capturing only the scenarios it means to change, and say in that
-commit why they changed. Never regenerate to make a refactor pass. Float results can
-differ across numpy builds and CPUs, so the digests pin one environment.
+commit why they changed. Never regenerate to make a refactor pass. Float
+results can differ across numpy builds and CPUs, so the digests pin one
+environment.
 """
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,8 +202,6 @@ def test_empty_gateway_survives_save_and_load(tmp_path):
 
 
 if __name__ == "__main__":
-    import sys
-
     names = sys.argv[1:]
     unknown = sorted(set(names) - set(SCENARIOS))
     if unknown:

@@ -126,13 +126,12 @@ for _name in HANDLERS:
 
 
 def check_run(build):
-    """Run a fresh config from `build` under every check; returns the result."""
+    """Run a fresh config from `build` under every check."""
     sim = CheckedSimulation(build())
     result = sim.run()
     assert digest(result) == digest(run(build())), "a repeated run differs"
     if result.stop_reason == "stalled":
         assert not sim.feasible.any(), "the run stalled while a device had a link"
-    return result
 
 
 def drawn_config(mode, n, g, sigma, bandwidth, faults, refresh, seed, assoc_period):
