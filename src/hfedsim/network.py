@@ -1,8 +1,9 @@
-"""Network description, stochastic link delays, latency tracking, and fault events.
+"""Network description, stochastic link delays, and fault events.
 
 A `Topology` is input only: it describes the links, delays, bandwidth caps
-and the fault schedule, and a run never changes it. The association and the
-link state that faults change during a run belong to the simulation.
+and the fault schedule, and a run never changes it. The association, the
+link state that faults change and the round-latency estimates learned from
+uploads belong to the simulation.
 
 Each link fact is stored once, on the links. A device can reach a gateway if
 and only if `link_params` has that (device, gateway) pair, and `feasible` is
@@ -69,28 +70,6 @@ def est_rate(model_bytes: float, tau: float) -> float:
     if tau <= 0:
         raise ConfigurationError("round latency must be > 0")
     return model_bytes / tau
-
-
-class LatencyTracker:
-    """Exponential moving average of observed round latencies per (device, gateway)."""
-
-    def __init__(self, alpha_ema: float):
-        if not 0 < alpha_ema <= 1:
-            raise ConfigurationError("alpha_ema must be in (0, 1]")
-        self.alpha_ema = alpha_ema
-        self._ema: dict[tuple[int, int], float] = {}
-
-    def update(self, device: int, gateway: int, observed: float) -> None:
-        if observed <= 0:
-            raise ConfigurationError("observed latency must be > 0")
-        key = (device, gateway)
-        if key in self._ema:
-            self._ema[key] = self.alpha_ema * observed + (1 - self.alpha_ema) * self._ema[key]
-        else:
-            self._ema[key] = observed
-
-    def get(self, device: int, gateway: int, default: float | None = None) -> float | None:
-        return self._ema.get((device, gateway), default)
 
 
 @dataclass(frozen=True)

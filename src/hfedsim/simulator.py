@@ -65,6 +65,17 @@ async gateway. `_start_round` closes an empty barrier round itself rather
 than through `_flight_ended`, because there a gateway with no members would
 end the warmup before the other gateways had swept.
 
+Latency estimate. Selection and association rate a (device, gateway) link by
+its round-latency estimate: the link's configured mean until the device's
+first upload over it, then that upload's dispatch-to-upload latency, then an
+EMA with weight `alpha_ema` on each later one. `tau_estimate` reads it and
+each upload updates it; nothing else holds it.
+
+Run end. The run is done once the cloud has aggregated `cloud_epochs` times
+(`h >= cloud_epochs`): that aggregation sends no model, no more events run,
+and the evaluation timer stops rescheduling itself. The run also ends when
+the next event is due after `time_budget`, or when no event is left.
+
 A barrier cloud weighs each gateway's model by the samples its rounds
 aggregated since its last download (`cycle_samples`). An async gateway runs no
 rounds, so its uploads weigh 0, and under a barrier cloud the cloud model would
@@ -98,6 +109,7 @@ Modes. A mode is one row of `MODES`: a policy on each of three axes.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import itertools
 from collections.abc import Callable
@@ -117,7 +129,7 @@ from .learning import (
     local_train_cohort,
     raise_if_diverged,
 )
-from .network import FaultEvent, LatencyTracker, Topology, est_rate, sample_round_latency
+from .network import FaultEvent, Topology, est_rate, sample_round_latency
 from .selection import (
     AssociationInstance,
     Candidate,
@@ -211,9 +223,6 @@ class TraceRow:
     max_stale_gw: int
 
 
-TRACE_HEADER = "t,h,acc,loss,bytes,overhead_bytes,max_stale_cloud,max_stale_gw"
-
-
 class MetricTrace:
     """Append-only metric rows; simulated time and byte counters never decrease."""
 
@@ -228,13 +237,10 @@ class MetricTrace:
         self.rows.append(row)
 
     def to_csv(self) -> str:
-        lines = [TRACE_HEADER]
-        for r in self.rows:
-            lines.append(
-                f"{r.t!r},{r.h},{r.acc!r},{r.loss!r},{r.bytes},"
-                f"{r.overhead_bytes},{r.max_stale_cloud},{r.max_stale_gw}"
-            )
-        return "\n".join(lines) + "\n"
+        """One header line of `TraceRow`'s field names, then one line per row."""
+        names = [f.name for f in dataclasses.fields(TraceRow)]
+        lines = [names] + [[str(getattr(r, name)) for name in names] for r in self.rows]
+        return "".join(",".join(line) + "\n" for line in lines)
 
     def first_crossing(self, target_acc: float) -> float | None:
         for r in self.rows:
@@ -286,9 +292,6 @@ class SimConfig:
             raise ConfigurationError(
                 f"dataset has {n} devices but topology has {self.topology.num_devices}"
             )
-        utility = MODES[self.mode].selector == "utility"
-        if utility and n < 2:
-            raise ConfigurationError("utility selection needs >= 2 devices")
         if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
             raise ConfigurationError("alpha and beta must be in (0, 1]")
         if self.staleness_exp < 0:
@@ -299,6 +302,7 @@ class SimConfig:
             raise ConfigurationError("kappa and phi must be >= 0")
         if self.assoc_period < 1:
             raise ConfigurationError("assoc_period must be >= 1")
+        utility = MODES[self.mode].selector == "utility"
         if utility and not 1 <= self.pca_dim <= self.arch.param_count:
             raise ConfigurationError("pca_dim must be in [1, model dimension]")
         if self.semi_window <= 0:
@@ -312,6 +316,11 @@ class SimConfig:
                 raise ConfigurationError("dataset input_dim does not match architecture")
             if int(shard.labels.max()) >= self.arch.num_classes:
                 raise ConfigurationError("dataset labels exceed architecture classes")
+        if self.data_spec is not None and self.data_spec.refresh:
+            if self.dataset.centroids is None:
+                raise ConfigurationError("refresh needs a dataset with generator centroids")
+            if self.data_spec.input_dim != self.dataset.centroids.shape[1]:
+                raise ConfigurationError("data_spec input_dim does not match the centroids")
 
 
 @dataclass
@@ -394,7 +403,8 @@ class _Simulation:
             GatewayState(j, self.cloud_params) for j in range(self.topo.num_gateways)
         ]
         self.devices = [DeviceState(shard) for shard in cfg.dataset.shards]
-        self.latency = LatencyTracker(cfg.alpha_ema)
+        # Observed round latency per (device, gateway); see "Latency estimate".
+        self.tau_ema: dict[tuple[int, int], float] = {}
 
         # Reported gradients. Full length until the PCA fit (for the whole run
         # if none is fitted); from the fit on, each device's row of `coords`
@@ -420,7 +430,6 @@ class _Simulation:
         self.max_stale_gw = 0
         self.trace = MetricTrace()
         self._evaluated: tuple = (None, 0.0, 0.0)  # (cloud model, accuracy, loss)
-        self.done = False
 
     # ---- plumbing ---------------------------------------------------------
 
@@ -464,8 +473,9 @@ class _Simulation:
         return max(self.utilities.values()) if self.utilities else 1.0
 
     def tau_estimate(self, device: int, gateway: int) -> float:
-        prior = self.topo.link_params[(device, gateway)].mean_total
-        return self.latency.get(device, gateway, default=prior)
+        """The observed round latency of the link, or its configured mean before any upload."""
+        tau = self.tau_ema.get((device, gateway))
+        return self.topo.link_params[(device, gateway)].mean_total if tau is None else tau
 
     def rate_estimate(self, device: int, gateway: int) -> float:
         return est_rate(self.topo.model_bytes, self.tau_estimate(device, gateway))
@@ -660,15 +670,14 @@ class _Simulation:
         raise_if_diverged(current, f"after aggregation at {where}")
         return current
 
-    def _cloud_async_aggregate(self, params: np.ndarray, tau_stamp: int) -> None:
-        self.h += 1
-        delta = self.h - tau_stamp
+    def _async_step(
+        self, current: np.ndarray, incoming: np.ndarray, weight: float, delta: int, where: str
+    ) -> np.ndarray:
+        """One tier's async step; `delta` counts its aggregations since `incoming` was sent."""
         assert delta >= 1
-        self.max_stale_cloud = max(self.max_stale_cloud, delta)
-        self.cloud_params = async_aggregate(
-            self.cloud_params, params, self.cfg.alpha, delta, self.cfg.staleness_exp
-        )
-        raise_if_diverged(self.cloud_params, "after aggregation at cloud")
+        current = async_aggregate(current, incoming, weight, delta, self.cfg.staleness_exp)
+        raise_if_diverged(current, f"after aggregation at {where}")
+        return current
 
     def _broadcast(self, gateways: list[GatewayState]) -> None:
         for gw in gateways:
@@ -763,7 +772,9 @@ class _Simulation:
         dev = self.devices[i]
         gw = self.gateways[flight.gateway]
         dev.rounds_done += 1
-        self.latency.update(i, gw.id, flight.observed_tau)
+        key, a, tau = (i, gw.id), self.cfg.alpha_ema, flight.observed_tau
+        ema = self.tau_ema.get(key)
+        self.tau_ema[key] = tau if ema is None else a * tau + (1 - a) * ema
 
         overhead = 0
         if self.policy.selector == "utility":
@@ -788,12 +799,10 @@ class _Simulation:
             gw.version += 1
             gw.cycle += 1
             delta = gw.version - flight.stamp
-            assert delta >= 1
             self.max_stale_gw = max(self.max_stale_gw, delta)
-            gw.params = async_aggregate(
-                gw.params, params, self.cfg.beta, delta, self.cfg.staleness_exp
+            gw.params = self._async_step(
+                gw.params, params, self.cfg.beta, delta, f"gateway {gw.id}"
             )
-            raise_if_diverged(gw.params, f"after aggregation at gateway {gw.id}")
             self._flight_ended(gw)
             if gw.cycle == self.cfg.gateway_epochs:
                 self._gateway_upload(gw)
@@ -815,17 +824,17 @@ class _Simulation:
             pairs = [self.cloud_buffer[j] for j in sorted(self.cloud_buffer)]
             self.cloud_params = self._fedavg(self.cloud_params, pairs, "cloud")
             self.cloud_buffer.clear()
-            self.h += 1
         else:
-            self._cloud_async_aggregate(params, tau_stamp)
+            delta = self.h + 1 - tau_stamp
+            self.max_stale_cloud = max(self.max_stale_cloud, delta)
+            self.cloud_params = self._async_step(
+                self.cloud_params, params, self.cfg.alpha, delta, "cloud"
+            )
+        self.h += 1
         if self.h % self.cfg.assoc_period == 0:
             self.schedule(0.0, self.run_association)
-        if self.h >= self.cfg.cloud_epochs:
-            self.done = True
-        elif self.policy.cloud == "reply":
-            self._broadcast([gw])
-        else:
-            self._broadcast(self.gateways)
+        if self.h < self.cfg.cloud_epochs:
+            self._broadcast([gw] if self.policy.cloud == "reply" else self.gateways)
 
     def on_fault_timer(self, fault: FaultEvent) -> None:
         i = fault.device
@@ -851,7 +860,7 @@ class _Simulation:
         self.record_eval()
         # An empty heap here means no training activity can ever resume, so
         # rescheduling would only spin the clock until the time budget.
-        if not self.done and self._heap:
+        if self.h < self.cfg.cloud_epochs and self._heap:
             self.schedule(self.cfg.eval_every, self.on_eval_timer)
 
     # ---- main loop -------------------------------------------------------------------
@@ -865,11 +874,11 @@ class _Simulation:
         self.schedule(0.0, self.on_eval_timer)
         self._broadcast(self.gateways)
 
-        over_budget = False
-        while self._heap and not self.done:
+        stop_reason = "stalled"
+        while self._heap and self.h < self.cfg.cloud_epochs:
             t, _, handler, args = heapq.heappop(self._heap)
             if t > self.cfg.time_budget:
-                over_budget = True
+                stop_reason = "time_budget"
                 break
             assert t >= self.now, "event causality violated"
             self.now = t
@@ -886,7 +895,7 @@ class _Simulation:
             cloud_epochs_done=self.h,
             end_time=self.now,
             final_params=self.cloud_params,
-            stop_reason="done" if self.done else "time_budget" if over_budget else "stalled",
+            stop_reason="done" if self.h >= self.cfg.cloud_epochs else stop_reason,
         )
 
 

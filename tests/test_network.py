@@ -6,7 +6,6 @@ from hfedsim.learning import Shard
 from hfedsim.network import (
     DelayParams,
     FaultEvent,
-    LatencyTracker,
     Topology,
     TopologySpec,
     est_rate,
@@ -48,31 +47,6 @@ class TestSampleRoundLatency:
         a = sample_round_latency(params, np.random.default_rng(9))
         b = sample_round_latency(params, np.random.default_rng(9))
         assert a == b
-
-
-class TestLatencyTracker:
-    def test_alpha_one_tracks_last(self):
-        t = LatencyTracker(alpha_ema=1.0)
-        t.update(0, 0, 10.0)
-        t.update(0, 0, 25.0)
-        assert t.get(0, 0) == 25.0
-
-    def test_constant_fixed_point(self):
-        t = LatencyTracker(alpha_ema=0.3)
-        for _ in range(5):
-            t.update(1, 2, 4.0)
-        assert t.get(1, 2) == pytest.approx(4.0, rel=1e-12)
-
-    def test_two_step_average(self):
-        t = LatencyTracker(alpha_ema=0.5)
-        t.update(0, 1, 10.0)
-        t.update(0, 1, 20.0)
-        assert t.get(0, 1) == 15.0
-
-    def test_default_when_unobserved(self):
-        t = LatencyTracker(alpha_ema=0.5)
-        assert t.get(3, 0) is None
-        assert t.get(3, 0, default=7.0) == 7.0
 
 
 class TestEstRate:

@@ -370,12 +370,12 @@ class TestSolveAssociation:
                     ratios.append(heur.objective / exact.objective)
                 else:
                     gaps.append(exact.objective - heur.objective)
+            assert heur.objective <= exact.objective + 1e-12
         ratios = np.array(ratios)
         print(
             f"\nassociation heuristic/exact ratio (positive optima): "
             f"min={ratios.min():.3f} median={np.median(ratios):.3f} n={len(ratios)}"
         )
-        assert heur.objective <= exact.objective + 1e-12
 
     def test_heuristic_matches_reference_on_random_instances(self):
         rng = np.random.default_rng(205)

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hfedsim.data import DataSpec, gen_synthetic
+from hfedsim.data import DataSpec, gen_synthetic, load_shards, save_dataset
 from hfedsim import simulator
 from hfedsim.errors import ConfigurationError, NumericDivergenceError
 from hfedsim.learning import (
@@ -313,10 +313,24 @@ class TestModesRun:
 
 
 class TestValidation:
-    def test_selection_needs_two_devices(self):
-        cfg = small_config(mode="async-sched", n=1, g=1)
-        with pytest.raises(ConfigurationError, match=">= 2 devices"):
-            run(cfg)
+    def test_one_device_utility_run_ends_done(self):
+        # Its one warmup gradient fits no compressor, so the run stays uncompressed.
+        result = run(small_config(mode="async-sched", n=1, g=1))
+        assert result.stop_reason == "done"
+        assert result.cloud_epochs_done == 12
+
+    def test_refresh_needs_generator_centroids(self, tmp_path):
+        cfg = small_config(mode="async-random", seed=1)
+        cfg.dataset = load_shards(save_dataset(cfg.dataset, tmp_path))
+        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True)
+        with pytest.raises(ConfigurationError, match="centroids"):
+            cfg.validate()
+
+    def test_refresh_spec_matches_the_centroids(self):
+        cfg = small_config(mode="async-random", seed=1)
+        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True, input_dim=5)
+        with pytest.raises(ConfigurationError, match="input_dim"):
+            cfg.validate()
 
     def test_unknown_mode(self):
         cfg = small_config()
@@ -621,7 +635,33 @@ class TestNonFiniteAggregate:
         sim = simulator._Simulation(small_config(mode="async-random"))
         incoming = np.full_like(sim.cloud_params, np.inf)
         with pytest.raises(NumericDivergenceError, match="after aggregation at cloud"):
-            sim._cloud_async_aggregate(incoming, tau_stamp=0)
+            sim.on_gateway_upload_arrives(sim.gateways[0], incoming, 0, 0.0)
+
+
+class TestTauEstimate:
+    def test_link_mean_then_first_observation_then_ema(self, monkeypatch):
+        """Each link's estimate is its mean until its first upload, then that
+        upload's latency, then an EMA with weight alpha_ema."""
+        a = 0.3
+        upload = simulator._Simulation.on_device_upload_arrives
+        expected: dict[tuple[int, int], float] = {}
+        uploads = []
+
+        def spy(sim, i, flight):
+            key = (i, flight.gateway)
+            if sim.flights.get(i) is not flight:  # a voided round
+                return upload(sim, i, flight)
+            mean = sim.topo.link_params[key].mean_total
+            assert sim.tau_estimate(*key) == expected.get(key, mean)
+            upload(sim, i, flight)
+            tau = flight.observed_tau
+            expected[key] = tau if key not in expected else a * tau + (1 - a) * expected[key]
+            assert sim.tau_estimate(*key) == expected[key] != mean
+            uploads.append(key)
+
+        monkeypatch.setattr(simulator._Simulation, "on_device_upload_arrives", spy)
+        run(small_config(mode="async-random", seed=3, alpha_ema=a))
+        assert len(uploads) > len(expected) > 1  # some links took an EMA step
 
 
 class TestLifetime:
