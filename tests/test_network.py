@@ -17,7 +17,7 @@ from hfedsim.network import (
     topology_to_json,
 )
 from hfedsim.selection import AssociationInstance
-from hfedsim.simulator import _Simulation
+from hfedsim.simulator import Flight, _Simulation
 from hfedsim.utility import PcaModel
 from simtools import small_config, uniform_topology
 
@@ -47,6 +47,44 @@ class TestSampleRoundLatency:
         a = sample_round_latency(params, np.random.default_rng(9))
         b = sample_round_latency(params, np.random.default_rng(9))
         assert a == b
+
+
+def _observe(sim, i, g, tau):
+    """Land one upload of device i at gateway g whose round took tau."""
+    flight = Flight(g, sim.gateways[g].version, 0.0, None, 0, tau,
+                    params=sim.gateways[g].params.copy())
+    sim.flights[i] = flight
+    sim.on_device_upload_arrives(i, flight)
+
+
+class TestLatencyTracker:
+    """The simulator's latency estimate: link mean, first observation, then EMA."""
+
+    def test_alpha_one_tracks_last(self):
+        sim = _Simulation(small_config(mode="semi-async", alpha_ema=1.0))
+        _observe(sim, 0, 0, 10.0)
+        _observe(sim, 0, 0, 25.0)
+        assert sim.tau_estimate(0, 0) == 25.0
+
+    def test_constant_fixed_point(self):
+        sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.3))
+        for _ in range(5):
+            _observe(sim, 1, 1, 4.0)
+        assert sim.tau_estimate(1, 1) == pytest.approx(4.0, rel=1e-12)
+
+    def test_two_step_average(self):
+        sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.5))
+        _observe(sim, 0, 1, 10.0)
+        _observe(sim, 0, 1, 20.0)
+        assert sim.tau_estimate(0, 1) == 15.0
+
+    def test_default_when_unobserved(self):
+        sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.5,
+                                       topology=uniform_topology(6, 2, mean_comp=2.0)))
+        assert sim.tau_estimate(3, 0) == 7.0  # 2 down + 2 compute + 3 up
+        _observe(sim, 3, 1, 12.0)
+        assert sim.tau_estimate(3, 0) == 7.0  # another link's upload leaves it
+        assert sim.tau_estimate(3, 1) == 12.0
 
 
 class TestEstRate:
