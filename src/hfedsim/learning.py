@@ -12,8 +12,9 @@ backward passes as stacked matmuls. np.matmul runs one gemm per slice and
 every other operation acts on each slice alone, so each row is bit-identical to
 training that device by itself. One device alone is the K = 1 call, with
 ``start[None]``; `raise_if_diverged` checks a trained row (and the simulator's
-aggregates) and `grad_regularized` gives the full-shard gradient a device
-reports, anchored at the start it trained from.
+aggregates). `grad_regularized` is stacked the same way: for a block of
+trained rows it gives the full-shard gradient each device reports, anchored at
+the start it trained from, each row bit-identical to its own K = 1 call.
 
 Three things keep a step lean without changing a bit of it. Each epoch gathers
 its shuffled features and one-hot labels once, and a step slices its batch out
@@ -24,7 +25,7 @@ so only the label's entry moves, by the same 1.0. And the gradient is written
 through `unpack` views into one [K, P] buffer that lives for the whole call,
 in place of a concatenation per step: a gemm or a sum computes the same values
 wherever its output lies. The one stacked gradient function, `_grad_stacked`,
-serves both the training step and `loss_and_grad`.
+serves the training step, `grad_regularized` and `loss_and_grad`.
 """
 
 from __future__ import annotations
@@ -220,19 +221,43 @@ def loss_and_grad(
     return float(_mean_nll(shifted, norm, batch.labels[None])[0]), grad[0]
 
 
+def _stack_shards(arch: ModelArch, shards: list[Shard]) -> tuple[np.ndarray, np.ndarray]:
+    """Features [K, n, d] and one-hot labels [K, n, C] of K shards of one size."""
+    for shard in shards:
+        if shard.n != shards[0].n:
+            raise ConfigurationError("cohort shards must hold the same number of samples")
+        if shard.features.shape[1] != arch.input_dim:
+            raise ConfigurationError("shard input_dim does not match architecture")
+    features = np.stack([s.features for s in shards])
+    return features, np.eye(arch.num_classes)[np.stack([s.labels for s in shards])]
+
+
 def grad_regularized(
     params: np.ndarray,
-    anchor: np.ndarray,
+    anchors: np.ndarray,
     arch: ModelArch,
-    batch: Shard,
+    shards: list[Shard],
     rho: float,
 ) -> np.ndarray:
-    """Gradient of the proximal local objective: grad(loss) + rho * (params - anchor)."""
-    if params.shape != anchor.shape:
-        raise ConfigurationError("params and anchor lengths differ")
-    _, grad = loss_and_grad(params, arch, batch)
-    if rho != 0.0:
-        grad = grad + rho * (params - anchor)
+    """Full-shard gradients [K, P] of K proximal local objectives, one per row:
+    grad(loss of params[k] on shards[k]) + rho * (params[k] - anchors[k]).
+
+    ``params`` and ``anchors`` are [K, P] and the shards hold the same number
+    of samples. As in `local_train_cohort`, every operation acts on each row's
+    slice alone, so row k is bit-identical to the K = 1 call on its own row.
+    A non-finite row gives a non-finite gradient row and no warning.
+    """
+    k = len(shards)
+    if not shards or params.shape != (k, arch.param_count) or anchors.shape != params.shape:
+        raise ConfigurationError(f"params and anchors must be [{k}, {arch.param_count}]")
+    features, onehots = _stack_shards(arch, shards)
+    grad = np.empty_like(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _grad_stacked(unpack(arch, params), arch, features, onehots, unpack(arch, grad))
+        if rho != 0.0:
+            pull = params - anchors
+            pull *= rho
+            grad += pull
     return grad
 
 
@@ -283,15 +308,9 @@ def local_train_cohort(
         raise ConfigurationError("need one seed per shard and at least one shard")
     if start.shape != (k, arch.param_count):
         raise ConfigurationError(f"start must be [{k}, {arch.param_count}]")
+    features, onehots = _stack_shards(arch, shards)
     n = shards[0].n
-    for shard in shards:
-        if shard.n != n:
-            raise ConfigurationError("cohort shards must hold the same number of samples")
-        if shard.features.shape[1] != arch.input_dim:
-            raise ConfigurationError("shard input_dim does not match architecture")
     rows = np.arange(k)[:, None]
-    features = np.stack([s.features for s in shards])
-    onehots = np.eye(arch.num_classes)[np.stack([s.labels for s in shards])]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = start.copy()
     grad, step = np.empty_like(params), np.empty_like(params)

@@ -9,6 +9,23 @@ attached to exactly one feasible gateway when it has any.
 Both problems get an exact solver for small instances (branch and bound /
 pruned enumeration) and a greedy+local-search heuristic at scale. The plain
 exhaustive oracles that check the exact solvers live with the tests.
+
+The heuristic's local search moves one device at a time and accepts a move
+only if the objective, summed afresh over the two gateways it touches, beats
+the best so far. Most moves cannot, and a bound says so without re-summing.
+The untouched gateways keep their sums: the three lowest utility sums hold
+the lowest untouched one, and the three highest rate sums the highest
+untouched one. For the two touched gateways the cached sum, plus or minus the
+moved device's term, is widened by a margin, 8 (n + 2) eps times the sum of
+all terms' magnitudes. A sum of at most n terms, added in order, lies within
+n eps / 2 of that magnitude sum of its exact value, so the cached sum and the
+fresh one differ from the exact values by less than the margin with room for
+the rounding of the bound itself. The fresh minimum utility sum is therefore
+at most the bound `ub_u`, and the fresh maximum rate sum at least `lb_r`.
+Float multiplication by phi >= 0 and subtraction round monotonically, so
+the move's objective is at most `ub_u - phi * lb_r` as computed: a move with
+that bound <= best would not have been accepted, and skipping it changes no
+result.
 """
 
 from __future__ import annotations
@@ -178,13 +195,18 @@ def solve_association(inst: AssociationInstance) -> Assignment:
     return _assignment_from_vector(inst, assign)
 
 
-def _options(inst: AssociationInstance, i: int) -> list[int | None]:
-    feas: list[int | None] = [j for j in range(inst.shape[1]) if inst.feasible[i, j]]
-    return feas or [None]
+def _options(inst: AssociationInstance) -> list[list[int | None]]:
+    """Each device's choices: its feasible gateways in order, or [None] if it has none.
+
+    Read once from `inst.feasible.tolist()` and shared by a solver's passes:
+    indexing the array entry by entry makes a numpy scalar each time.
+    """
+    return [[j for j, f in enumerate(row) if f] or [None] for row in inst.feasible.tolist()]
 
 
 def _association_exact(inst: AssociationInstance) -> list[int | None]:
     n, g = inst.shape
+    options = _options(inst)
     # Optimistic utility still placeable at or after device i (positive part).
     pos_suffix = np.zeros((n + 1, g))
     for i in range(n - 1, -1, -1):
@@ -210,7 +232,7 @@ def _association_exact(inst: AssociationInstance) -> list[int | None]:
             if obj > best_obj or (obj == best_obj and (best_key is None or key < best_key)):
                 best_obj, best_assign, best_key = obj, assign.copy(), key
             return
-        for j in _options(inst, i):
+        for j in options[i]:
             assign[i] = j
             if j is None:
                 walk(i + 1)
@@ -245,7 +267,9 @@ def _gateway_sums(
 def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     n, g = inst.shape
     u = inst.u.tolist()
-    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
+    ratios = inst.rates / inst.bandwidth[None, :]
+    ratio = ratios.tolist()
+    options = _options(inst)
 
     # Construction: every device joins the feasible gateway with the lowest
     # bandwidth-normalized load (utility sum as tie-break), giving a
@@ -255,9 +279,8 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     sums_u = [0.0] * g
     sums_r = [0.0] * g
     for i in sorted(range(n), key=lambda i: (-u[i], i)):
-        feas = [j for j in range(g) if inst.feasible[i, j]]
-        if feas:
-            j = min(feas, key=lambda j: (sums_r[j] + ratio[i][j], sums_u[j], j))
+        if options[i] != [None]:
+            j = min(options[i], key=lambda j: (sums_r[j] + ratio[i][j], sums_u[j], j))
             assign[i] = j
             sums_u[j] += u[i]
             sums_r[j] += ratio[i][j]
@@ -273,32 +296,51 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
             members[j].append(i)
     for j in range(g):
         sums_u[j], sums_r[j] = _gateway_sums(members[j], j, u, ratio)
-    options = [_options(inst, i) for i in range(n)]
+    # A trial move is bounded from the cached sums before it is re-summed,
+    # and skipped when its bound cannot beat `best` (see the module docstring).
+    eps = np.finfo(float).eps
+    margin_u = 8 * (n + 2) * eps * float(np.abs(inst.u).sum())
+    margin_r = 8 * (n + 2) * eps * float(np.abs(ratios[inst.feasible != 0]).sum())
+    # At most two gateways are touched, so among the three lowest utility
+    # sums and the three highest rate sums is the extreme of the untouched ones.
+    low_u = sorted(range(g), key=sums_u.__getitem__)[:3]
+    high_r = sorted(range(g), key=sums_r.__getitem__, reverse=True)[:3]
     best = min(sums_u) - inst.phi * max(sums_r)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
         for i in range(n):
             here = assign[i]
+            if here is None:
+                continue  # the device reaches no gateway: None is its one option
             for j in options[i]:
                 if j == here:
                     continue
+                ub_u = min(
+                    next((sums_u[k] for k in low_u if k != here and k != j), np.inf),
+                    sums_u[here] - u[i] + margin_u,
+                    sums_u[j] + u[i] + margin_u,
+                )
+                lb_r = max(
+                    next((sums_r[k] for k in high_r if k != here and k != j), -np.inf),
+                    sums_r[here] - ratio[i][here] - margin_r,
+                    sums_r[j] + ratio[i][j] - margin_r,
+                )
+                if ub_u - inst.phi * lb_r <= best:
+                    continue
                 cand_u, cand_r = sums_u.copy(), sums_r.copy()
-                if here is not None:
-                    left = [k for k in members[here] if k != i]
-                    cand_u[here], cand_r[here] = _gateway_sums(left, here, u, ratio)
-                if j is not None:
-                    joined = members[j].copy()
-                    bisect.insort(joined, i)
-                    cand_u[j], cand_r[j] = _gateway_sums(joined, j, u, ratio)
+                left = [k for k in members[here] if k != i]
+                cand_u[here], cand_r[here] = _gateway_sums(left, here, u, ratio)
+                joined = members[j].copy()
+                bisect.insort(joined, i)
+                cand_u[j], cand_r[j] = _gateway_sums(joined, j, u, ratio)
                 cand = min(cand_u) - inst.phi * max(cand_r)
                 if cand > best:
-                    if here is not None:
-                        members[here] = left
-                    if j is not None:
-                        members[j] = joined
+                    members[here], members[j] = left, joined
                     best, sums_u, sums_r = cand, cand_u, cand_r
                     assign[i] = here = j
                     improved = True
+                    low_u = sorted(range(g), key=sums_u.__getitem__)[:3]
+                    high_r = sorted(range(g), key=sums_r.__getitem__, reverse=True)[:3]
         if not improved:
             break
     return assign

@@ -34,11 +34,16 @@ air: the model and seed at dispatch, and the shard because it refreshes only
 after its own upload has removed the flight. When an upload lands before its
 flight has trained, every flight then in the air trains at once, in lockstep
 blocks of devices that share a shard size (`local_train_cohort`), and each
-keeps its row until its own upload. An async gateway sends to about one device
-at a time, so this fills blocks that dispatch-time training would run one row
-at a time, and the trace is the same as if each device had trained alone on
-arrival. A divergence raises at the device's upload, so only a live flight
-raises; a voided flight is dropped with whatever it holds.
+keeps its row until its own upload. Under the utility selector the block also
+computes the gradient each device reports (`grad_regularized`, on the same
+rows, anchors and shards), and each flight keeps its row of that too; a
+flight drops its anchor once trained. An async gateway sends to about one
+device at a time, so this fills blocks that dispatch-time training would run
+one row at a time, and the trace is the same as if each device had trained
+alone on arrival and computed its gradient at its upload. A divergence raises
+at the device's upload, so only a live flight raises; the gradient pass over a
+diverged row warns of nothing, and a voided flight is dropped with whatever it
+holds.
 
 Evaluation. The evaluation timer records a trace row every `eval_every`
 seconds, and most rows see the cloud model of the row before: a barrier cloud
@@ -374,10 +379,11 @@ class Flight:
     gateway: int
     stamp: int  # the gateway's version at dispatch
     rate: float  # admitted rate, counted against the gateway's bandwidth
-    anchor: np.ndarray | None  # the gateway model sent; kept for the reported gradient
+    anchor: np.ndarray | None  # the gateway model sent; dropped once trained
     seed: int
     observed_tau: float  # dispatch-to-upload latency
     params: np.ndarray | None = None  # trained parameters, once trained
+    grad: np.ndarray | None = None  # the reported gradient, once trained (utility selector)
 
 
 class _Simulation:
@@ -502,11 +508,18 @@ class _Simulation:
         if cap <= 0:
             return []
         if self.policy.selector == "utility":
-            cands = [
-                Candidate(i, self.utility_of(i), self.tau_estimate(i, gw.id),
-                          self.rate_estimate(i, gw.id))
-                for i in ids
-            ]
+            # The knapsack drops a candidate whose rate exceeds the cap, so
+            # rate them first: a selection that can dispatch no one returns
+            # before `utility_of` refreshes utilities it would not read.
+            fits = []
+            for i in ids:
+                tau = self.tau_estimate(i, gw.id)
+                rate = est_rate(self.topo.model_bytes, tau)
+                if rate <= cap:
+                    fits.append((i, tau, rate))
+            if not fits:
+                return []
+            cands = [Candidate(i, self.utility_of(i), tau, rate) for i, tau, rate in fits]
             return sorted(solve_selection(SelectionInstance(cands, cap, self.cfg.kappa)))
         if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
@@ -537,8 +550,11 @@ class _Simulation:
                     # One copy per flight: a row view would keep its whole block
                     # alive until the block's last flight lands, and raise peak memory.
                     f.params = row.copy()
-                    if self.policy.selector != "utility":
-                        f.anchor = None  # only the reported gradient needs it now
+                    f.anchor = None
+                if self.policy.selector == "utility":
+                    grads = grad_regularized(rows, starts, self.arch, shards, self.cfg.train.rho)
+                    for f, grad in zip(block, grads):
+                        f.grad = grad.copy()
 
     def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
         """Send the gateway model, stamped with its version, to each device.
@@ -583,16 +599,14 @@ class _Simulation:
         for gw in self.gateways:
             self._start_round(gw)
 
-    def _record_gradient(self, device: int, params: np.ndarray, anchor: np.ndarray) -> int:
+    def _record_gradient(self, device: int, grad: np.ndarray) -> int:
         """Store the gradient the device reports with its upload; returns its overhead bytes.
 
-        The gradient is the anchored objective's, on the full shard, at the
-        trained parameters. The shard has not refreshed yet, so it is the one
-        the device trained on.
+        `_train_flights` computed it with the flight's training block: the
+        anchored objective's gradient on the full shard the device trained on,
+        at the trained parameters. Here it is only stored, projected once the
+        compressor is fitted.
         """
-        grad = grad_regularized(
-            params, anchor, self.arch, self.devices[device].shard, self.cfg.train.rho
-        )
         self._utilities_dirty = True
         if self.coords is None:
             self.full_grads[device] = grad
@@ -778,7 +792,7 @@ class _Simulation:
 
         overhead = 0
         if self.policy.selector == "utility":
-            overhead = self._record_gradient(i, params, flight.anchor)
+            overhead = self._record_gradient(i, flight.grad)
         elif self.policy.selector == "loss":
             _, dev.last_loss = evaluate(params, self.arch, dev.shard)
         self.charge(

@@ -106,19 +106,21 @@ class TestLossAndGrad:
 
 
 class TestGradRegularized:
+    """The stacked reported gradient: [K, P] params and anchors, one shard per row."""
+
     def test_anchor_identity(self):
         rng = np.random.default_rng(5)
         arch, params, shard = random_instance(rng)
         _, plain = loss_and_grad(params, arch, shard)
-        reg = grad_regularized(params, params.copy(), arch, shard, rho=0.7)
-        np.testing.assert_array_equal(reg, plain)
+        reg = grad_regularized(params[None], params[None].copy(), arch, [shard], rho=0.7)
+        np.testing.assert_array_equal(reg[0], plain)
 
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(6)
         arch, params, shard = random_instance(rng)
         _, plain = loss_and_grad(params, arch, shard)
-        reg = grad_regularized(params, params + 1.0, arch, shard, rho=0.0)
-        np.testing.assert_array_equal(reg, plain)
+        reg = grad_regularized(params[None], params[None] + 1.0, arch, [shard], rho=0.0)
+        np.testing.assert_array_equal(reg[0], plain)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -131,19 +133,66 @@ class TestGradRegularized:
                 loss, _ = loss_and_grad(p, arch, shard)
                 return loss + 0.5 * rho * np.sum((p - anchor) ** 2)
 
-            grad = grad_regularized(params, anchor, arch, shard, rho)
+            grad = grad_regularized(params[None], anchor[None], arch, [shard], rho)[0]
             assert_grad_close(grad, fd_grad(objective, params))
 
     def test_length_mismatch(self):
         arch = ModelArch("logistic", input_dim=2, num_classes=2)
-        with pytest.raises(ConfigurationError):
-            grad_regularized(
-                np.zeros(arch.param_count),
-                np.zeros(arch.param_count + 1),
-                arch,
-                Shard(np.zeros((1, 2)), np.array([0])),
-                0.1,
-            )
+        shard = Shard(np.zeros((1, 2)), np.array([0]))
+        p = arch.param_count
+        for params, anchors, shards in [
+            (np.zeros((1, p)), np.zeros((1, p + 1)), [shard]),  # anchor length
+            (np.zeros(p), np.zeros(p), [shard]),  # one flat vector
+            (np.zeros((2, p)), np.zeros((2, p)), [shard]),  # two rows, one shard
+        ]:
+            with pytest.raises(ConfigurationError, match=r"must be \["):
+                grad_regularized(params, anchors, arch, shards, 0.1)
+
+    def test_unequal_shard_sizes_rejected(self):
+        arch = ModelArch("logistic", input_dim=2, num_classes=2)
+        shards = [
+            Shard(np.zeros((2, 2)), np.array([0, 1])), Shard(np.zeros((1, 2)), np.array([0]))
+        ]
+        with pytest.raises(ConfigurationError, match="same number of samples"):
+            grad_regularized(np.zeros((2, 6)), np.zeros((2, 6)), arch, shards, 0.1)
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("k", [1, 2, 9, 17])
+    @pytest.mark.parametrize("rho", [0.0, 0.3])
+    def test_rows_match_their_own_call(self, kind, k, rho):
+        # Every row has its own params, anchor and shard, as in a training block
+        # of flights sent different gateway models. Each equals the K = 1 call
+        # on its own row, which equals loss_and_grad plus the proximal pull.
+        rng = np.random.default_rng(300 + k)
+        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5)
+        n = 13
+        shards = [Shard(rng.normal(0, 1, (n, 4)), rng.integers(0, 3, n)) for _ in range(k)]
+        params = rng.normal(0, 0.8, (k, arch.param_count))
+        anchors = params + rng.normal(0, 0.5, params.shape)
+        assert len({a.tobytes() for a in anchors}) == k
+        grads = grad_regularized(params, anchors, arch, shards, rho)
+        assert grads.shape == (k, arch.param_count)
+        for r in range(k):
+            alone = grad_regularized(params[r][None], anchors[r][None], arch, [shards[r]], rho)
+            assert np.array_equal(grads[r], alone[0])
+            _, plain = loss_and_grad(params[r], arch, shards[r])
+            expected = plain + rho * (params[r] - anchors[r]) if rho != 0.0 else plain
+            assert np.array_equal(grads[r], expected)
+
+    def test_non_finite_row_warns_nothing_and_spares_the_others(self):
+        # A diverged row reaches the gradient pass before its upload raises;
+        # with warnings as errors, the pass itself must stay silent.
+        rng = np.random.default_rng(8)
+        arch = ModelArch("mlp", input_dim=3, num_classes=2, hidden_dim=4)
+        shards = [Shard(rng.normal(0, 1, (6, 3)), rng.integers(0, 2, 6)) for _ in range(3)]
+        params = rng.normal(0, 0.8, (3, arch.param_count))
+        params[1, :4] = [np.inf, -np.inf, np.nan, 1e308]
+        grads = grad_regularized(params, params + 1.0, arch, shards, 0.5)
+        assert not np.isfinite(grads[1]).all()
+        for r in (0, 2):
+            row = params[r][None]
+            alone = grad_regularized(row, row + 1.0, arch, [shards[r]], 0.5)
+            assert np.array_equal(grads[r], alone[0])
 
 
 class TestLocalTrain:
@@ -168,9 +217,9 @@ class TestLocalTrain:
         arch, shard, start = self._setup(seed=2)
         cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=2, batch_size=shard.n)
         final = local_train_cohort(start[None], arch, [shard], cfg, [9])[0]
-        first = start - 0.05 * grad_regularized(start, start, arch, shard, 0.2)
+        first = start - 0.05 * grad_regularized(start[None], start[None], arch, [shard], 0.2)[0]
         assert not np.array_equal(first, start)
-        expected = first - 0.05 * grad_regularized(first, start, arch, shard, 0.2)
+        expected = first - 0.05 * grad_regularized(first[None], start[None], arch, [shard], 0.2)[0]
         np.testing.assert_array_equal(final, expected)
 
     def test_loss_improves_on_separable_shard(self):
@@ -193,8 +242,9 @@ class TestLocalTrain:
         a = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
         b = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
         assert np.array_equal(a, b)
-        reported = grad_regularized(a, start, arch, shard, cfg.rho)
-        assert np.array_equal(reported, grad_regularized(b, start, arch, shard, cfg.rho))
+        reported = grad_regularized(a[None], start[None], arch, [shard], cfg.rho)
+        again = grad_regularized(b[None], start[None], arch, [shard], cfg.rho)
+        assert np.array_equal(reported, again)
 
     def test_divergence_names_device(self):
         arch, shard, start = self._setup(seed=6)

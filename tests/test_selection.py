@@ -109,7 +109,7 @@ def brute_force_selection(inst: SelectionInstance) -> set[int]:
 def brute_force_association(inst: AssociationInstance) -> Assignment:
     """Exhaustive optimum over every feasible assignment; refuses large instances."""
     n, g = inst.shape
-    option_lists = [_options(inst, i) for i in range(n)]
+    option_lists = _options(inst)
     total = 1
     for opts in option_lists:
         total *= len(opts)
@@ -170,12 +170,13 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int | Non
             sums_r[j] += ratio[i][j]
 
     # Single-device reassignment until no move improves the objective.
+    options = [[j for j in range(g) if inst.feasible[i, j]] or [None] for i in range(n)]
     best = objective_of(assign)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
         for i in range(n):
             here = assign[i]
-            for j in _options(inst, i):
+            for j in options[i]:
                 if j == here:
                     continue
                 assign[i] = j
@@ -220,6 +221,35 @@ def oracle_association_instance(rng):
         bandwidth=bandwidth,
         phi=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
     )
+
+
+def adversarial_association_instance(rng, case):
+    """Instances at the edges of the heuristic's move bound (see the `selection` docstring).
+
+    exact-ties: all-equal utilities, integer rates and equal caps, so many
+    moves tie `best` exactly. phi-extremes: phi 0 (rates ignored) or 1e3
+    (rates dominate). wide-range: utilities from 1e-12 to 1e12 in magnitude,
+    where the float margin is far wider than most terms. two-gateways: every
+    move touches both gateways, so none is left untouched.
+    """
+    n = int(rng.integers(2, 41))
+    g = 2 if case == "two-gateways" else int(rng.integers(2, 9))
+    feasible = (rng.random((n, g)) < rng.uniform(0.3, 1.0)).astype(np.int8)
+    u = rng.normal(0.0, 1.0, n)
+    rates = rng.uniform(1.0, 20.0, (n, g))
+    bandwidth = rng.uniform(10.0, 200.0, g)
+    phi = float(rng.choice([0.0, 0.1, 1.0]))
+    if case == "exact-ties":
+        u = np.full(n, float(rng.choice([0.0, 0.1, 1.0, 3.0])))
+        rates = rng.integers(1, 4, (n, g)).astype(float)
+        bandwidth = np.full(g, float(rng.integers(5, 30)))
+    elif case == "phi-extremes":
+        phi = float(rng.choice([0.0, 1e3]))
+    elif case == "wide-range":
+        u = 10.0 ** rng.uniform(-12, 12, n)
+        if rng.random() < 0.5:
+            u *= rng.choice([-1.0, 1.0], n)
+    return AssociationInstance(feasible=feasible, u=u, rates=rates, bandwidth=bandwidth, phi=phi)
 
 
 class TestSolveSelection:
@@ -381,6 +411,17 @@ class TestSolveAssociation:
         rng = np.random.default_rng(205)
         for _ in range(320):
             inst = oracle_association_instance(rng)
+            assert _association_heuristic(inst) == reference_association_heuristic(inst)
+
+    @pytest.mark.parametrize(
+        "case", ["exact-ties", "phi-extremes", "wide-range", "two-gateways"]
+    )
+    def test_heuristic_matches_reference_on_adversarial_instances(self, case):
+        # The heuristic skips moves that its bound says cannot improve; the
+        # reference re-sums every move. They must agree move for move.
+        rng = np.random.default_rng(206)
+        for _ in range(150):
+            inst = adversarial_association_instance(rng, case)
             assert _association_heuristic(inst) == reference_association_heuristic(inst)
 
     def test_heuristic_matches_reference_on_generated_topology(self):

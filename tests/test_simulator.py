@@ -14,6 +14,7 @@ from hfedsim.learning import (
     Shard,
     TrainConfig,
     evaluate,
+    grad_regularized,
     init_params,
     local_train_cohort,
     loss_and_grad,
@@ -26,6 +27,7 @@ from hfedsim.simulator import (
     run,
     staleness,
 )
+from hfedsim.utility import learning_utility
 from simtools import small_config, uniform_topology
 
 
@@ -406,6 +408,33 @@ class TestSchedulerIntegration:
         assert result.cloud_epochs_done == 12
         assert not [t for t in result.transfers if t.kind == "pca_distribution"]
 
+    def test_selection_that_cannot_dispatch_refreshes_no_utilities(self, monkeypatch):
+        calls = []
+
+        def spy(g):
+            calls.append(len(g))
+            return learning_utility(g)
+
+        monkeypatch.setattr(simulator, "learning_utility", spy)
+        sim = simulator._Simulation(small_config(mode="async-sched", seed=33))
+        rng = np.random.default_rng(33)
+        sim.warmup_done = True
+        sim.full_grads = {i: rng.normal(0, 1, sim.arch.param_count) for i in range(6)}
+        sim._utilities_dirty = True
+        sim.gateway_of[:] = [0, 0, 0, 1, 1, 1]
+        gw = sim.gateways[0]
+        # A flight on gateway 0 leaves half the smallest candidate rate of its cap.
+        least = min(sim.rate_estimate(i, 0) for i in (1, 2))
+        load = float(sim.topo.bandwidth[0]) - least / 2
+        sim.flights[0] = simulator.Flight(0, 0, load, None, 0, 1.0)
+        assert sim.select_devices(gw) == []
+        assert calls == [] and sim._utilities_dirty
+        del sim.flights[0]
+        assert sim.select_devices(gw) != []
+        assert calls == [6] and not sim._utilities_dirty
+        sim.select_devices(gw)
+        assert calls == [6]
+
     def test_in_flight_devices_never_double_dispatched(self):
         result = run(small_config(mode="async-sched", seed=32, cloud_epochs=20))
         in_air = set()
@@ -458,6 +487,25 @@ def _refresh_with_faults(mode="sync-random", extra_faults=()):
     return cfg
 
 
+def _spy_non_finite_rows(monkeypatch) -> tuple[list[bool], list[bool]]:
+    """For every row the run trains, and every row it computes a reported gradient
+    at, whether that row is non-finite."""
+    train_rows, grad_rows = [], []
+
+    def train_spy(start, arch, shards, train, seeds):
+        rows = local_train_cohort(start, arch, shards, train, seeds)
+        train_rows.extend(not np.isfinite(row).all() for row in rows)
+        return rows
+
+    def grad_spy(params, anchors, arch, shards, rho):
+        grad_rows.extend(not np.isfinite(row).all() for row in params)
+        return grad_regularized(params, anchors, arch, shards, rho)
+
+    monkeypatch.setattr(simulator, "local_train_cohort", train_spy)
+    monkeypatch.setattr(simulator, "grad_regularized", grad_spy)
+    return train_rows, grad_rows
+
+
 class TestCohortTraining:
     """Training every flight in the air in lockstep blocks changes no output."""
 
@@ -507,29 +555,47 @@ class TestCohortTraining:
         assert result.cloud_epochs_done == 6
         assert [t.time for t in result.transfers if t.dst == "dev0"] == [0.5]
 
-    def test_flight_dropped_before_its_upload_never_raises(self, monkeypatch):
+    def test_diverging_device_is_named_under_utility_selection(self, monkeypatch):
+        # The training block computes the reported gradients too, so the
+        # diverged row reaches that pass before its upload raises; the upload
+        # still names the device. (A NaN row warns of nothing in any case; the
+        # learning tests check that an inf row does not either.)
+        cfg = small_config(mode="async-sched", seed=4)
+        bad = cfg.dataset.shards[2]
+        cfg.dataset.shards[2] = Shard(bad.features * 1e200, bad.labels)
+        _, grad_rows = _spy_non_finite_rows(monkeypatch)
+        with pytest.raises(NumericDivergenceError, match="device 2"):
+            run(cfg)
+        assert sum(grad_rows) == 1
+
+    @staticmethod
+    def _slow_diverging_device_drops(mode, monkeypatch):
         # Device 0 diverges and is slowed 3x: its model arrives at 6.5 s and its
         # upload would land at 33.5 s. The other devices' uploads at 11.5 s
         # train its flight too, and it drops at 20 s, so its non-finite row is
         # thrown away unused. Only a flight that uploads raises.
         faults = [FaultEvent(0.0, 0, "slowdown", 3.0), FaultEvent(20.0, 0, "drop")]
         topo = uniform_topology(3, 1, sigma=0.0, faults=faults)
-        cfg = small_config(mode="sync-random", n=3, g=1, topology=topo, seed=1,
+        cfg = small_config(mode=mode, n=3, g=1, topology=topo, seed=1,
                            gateway_epochs=2, cloud_epochs=6)
         bad = cfg.dataset.shards[0]
         cfg.dataset.shards[0] = Shard(bad.features * 1e200, bad.labels)
-        diverged = []
-
-        def spy(start, arch, shards, train, seeds):
-            rows = local_train_cohort(start, arch, shards, train, seeds)
-            diverged.extend(not np.isfinite(row).all() for row in rows)
-            return rows
-
-        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        train_rows, grad_rows = _spy_non_finite_rows(monkeypatch)
         result = run(cfg)
         assert result.cloud_epochs_done == 6
-        assert sum(diverged) == 1
+        assert sum(train_rows) == 1
         assert [t.time for t in result.transfers if t.dst == "dev0"] == [0.5]
+        return grad_rows
+
+    def test_flight_dropped_before_its_upload_never_raises(self, monkeypatch):
+        assert self._slow_diverging_device_drops("sync-random", monkeypatch) == []
+
+    def test_flight_dropped_before_its_upload_never_raises_under_utility_selection(
+        self, monkeypatch
+    ):
+        # Its block's gradient pass saw the non-finite row and raised nothing.
+        grad_rows = self._slow_diverging_device_drops("async-sched", monkeypatch)
+        assert sum(grad_rows) == 1
 
     def test_every_uploaded_round_trains_once(self, monkeypatch):
         # Device 1 drops at 1.5 s, before anything has trained; device 6 drops
