@@ -3,7 +3,7 @@
 Model parameters are flat float64 vectors of length ``arch.param_count``;
 every function here is pure and deterministic given its inputs and seed.
 
-There is one SGD loop, `local_train_cohort`. It trains K devices in lockstep,
+There is one SGD entry point, `local_train`. It trains K devices in lockstep,
 holding their parameters as one [K, param_count] array: row k has its own start
 (given as a [K, param_count] stack), which is also its proximal anchor, so one
 block can mix devices sent different models. Each step takes a [K, b, d] stack
@@ -25,7 +25,7 @@ so only the label's entry moves, by the same 1.0. And the gradient is written
 through `unpack` views into one [K, P] buffer that lives for the whole call,
 in place of a concatenation per step: a gemm or a sum computes the same values
 wherever its output lies. The one stacked gradient function, `_grad_stacked`,
-serves the training step, `grad_regularized` and `loss_and_grad`.
+serves the training step and `grad_regularized`.
 """
 
 from __future__ import annotations
@@ -179,19 +179,18 @@ def _grad_stacked(
     x: np.ndarray,
     onehot: np.ndarray,
     grad_layers: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
+) -> None:
     """Gradient of the mean cross-entropy of K models, each on its own batch.
 
     ``layers`` and ``grad_layers`` come from `unpack` of two [K, P] stacks, the
     parameters and a gradient buffer; x is [K, b, d] and onehot [K, b, C], the
     batch's labels one-hot. The gradient is written into ``grad_layers``, which
-    cover every entry of the buffer. Returns the max-shifted logits and their
-    softmax norms, from which `_mean_nll` gives the loss. Every operation acts
-    on each [b, ...] slice alone (np.matmul runs one gemm per slice), so row k
-    is bit-identical to the same model on the same batch computed with K = 1.
+    cover every entry of the buffer. Every operation acts on each [b, ...]
+    slice alone (np.matmul runs one gemm per slice), so row k is bit-identical
+    to the same model on the same batch computed with K = 1.
     """
     logits, h = _forward(layers, arch, x)
-    shifted, dlogits, norm = _softmax_terms(logits)
+    _, dlogits, norm = _softmax_terms(logits)
     dlogits /= norm[:, :, None]
     dlogits -= onehot  # x - 0.0 is x: only the label's entry moves, by exactly 1.0
     dlogits /= x.shape[1]
@@ -206,19 +205,6 @@ def _grad_stacked(
     for (inputs, delta), (gw, gb) in zip(deltas, grad_layers):
         np.matmul(inputs.transpose(0, 2, 1), delta, out=gw)
         np.add.reduce(delta, axis=1, keepdims=True, out=gb)
-    return shifted, norm
-
-
-def loss_and_grad(
-    params: np.ndarray, arch: ModelArch, batch: Shard
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its analytic gradient."""
-    grad = np.empty((1, arch.param_count))
-    onehot = np.eye(arch.num_classes)[batch.labels]
-    shifted, norm = _grad_stacked(
-        unpack(arch, params[None]), arch, batch.features[None], onehot[None], unpack(arch, grad)
-    )
-    return float(_mean_nll(shifted, norm, batch.labels[None])[0]), grad[0]
 
 
 def _stack_shards(arch: ModelArch, shards: list[Shard]) -> tuple[np.ndarray, np.ndarray]:
@@ -243,7 +229,7 @@ def grad_regularized(
     grad(loss of params[k] on shards[k]) + rho * (params[k] - anchors[k]).
 
     ``params`` and ``anchors`` are [K, P] and the shards hold the same number
-    of samples. As in `local_train_cohort`, every operation acts on each row's
+    of samples. As in `local_train`, every operation acts on each row's
     slice alone, so row k is bit-identical to the K = 1 call on its own row.
     A non-finite row gives a non-finite gradient row and no warning.
     """
@@ -274,7 +260,7 @@ def _epoch_order(rngs: list[np.random.Generator], n: int, batch_size: int) -> np
     return order
 
 
-def local_train_cohort(
+def local_train(
     start: np.ndarray,
     arch: ModelArch,
     shards: list[Shard],
@@ -342,7 +328,7 @@ def raise_if_diverged(params: np.ndarray, where: str) -> None:
 def evaluate(params: np.ndarray, arch: ModelArch, test: Shard) -> tuple[float, float]:
     """Accuracy (argmax-correct fraction) and mean cross-entropy on a test shard.
 
-    The forward pass and the loss are `loss_and_grad`'s at K = 1, without the gradient.
+    The forward pass and the softmax are the training step's at K = 1.
     """
     logits, _ = _forward(unpack(arch, params[None]), arch, test.features[None])
     acc = float((logits[0].argmax(axis=1) == test.labels).mean())

@@ -33,8 +33,8 @@ from the device's round count. All three are fixed while the flight is in the
 air: the model and seed at dispatch, and the shard because it refreshes only
 after its own upload has removed the flight. When an upload lands before its
 flight has trained, every flight then in the air trains at once, in lockstep
-blocks of devices that share a shard size (`local_train_cohort`), and each
-keeps its row until its own upload. Under the utility selector the block also
+blocks of devices that share a shard size (`local_train`), and each keeps
+its row until its own upload. Under the utility selector the block also
 computes the gradient each device reports (`grad_regularized`, on the same
 rows, anchors and shards), and each flight keeps its row of that too; a
 flight drops its anchor once trained. An async gateway sends to about one
@@ -131,7 +131,7 @@ from .learning import (
     evaluate,
     grad_regularized,
     init_params,
-    local_train_cohort,
+    local_train,
     raise_if_diverged,
 )
 from .network import FaultEvent, Topology, est_rate, sample_round_latency
@@ -316,11 +316,11 @@ class SimConfig:
             raise ConfigurationError("eval_every and time_budget must be > 0")
         if not 0 < self.alpha_ema <= 1:
             raise ConfigurationError("alpha_ema must be in (0, 1]")
-        for shard in self.dataset.shards:
+        for shard in [*self.dataset.shards, self.dataset.test]:
             if shard.features.shape[1] != self.arch.input_dim:
                 raise ConfigurationError("dataset input_dim does not match architecture")
-            if int(shard.labels.max()) >= self.arch.num_classes:
-                raise ConfigurationError("dataset labels exceed architecture classes")
+            if shard.labels.min() < 0 or shard.labels.max() >= self.arch.num_classes:
+                raise ConfigurationError("dataset labels must be in [0, num_classes)")
         if self.data_spec is not None and self.data_spec.refresh:
             if self.dataset.centroids is None:
                 raise ConfigurationError("refresh needs a dataset with generator centroids")
@@ -545,7 +545,7 @@ class _Simulation:
                 block = [self.flights[i] for i in ids]
                 starts = np.stack([f.anchor for f in block])
                 shards, seeds = [self.devices[i].shard for i in ids], [f.seed for f in block]
-                rows = local_train_cohort(starts, self.arch, shards, self.cfg.train, seeds)
+                rows = local_train(starts, self.arch, shards, self.cfg.train, seeds)
                 for f, row in zip(block, rows):
                     # One copy per flight: a row view would keep its whole block
                     # alive until the block's last flight lands, and raise peak memory.

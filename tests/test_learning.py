@@ -9,8 +9,7 @@ from hfedsim.learning import (
     evaluate,
     grad_regularized,
     init_params,
-    local_train_cohort,
-    loss_and_grad,
+    local_train,
     raise_if_diverged,
 )
 
@@ -43,6 +42,16 @@ def fd_grad(f, params, h=1e-5):
     return g
 
 
+def plain_grad(params, arch, shard):
+    """Gradient of one model's mean cross-entropy on a shard: the K = 1 call at rho = 0."""
+    return grad_regularized(params[None], params[None], arch, [shard], 0.0)[0]
+
+
+def mean_loss(params, arch, shard):
+    """One model's mean cross-entropy on a shard."""
+    return evaluate(params, arch, shard)[1]
+
+
 def assert_grad_close(analytic, numeric, rel=1e-4):
     scale = np.maximum(np.abs(numeric), 1.0)
     assert np.max(np.abs(analytic - numeric) / scale) < rel
@@ -72,18 +81,20 @@ class TestInitParams:
 
 
 class TestLossAndGrad:
+    """The loss `evaluate` reports and the gradient `grad_regularized` gives at rho = 0."""
+
     def test_zero_weights_uniform_softmax(self):
         arch = ModelArch("logistic", input_dim=3, num_classes=2)
         shard = Shard(np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 1.0]]), np.array([0, 1]))
-        loss, _ = loss_and_grad(np.zeros(arch.param_count), arch, shard)
+        loss = mean_loss(np.zeros(arch.param_count), arch, shard)
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             arch, params, shard = random_instance(rng)
-            _, grad = loss_and_grad(params, arch, shard)
-            num = fd_grad(lambda p: loss_and_grad(p, arch, shard)[0], params)
+            grad = plain_grad(params, arch, shard)
+            num = fd_grad(lambda p: mean_loss(p, arch, shard), params)
             assert_grad_close(grad, num)
 
     def test_duplication_invariant(self):
@@ -93,16 +104,21 @@ class TestLossAndGrad:
             np.concatenate([shard.features, shard.features]),
             np.concatenate([shard.labels, shard.labels]),
         )
-        l1, g1 = loss_and_grad(params, arch, shard)
-        l2, g2 = loss_and_grad(params, arch, doubled)
-        assert l1 == pytest.approx(l2, rel=1e-12)
-        np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
+        assert mean_loss(params, arch, shard) == pytest.approx(
+            mean_loss(params, arch, doubled), rel=1e-12
+        )
+        np.testing.assert_allclose(
+            plain_grad(params, arch, shard), plain_grad(params, arch, doubled),
+            rtol=1e-12, atol=1e-15,
+        )
 
     def test_dimension_mismatch(self):
         arch = ModelArch("logistic", input_dim=3, num_classes=2)
         shard = Shard(np.zeros((2, 4)), np.array([0, 1]))
         with pytest.raises(ConfigurationError):
-            loss_and_grad(np.zeros(arch.param_count), arch, shard)
+            plain_grad(np.zeros(arch.param_count), arch, shard)
+        with pytest.raises(ConfigurationError):
+            mean_loss(np.zeros(arch.param_count), arch, shard)
 
 
 class TestGradRegularized:
@@ -111,14 +127,14 @@ class TestGradRegularized:
     def test_anchor_identity(self):
         rng = np.random.default_rng(5)
         arch, params, shard = random_instance(rng)
-        _, plain = loss_and_grad(params, arch, shard)
+        plain = plain_grad(params, arch, shard)
         reg = grad_regularized(params[None], params[None].copy(), arch, [shard], rho=0.7)
         np.testing.assert_array_equal(reg[0], plain)
 
     def test_rho_zero_identity(self):
         rng = np.random.default_rng(6)
         arch, params, shard = random_instance(rng)
-        _, plain = loss_and_grad(params, arch, shard)
+        plain = plain_grad(params, arch, shard)
         reg = grad_regularized(params[None], params[None] + 1.0, arch, [shard], rho=0.0)
         np.testing.assert_array_equal(reg[0], plain)
 
@@ -130,8 +146,7 @@ class TestGradRegularized:
             rho = float(rng.uniform(0.01, 2.0))
 
             def objective(p):
-                loss, _ = loss_and_grad(p, arch, shard)
-                return loss + 0.5 * rho * np.sum((p - anchor) ** 2)
+                return mean_loss(p, arch, shard) + 0.5 * rho * np.sum((p - anchor) ** 2)
 
             grad = grad_regularized(params[None], anchor[None], arch, [shard], rho)[0]
             assert_grad_close(grad, fd_grad(objective, params))
@@ -162,7 +177,7 @@ class TestGradRegularized:
     def test_rows_match_their_own_call(self, kind, k, rho):
         # Every row has its own params, anchor and shard, as in a training block
         # of flights sent different gateway models. Each equals the K = 1 call
-        # on its own row, which equals loss_and_grad plus the proximal pull.
+        # on its own row, which equals the reference gradient plus the proximal pull.
         rng = np.random.default_rng(300 + k)
         arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5)
         n = 13
@@ -175,7 +190,7 @@ class TestGradRegularized:
         for r in range(k):
             alone = grad_regularized(params[r][None], anchors[r][None], arch, [shards[r]], rho)
             assert np.array_equal(grads[r], alone[0])
-            _, plain = loss_and_grad(params[r], arch, shards[r])
+            plain = reference_grad(params[r], arch, shards[r].features, shards[r].labels)
             expected = plain + rho * (params[r] - anchors[r]) if rho != 0.0 else plain
             assert np.array_equal(grads[r], expected)
 
@@ -208,7 +223,7 @@ class TestLocalTrain:
     def test_zero_lr_is_identity(self):
         arch, shard, start = self._setup()
         cfg = TrainConfig(gamma=0.0, rho=0.1, epochs=3, batch_size=4)
-        final = local_train_cohort(start[None], arch, [shard], cfg, [1])[0]
+        final = local_train(start[None], arch, [shard], cfg, [1])[0]
         np.testing.assert_array_equal(final, start)
 
     def test_two_full_batch_steps(self):
@@ -216,7 +231,7 @@ class TestLocalTrain:
         # the second step.
         arch, shard, start = self._setup(seed=2)
         cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=2, batch_size=shard.n)
-        final = local_train_cohort(start[None], arch, [shard], cfg, [9])[0]
+        final = local_train(start[None], arch, [shard], cfg, [9])[0]
         first = start - 0.05 * grad_regularized(start[None], start[None], arch, [shard], 0.2)[0]
         assert not np.array_equal(first, start)
         expected = first - 0.05 * grad_regularized(first[None], start[None], arch, [shard], 0.2)[0]
@@ -231,16 +246,14 @@ class TestLocalTrain:
         shard = Shard(centers + rng.normal(0, 0.3, (n, 2)), labels)
         start = init_params(arch, 1)
         cfg = TrainConfig(gamma=0.2, rho=0.0, epochs=5, batch_size=8)
-        final = local_train_cohort(start[None], arch, [shard], cfg, [3])[0]
-        loss0, _ = loss_and_grad(start, arch, shard)
-        loss1, _ = loss_and_grad(final, arch, shard)
-        assert loss1 < loss0
+        final = local_train(start[None], arch, [shard], cfg, [3])[0]
+        assert mean_loss(final, arch, shard) < mean_loss(start, arch, shard)
 
     def test_deterministic(self):
         arch, shard, start = self._setup(seed=4)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=2, batch_size=5)
-        a = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
-        b = local_train_cohort(start[None], arch, [shard], cfg, [5])[0]
+        a = local_train(start[None], arch, [shard], cfg, [5])[0]
+        b = local_train(start[None], arch, [shard], cfg, [5])[0]
         assert np.array_equal(a, b)
         reported = grad_regularized(a[None], start[None], arch, [shard], cfg.rho)
         again = grad_regularized(b[None], start[None], arch, [shard], cfg.rho)
@@ -249,7 +262,7 @@ class TestLocalTrain:
     def test_divergence_names_device(self):
         arch, shard, start = self._setup(seed=6)
         cfg = TrainConfig(gamma=1e12, rho=1.0, epochs=30, batch_size=4)
-        final = local_train_cohort(start[None], arch, [shard], cfg, [0])[0]
+        final = local_train(start[None], arch, [shard], cfg, [0])[0]
         with pytest.raises(NumericDivergenceError, match="device 17"):
             raise_if_diverged(final, "while training device 17")
 
@@ -269,7 +282,7 @@ class TestEvaluate:
         assert evaluate(params, arch, shard) == evaluate(params, arch, shard)
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
-    def test_matches_2d_log_softmax_and_loss_and_grad_bit_for_bit(self, kind):
+    def test_matches_2d_log_softmax_bit_for_bit(self, kind):
         rng = np.random.default_rng(21)
         for _ in range(200):
             arch, params, _ = random_instance(rng, kind)
@@ -279,7 +292,6 @@ class TestEvaluate:
             )
             acc, loss = evaluate(params, arch, test)
             assert (acc, loss) == reference_evaluate(params, arch, test)
-            assert loss == loss_and_grad(params, arch, test)[0]
 
     def test_uniform_loss_many_classes(self):
         k = 7
@@ -314,6 +326,22 @@ def reference_evaluate(params, arch, test):
     return acc, float(-logp[np.arange(test.n), test.labels].mean())
 
 
+def reference_grad(params, arch, x, y):
+    """Gradient of one model's mean cross-entropy on the batch (x, y), with 2-D arrays only."""
+    logits, h, w2 = reference_forward(params, arch, x)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    dlogits = probs / probs.sum(axis=1)[:, None]
+    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits /= len(y)
+    if arch.kind == "logistic":
+        return np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    dh = (dlogits @ w2.T) * (1.0 - h * h)
+    return np.concatenate([
+        (x.T @ dh).ravel(), dh.sum(axis=0), (h.T @ dlogits).ravel(), dlogits.sum(axis=0),
+    ])
+
+
 def reference_sgd(start, anchor, arch, shard, cfg, seed):
     """One device's SGD with 2-D arrays only: the unbatched loop the cohort trainer replaces."""
     rng = np.random.default_rng(seed)
@@ -322,22 +350,7 @@ def reference_sgd(start, anchor, arch, shard, cfg, seed):
         perm = rng.permutation(shard.n)
         for k in range(0, shard.n, cfg.batch_size):
             idx = np.sort(perm[k : k + cfg.batch_size])
-            x, y = shard.features[idx], shard.labels[idx]
-            logits, h, w2 = reference_forward(params, arch, x)
-            rows = np.arange(len(y))
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            probs = np.exp(shifted)
-            dlogits = probs / probs.sum(axis=1)[:, None]
-            dlogits[rows, y] -= 1.0
-            dlogits /= len(y)
-            if arch.kind == "logistic":
-                grad = np.concatenate([(x.T @ dlogits).ravel(), dlogits.sum(axis=0)])
-            else:
-                dh = (dlogits @ w2.T) * (1.0 - h * h)
-                grad = np.concatenate([
-                    (x.T @ dh).ravel(), dh.sum(axis=0),
-                    (h.T @ dlogits).ravel(), dlogits.sum(axis=0),
-                ])
+            grad = reference_grad(params, arch, shard.features[idx], shard.labels[idx])
             if cfg.rho != 0.0:
                 grad += cfg.rho * (params - anchor)
             params -= cfg.gamma * grad
@@ -370,10 +383,10 @@ class TestLocalTrainCohort:
     def test_rows_match_sequential(self, kind, k, cfg):
         n = 13  # not a multiple of either batch size: every epoch ends on a short batch
         arch, shards, seeds, start = self._cohort(kind, k, n, seed=k)
-        rows = local_train_cohort(_rows(start, k), arch, shards, cfg, seeds)
+        rows = local_train(_rows(start, k), arch, shards, cfg, seeds)
         assert rows.shape == (k, arch.param_count)
         for row, shard, seed in zip(rows, shards, seeds):
-            alone = local_train_cohort(start[None], arch, [shard], cfg, [seed])[0]
+            alone = local_train(start[None], arch, [shard], cfg, [seed])[0]
             assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_sgd(start, start, arch, shard, cfg, seed))
 
@@ -382,16 +395,16 @@ class TestLocalTrainCohort:
         bad = 2
         shards[bad] = Shard(shards[bad].features * 1e200, shards[bad].labels)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
-        rows = local_train_cohort(_rows(start, 5), arch, shards, cfg, seeds)
+        rows = local_train(_rows(start, 5), arch, shards, cfg, seeds)
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(rows[bad], "while training device 42")
-        alone = local_train_cohort(start[None], arch, [shards[bad]], cfg, [seeds[bad]])[0]
+        alone = local_train(start[None], arch, [shards[bad]], cfg, [seeds[bad]])[0]
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(alone, "while training device 42")
         for k in range(5):
             if k != bad:
                 raise_if_diverged(rows[k], f"while training device {k}")
-                alone = local_train_cohort(start[None], arch, [shards[k]], cfg, [seeds[k]])[0]
+                alone = local_train(start[None], arch, [shards[k]], cfg, [seeds[k]])[0]
                 assert np.array_equal(rows[k], alone)
 
     def test_unequal_shard_sizes_rejected(self):
@@ -399,7 +412,7 @@ class TestLocalTrainCohort:
         shards[1] = Shard(shards[1].features[:5], shards[1].labels[:5])
         cfg = TrainConfig(gamma=0.1, rho=0.0, epochs=1, batch_size=2)
         with pytest.raises(ConfigurationError, match="same number of samples"):
-            local_train_cohort(_rows(start, 2), arch, shards, cfg, seeds)
+            local_train(_rows(start, 2), arch, shards, cfg, seeds)
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("k", [1, 2, 8, 9])
@@ -409,10 +422,10 @@ class TestLocalTrainCohort:
         arch, shards, seeds, _ = self._cohort(kind, k, 13, seed=100 + k)
         starts = np.stack([init_params(arch, 200 + r) for r in range(k)])
         cfg = TrainConfig(gamma=0.1, rho=0.4, epochs=2, batch_size=5)
-        rows = local_train_cohort(starts, arch, shards, cfg, seeds)
+        rows = local_train(starts, arch, shards, cfg, seeds)
         assert len({r.tobytes() for r in starts}) == k
         for r in range(k):
-            alone = local_train_cohort(starts[r][None], arch, [shards[r]], cfg, [seeds[r]])[0]
+            alone = local_train(starts[r][None], arch, [shards[r]], cfg, [seeds[r]])[0]
             assert np.array_equal(rows[r], alone)
             expected = reference_sgd(starts[r], starts[r], arch, shards[r], cfg, seeds[r])
             assert np.array_equal(rows[r], expected)
@@ -425,7 +438,7 @@ class TestLocalTrainCohort:
             start[None],  # one row for three shards
         ]:
             with pytest.raises(ConfigurationError, match=r"must be \[3, "):
-                local_train_cohort(bad_start, arch, shards, cfg, seeds)
+                local_train(bad_start, arch, shards, cfg, seeds)
 
 
 def _rows(v, k):

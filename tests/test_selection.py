@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hfedsim.errors import ConfigurationError
 from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
     EXACT_SELECTION_LIMIT,
@@ -250,6 +251,43 @@ def adversarial_association_instance(rng, case):
         if rng.random() < 0.5:
             u *= rng.choice([-1.0, 1.0], n)
     return AssociationInstance(feasible=feasible, u=u, rates=rates, bandwidth=bandwidth, phi=phi)
+
+
+class TestInstanceValidation:
+    @pytest.mark.parametrize(
+        "bandwidth, kappa, tau, rate, message",
+        [
+            (0.0, 1.0, 1.0, 1.0, "bandwidth must be > 0 and kappa >= 0"),
+            (10.0, -0.5, 1.0, 1.0, "bandwidth must be > 0 and kappa >= 0"),
+            (10.0, 1.0, 0.0, 1.0, "device 7: tau and rate must be > 0"),
+            (10.0, 1.0, 1.0, -2.0, "device 7: tau and rate must be > 0"),
+        ],
+        ids=["bandwidth", "kappa", "tau", "rate"],
+    )
+    def test_selection_instance_rejects(self, bandwidth, kappa, tau, rate, message):
+        cands = [Candidate(3, u=1.0, tau=1.0, rate=1.0), Candidate(7, u=1.0, tau=tau, rate=rate)]
+        with pytest.raises(ConfigurationError, match=message):
+            SelectionInstance(cands, bandwidth=bandwidth, kappa=kappa)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(u=np.ones(2)), "shapes are inconsistent"),
+            (dict(rates=np.ones((3, 1))), "shapes are inconsistent"),
+            (dict(bandwidth=np.ones(3)), "shapes are inconsistent"),
+            (dict(bandwidth=np.array([5.0, 0.0])), "bandwidth must be > 0 and phi >= 0"),
+            (dict(phi=-0.1), "bandwidth must be > 0 and phi >= 0"),
+        ],
+        ids=["u", "rates", "bandwidth-shape", "bandwidth", "phi"],
+    )
+    def test_association_instance_rejects(self, change, message):
+        fields = dict(
+            feasible=np.ones((3, 2), dtype=np.int8), u=np.ones(3), rates=np.ones((3, 2)),
+            bandwidth=np.full(2, 5.0), phi=0.1,
+        )
+        AssociationInstance(**fields)
+        with pytest.raises(ConfigurationError, match=message):
+            AssociationInstance(**{**fields, **change})
 
 
 class TestSolveSelection:

@@ -16,8 +16,7 @@ from hfedsim.learning import (
     evaluate,
     grad_regularized,
     init_params,
-    local_train_cohort,
-    loss_and_grad,
+    local_train,
 )
 from hfedsim.network import FaultEvent, TopologySpec, gen_topology
 from hfedsim.simulator import (
@@ -108,8 +107,8 @@ class TestDegenerateHierarchy:
 
         params = init_params(arch, 3)
         for _ in range(20):
-            _, grad = loss_and_grad(params, arch, dataset.shards[0])
-            params = params - 0.05 * grad
+            grad = grad_regularized(params[None], params[None], arch, dataset.shards[:1], 0.0)
+            params = params - 0.05 * grad[0]
         np.testing.assert_array_equal(result.final_params, params)
 
 
@@ -314,6 +313,24 @@ class TestModesRun:
         assert result.stop_reason == "time_budget"
 
 
+BAD_SETTINGS = [
+    (dict(staleness_exp=-0.5), "staleness_exp must be >= 0"),
+    (dict(gateway_epochs=0), "gateway_epochs and cloud_epochs must be >= 1"),
+    (dict(cloud_epochs=0), "gateway_epochs and cloud_epochs must be >= 1"),
+    (dict(kappa=-1.0), "kappa and phi must be >= 0"),
+    (dict(phi=-0.1), "kappa and phi must be >= 0"),
+    (dict(assoc_period=0), "assoc_period must be >= 1"),
+    (dict(mode="async-sched", pca_dim=0), r"pca_dim must be in \[1, model dimension\]"),
+    # The logistic model of small_config has 3 * 4 + 4 = 16 parameters.
+    (dict(mode="async-sched", pca_dim=17), r"pca_dim must be in \[1, model dimension\]"),
+    (dict(semi_window=0.0), "semi_window must be > 0"),
+    (dict(eval_every=0.0), "eval_every and time_budget must be > 0"),
+    (dict(time_budget=-1.0), "eval_every and time_budget must be > 0"),
+    (dict(alpha_ema=0.0), r"alpha_ema must be in \(0, 1\]"),
+    (dict(alpha_ema=1.5), r"alpha_ema must be in \(0, 1\]"),
+]
+
+
 class TestValidation:
     def test_one_device_utility_run_ends_done(self):
         # Its one warmup gradient fits no compressor, so the run stays uncompressed.
@@ -350,6 +367,38 @@ class TestValidation:
         cfg = small_config()
         cfg.alpha = 1.5
         with pytest.raises(ConfigurationError):
+            run(cfg)
+
+    @pytest.mark.parametrize("overrides, message", BAD_SETTINGS, ids=[
+        "-".join(f"{k}={v}" for k, v in overrides.items()) for overrides, _ in BAD_SETTINGS
+    ])
+    def test_rejects_each_bad_setting(self, overrides, message):
+        cfg = small_config(**overrides)
+        with pytest.raises(ConfigurationError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("where", ["train", "test"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: Shard(s.features[:, :2], s.labels), "input_dim does not match"),
+            (lambda s: Shard(s.features, np.where(s.labels == s.labels[0], -1, s.labels)),
+             r"labels must be in \[0, num_classes\)"),
+            (lambda s: Shard(s.features, np.where(s.labels == s.labels[0], 4, s.labels)),
+             r"labels must be in \[0, num_classes\)"),
+        ],
+        ids=["input-dim", "negative-label", "label-past-classes"],
+    )
+    def test_rejects_each_bad_shard_before_the_run(self, where, edit, message):
+        # Unchecked, a negative training label trains on the last class's
+        # one-hot, a negative test label gives a wrong accuracy, and a test
+        # label >= num_classes raises IndexError mid-run.
+        cfg = small_config(mode="sync-random", seed=1)
+        if where == "train":
+            cfg.dataset.shards[2] = edit(cfg.dataset.shards[2])
+        else:
+            cfg.dataset.test = edit(cfg.dataset.test)
+        with pytest.raises(ConfigurationError, match=message):
             run(cfg)
 
 
@@ -493,7 +542,7 @@ def _spy_non_finite_rows(monkeypatch) -> tuple[list[bool], list[bool]]:
     train_rows, grad_rows = [], []
 
     def train_spy(start, arch, shards, train, seeds):
-        rows = local_train_cohort(start, arch, shards, train, seeds)
+        rows = local_train(start, arch, shards, train, seeds)
         train_rows.extend(not np.isfinite(row).all() for row in rows)
         return rows
 
@@ -501,7 +550,7 @@ def _spy_non_finite_rows(monkeypatch) -> tuple[list[bool], list[bool]]:
         grad_rows.extend(not np.isfinite(row).all() for row in params)
         return grad_regularized(params, anchors, arch, shards, rho)
 
-    monkeypatch.setattr(simulator, "local_train_cohort", train_spy)
+    monkeypatch.setattr(simulator, "local_train", train_spy)
     monkeypatch.setattr(simulator, "grad_regularized", grad_spy)
     return train_rows, grad_rows
 
@@ -526,9 +575,9 @@ class TestCohortTraining:
 
         def spy(start, arch, shards, cfg, seeds):
             sizes.append(len(shards))
-            return local_train_cohort(start, arch, shards, cfg, seeds)
+            return local_train(start, arch, shards, cfg, seeds)
 
-        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        monkeypatch.setattr(simulator, "local_train", spy)
         batched = _outputs(make_cfg())
         assert max(sizes) >= least_block
         sizes.clear()
@@ -608,7 +657,7 @@ class TestCohortTraining:
 
         def spy(start, arch, shards, train, seeds):
             seeds_trained.extend(seeds)
-            return local_train_cohort(start, arch, shards, train, seeds)
+            return local_train(start, arch, shards, train, seeds)
 
         drops = []
         on_fault = simulator._Simulation.on_fault_timer
@@ -622,7 +671,7 @@ class TestCohortTraining:
                 drops.append((i, state, len(self.transfers)))
             on_fault(self, fault)
 
-        monkeypatch.setattr(simulator, "local_train_cohort", spy)
+        monkeypatch.setattr(simulator, "local_train", spy)
         monkeypatch.setattr(simulator._Simulation, "on_fault_timer", spy_fault)
         result = sim.run()
         assert result.stop_reason == "done"
