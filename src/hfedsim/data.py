@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -165,6 +166,8 @@ def _read_shard_file(path: Path, dim: int, num_classes: int) -> Shard:
                 label = int(row[-1])
             except ValueError as exc:
                 raise DatasetFormatError(f"{path.name} line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, feats[-1])):
+                raise DatasetFormatError(f"{path.name} line {lineno}: non-finite feature")
             if not 0 <= label < num_classes:
                 raise DatasetFormatError(
                     f"{path.name} line {lineno}: label {label} outside [0, {num_classes})"
@@ -207,6 +210,10 @@ def load_shards(path: str | Path) -> FederatedDataset:
         class_map = [sorted(set(s.labels.tolist())) for s in shards]
     else:
         class_map = [[int(c) for c in entry] for entry in class_map]
+        if len(class_map) != len(shards):
+            raise DatasetFormatError(
+                f"{p.name}: class_map has {len(class_map)} entries for {len(shards)} devices"
+            )
         for i, (shard, allowed) in enumerate(zip(shards, class_map)):
             extra = set(shard.labels.tolist()) - set(allowed)
             if extra:

@@ -19,6 +19,7 @@ constants. Bandwidth is enforced by the schedulers, not by queueing.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, DatasetFormatError
 
 FAULT_ACTIONS = ("drop", "restore", "slowdown")
+CLOUD_GATEWAY_DELAY = 0.5  # seconds each way between a gateway and the cloud
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,12 @@ class DelayParams:
     sigma: float = 0.0
 
     def __post_init__(self):
-        if min(self.mean_down, self.mean_comp, self.mean_up) <= 0:
-            raise ConfigurationError("delay means must be > 0")
-        if self.sigma < 0:
-            raise ConfigurationError("sigma must be >= 0")
+        # Chained comparisons, so that NaN fails them as inf does.
+        inf = math.inf
+        if not (0 < self.mean_down < inf and 0 < self.mean_comp < inf and 0 < self.mean_up < inf):
+            raise ConfigurationError("delay means must be finite and > 0")
+        if not 0 <= self.sigma < inf:
+            raise ConfigurationError("sigma must be finite and >= 0")
 
     @property
     def mean_total(self) -> float:
@@ -82,10 +86,10 @@ class FaultEvent:
     def __post_init__(self):
         if self.action not in FAULT_ACTIONS:
             raise ConfigurationError(f"unknown fault action {self.action!r}")
-        if self.action == "slowdown" and self.factor <= 0:
-            raise ConfigurationError("slowdown factor must be > 0")
-        if self.time < 0:
-            raise ConfigurationError("fault time must be >= 0")
+        if not math.isfinite(self.factor) or (self.action == "slowdown" and self.factor <= 0):
+            raise ConfigurationError("fault factor must be finite, and > 0 for a slowdown")
+        if not 0 <= self.time < math.inf:
+            raise ConfigurationError("fault time must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +101,19 @@ class Topology:
     link_params: dict[tuple[int, int], DelayParams]  # per reachable (device, gateway)
     bandwidth: np.ndarray  # [G] bytes/s
     model_bytes: int
-    cloud_gateway_delay: float = 0.5
+    cloud_gateway_delay: float = CLOUD_GATEWAY_DELAY
     faults: list[FaultEvent] = field(default_factory=list)
     feasible: np.ndarray = field(init=False)  # J [N, G], read-only: 1 where a link exists
 
     def __post_init__(self):
         n, g = self.num_devices, self.num_gateways
-        if self.bandwidth.shape != (g,) or np.any(self.bandwidth <= 0):
-            raise ConfigurationError("bandwidth must be positive per gateway")
+        cap = self.bandwidth
+        if cap.shape != (g,) or not np.all((cap > 0) & (cap < np.inf)):
+            raise ConfigurationError("bandwidth must be finite and positive per gateway")
         if self.model_bytes <= 0:
             raise ConfigurationError("model_size must be > 0 bytes")
-        if self.cloud_gateway_delay < 0:
-            raise ConfigurationError("cloud_gateway_delay must be >= 0")
+        if not 0 <= self.cloud_gateway_delay < math.inf:
+            raise ConfigurationError("cloud_gateway_delay must be finite and >= 0")
         feasible = np.zeros((n, g), dtype=np.int8)
         comp: dict[int, float] = {}
         for (i, j), p in self.link_params.items():
@@ -189,7 +194,7 @@ def topology_from_json(doc: dict) -> Topology:
             link_params=link_params,
             bandwidth=bandwidth,
             model_bytes=model_bytes,
-            cloud_gateway_delay=float(doc.get("cloud_gateway_delay", 0.5)),
+            cloud_gateway_delay=float(doc.get("cloud_gateway_delay", CLOUD_GATEWAY_DELAY)),
             faults=sorted(faults, key=lambda f: f.time),
         )
     except KeyError as exc:
@@ -211,6 +216,13 @@ def load_topology(path: str | Path) -> Topology:
 
 # -- generator ----------------------------------------------------------------
 
+# Mean delays of a generated link, in seconds, before its device's multiplier
+# (and, for the down- and uplink, its distance) scales them.
+GEN_DOWN = 2.0
+GEN_UP = 4.0
+GEN_COMP = 10.0
+GEN_JITTER_SIGMA = 1.0  # per-round log-normal shape on every segment
+
 
 @dataclass(frozen=True)
 class TopologySpec:
@@ -219,21 +231,14 @@ class TopologySpec:
     num_devices: int
     num_gateways: int
     model_bytes: int
-    base_down: float = 2.0
-    base_up: float = 4.0
-    base_comp: float = 10.0
-    jitter_sigma: float = 1.0  # per-round log-normal shape on every segment
     het_sigma: float = 0.5  # spread of per-device mean multipliers
     bandwidth_frac: float = 0.5  # gateway cap as a fraction of its candidates' total rate
-    cloud_gateway_delay: float = 0.5
 
     def __post_init__(self):
         if self.num_devices < 1 or self.num_gateways < 1:
             raise ConfigurationError("need >= 1 device and >= 1 gateway")
         if self.model_bytes < 1:
             raise ConfigurationError("model_bytes must be >= 1")
-        if min(self.base_down, self.base_up, self.base_comp) <= 0:
-            raise ConfigurationError("base delays must be > 0")
         if not 0 < self.bandwidth_frac <= 1:
             raise ConfigurationError("bandwidth_frac must be in (0, 1]")
 
@@ -249,7 +254,7 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
     comp_het = rng.lognormal(0.0, spec.het_sigma, n)
 
     link_params = {}
-    comp = (spec.base_comp * comp_het).tolist()
+    comp = (GEN_COMP * comp_het).tolist()
     rates: list[list[float]] = [[] for _ in range(g)]  # per gateway, in device order
     for i in range(n):
         dist = np.linalg.norm(gw_pos - dev_pos[i], axis=1)
@@ -258,10 +263,10 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
             j = int(j)
             scale = float(link_het[i] * (0.5 + dist[j]))
             p = link_params[(i, j)] = DelayParams(
-                mean_down=spec.base_down * scale,
+                mean_down=GEN_DOWN * scale,
                 mean_comp=comp[i],
-                mean_up=spec.base_up * scale,
-                sigma=spec.jitter_sigma,
+                mean_up=GEN_UP * scale,
+                sigma=GEN_JITTER_SIGMA,
             )
             rates[j].append(est_rate(spec.model_bytes, p.mean_total))
     # Guard: a gateway with no candidate devices keeps a token positive cap.
@@ -273,5 +278,4 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
         link_params=link_params,
         bandwidth=bandwidth,
         model_bytes=spec.model_bytes,
-        cloud_gateway_delay=spec.cloud_gateway_delay,
     )

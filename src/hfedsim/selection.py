@@ -12,20 +12,12 @@ exhaustive oracles that check the exact solvers live with the tests.
 
 The heuristic's local search moves one device at a time and accepts a move
 only if the objective, summed afresh over the two gateways it touches, beats
-the best so far. Most moves cannot, and a bound says so without re-summing.
-The untouched gateways keep their sums: the three lowest utility sums hold
-the lowest untouched one, and the three highest rate sums the highest
-untouched one. For the two touched gateways the cached sum, plus or minus the
-moved device's term, is widened by a margin, 8 (n + 2) eps times the sum of
-all terms' magnitudes. A sum of at most n terms, added in order, lies within
-n eps / 2 of that magnitude sum of its exact value, so the cached sum and the
-fresh one differ from the exact values by less than the margin with room for
-the rounding of the bound itself. The fresh minimum utility sum is therefore
-at most the bound `ub_u`, and the fresh maximum rate sum at least `lb_r`.
-Float multiplication by phi >= 0 and subtraction round monotonically, so
-the move's objective is at most `ub_u - phi * lb_r` as computed: a move with
-that bound <= best would not have been accepted, and skipping it changes no
-result.
+the best so far. It keeps `lo`, the gateway with the lowest utility sum, and
+`hi`, the one with the highest rate sum. A move that touches neither copies
+`sums_u[lo]` and `sums_r[hi]` unchanged, so its minimum utility sum is at most
+`best`'s and its maximum rate sum at least `best`'s. Float min, max, product
+with phi >= 0 and subtraction are monotone, so the move cannot beat `best`,
+and it is skipped without re-summing.
 """
 
 from __future__ import annotations
@@ -267,8 +259,7 @@ def _gateway_sums(
 def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     n, g = inst.shape
     u = inst.u.tolist()
-    ratios = inst.rates / inst.bandwidth[None, :]
-    ratio = ratios.tolist()
+    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
     options = _options(inst)
 
     # Construction: every device joins the feasible gateway with the lowest
@@ -296,15 +287,10 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
             members[j].append(i)
     for j in range(g):
         sums_u[j], sums_r[j] = _gateway_sums(members[j], j, u, ratio)
-    # A trial move is bounded from the cached sums before it is re-summed,
-    # and skipped when its bound cannot beat `best` (see the module docstring).
-    eps = np.finfo(float).eps
-    margin_u = 8 * (n + 2) * eps * float(np.abs(inst.u).sum())
-    margin_r = 8 * (n + 2) * eps * float(np.abs(ratios[inst.feasible != 0]).sum())
-    # At most two gateways are touched, so among the three lowest utility
-    # sums and the three highest rate sums is the extreme of the untouched ones.
-    low_u = sorted(range(g), key=sums_u.__getitem__)[:3]
-    high_r = sorted(range(g), key=sums_r.__getitem__, reverse=True)[:3]
+    # A move that touches neither `lo` nor `hi` cannot beat `best` (see the
+    # module docstring).
+    lo = min(range(g), key=sums_u.__getitem__)
+    hi = max(range(g), key=sums_r.__getitem__)
     best = min(sums_u) - inst.phi * max(sums_r)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
@@ -315,17 +301,7 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
             for j in options[i]:
                 if j == here:
                     continue
-                ub_u = min(
-                    next((sums_u[k] for k in low_u if k != here and k != j), np.inf),
-                    sums_u[here] - u[i] + margin_u,
-                    sums_u[j] + u[i] + margin_u,
-                )
-                lb_r = max(
-                    next((sums_r[k] for k in high_r if k != here and k != j), -np.inf),
-                    sums_r[here] - ratio[i][here] - margin_r,
-                    sums_r[j] + ratio[i][j] - margin_r,
-                )
-                if ub_u - inst.phi * lb_r <= best:
+                if lo != here and lo != j and hi != here and hi != j:
                     continue
                 cand_u, cand_r = sums_u.copy(), sums_r.copy()
                 left = [k for k in members[here] if k != i]
@@ -339,8 +315,8 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
                     best, sums_u, sums_r = cand, cand_u, cand_r
                     assign[i] = here = j
                     improved = True
-                    low_u = sorted(range(g), key=sums_u.__getitem__)[:3]
-                    high_r = sorted(range(g), key=sums_r.__getitem__, reverse=True)[:3]
+                    lo = min(range(g), key=sums_u.__getitem__)
+                    hi = max(range(g), key=sums_r.__getitem__)
         if not improved:
             break
     return assign

@@ -66,9 +66,11 @@ consecutive heap entries, and the only events due at that instant that come
 before them are fault timers (scheduled first) and, with no cloud delay, the
 first evaluation. A barrier or window gateway would spin through empty rounds
 while other sweeps are out, so `Policy` allows a warmup selector only on an
-async gateway. `_start_round` closes an empty barrier round itself rather
-than through `_flight_ended`, because there a gateway with no members would
-end the warmup before the other gateways had swept.
+async gateway. A barrier round closes once none of its gateway's flights is in
+the air (`_round_landed`), also when a cloud model arrives mid-round.
+`_start_round` reads that test itself rather than through `_flight_ended`,
+because there a gateway with no members would end the warmup before the other
+gateways had swept.
 
 Latency estimate. Selection and association rate a (device, gateway) link by
 its round-latency estimate: the link's configured mean until the device's
@@ -706,15 +708,20 @@ class _Simulation:
     def _start_round(self, gw: GatewayState) -> None:
         """Select and dispatch against the gateway's current model.
 
-        A window round closes on its timer; a barrier round once its last
-        flight has ended, at once if nothing was selected.
+        A window round closes on its timer; a barrier round once none of its
+        gateway's flights is in the air, at once if none is after the dispatch.
         """
-        ids = self.select_devices(gw)
-        self.dispatch(gw, ids)
+        self.dispatch(gw, self.select_devices(gw))
         if self.policy.gateway == "window":
             self.schedule(self.cfg.semi_window, self.on_window_timer, gw, gw.version)
-        elif self.policy.gateway == "barrier" and not ids:
+        elif self._round_landed(gw):
             self._close_round(gw)
+
+    def _round_landed(self, gw: GatewayState) -> bool:
+        """Whether a barrier round closes now: none of its gateway's flights is in the air."""
+        return self.policy.gateway == "barrier" and not any(
+            f.gateway == gw.id for f in self.flights.values()
+        )
 
     def _flight_ended(self, gw: GatewayState) -> None:
         """The one place a flight ends, once its upload or drop has removed it.
@@ -724,9 +731,7 @@ class _Simulation:
         """
         if not self.warmup_done and not self.flights:
             self.finish_warmup()
-        if self.policy.gateway == "barrier" and not any(
-            f.gateway == gw.id for f in self.flights.values()
-        ):
+        if self._round_landed(gw):
             self._close_round(gw)
 
     def _close_round(self, gw: GatewayState) -> None:

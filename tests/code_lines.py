@@ -1,4 +1,5 @@
-"""Code lines of each module under `src/hfedsim`, and their total.
+"""Code lines of each module under `src/hfedsim`, their total, and the field
+count of each record a caller configures a run with.
 
 Run from the repository root:
 
@@ -13,6 +14,8 @@ a line with code and a trailing comment does. The file is not named
 from __future__ import annotations
 
 import ast
+import dataclasses
+import importlib
 import io
 import sys
 import tokenize
@@ -23,6 +26,10 @@ NON_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
     tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER,
 }
+RECORDS = [
+    ("simulator", "SimConfig"), ("network", "TopologySpec"), ("data", "DataSpec"),
+    ("learning", "TrainConfig"), ("learning", "ModelArch"), ("simulator", "Policy"),
+]
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -55,6 +62,10 @@ def main() -> int:
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    sys.path.insert(0, str(PACKAGE.parent))
+    for module, name in RECORDS:
+        record = getattr(importlib.import_module(f"hfedsim.{module}"), name)
+        print(f"{len(dataclasses.fields(record)):6d}  {name} fields")
     return 0
 
 

@@ -155,6 +155,31 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match=r"device_0\.csv line 3"):
             load_shards(manifest)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        manifest, _ = self._saved(tmp_path)
+        target = tmp_path / "device_1.csv"
+        lines = target.read_text().splitlines()
+        parts = lines[2].split(",")
+        parts[1] = value
+        lines[2] = ",".join(parts)
+        target.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=r"device_1\.csv line 3: non-finite feature"):
+            load_shards(manifest)
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_class_map_needs_one_entry_per_device(self, tmp_path, entries):
+        # zip() would stop at the shorter list and check no more.
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["class_map"] = (data["class_map"] * 2)[:entries]
+        manifest.write_text(json.dumps(data))
+        message = f"class_map has {entries} entries for 2 devices"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
     def test_empty_device_list(self, tmp_path):
         manifest, _ = self._saved(tmp_path)
         import json

@@ -162,6 +162,14 @@ def _one_capped_gateway():
     )
 
 
+def _everyone_dropped_and_restored(mode):
+    """All three devices drop at 1 s and are restored at 5 s (ROADMAP item 13)."""
+    faults = [FaultEvent(t, i, action) for t, action in ((1.0, "drop"), (5.0, "restore"))
+              for i in range(3)]
+    topo = uniform_topology(3, 1, sigma=0.5, faults=faults)
+    return small_config(mode=mode, n=3, g=1, seed=1, topology=topo)
+
+
 CASES = {
     **{name: SCENARIOS[name] for name in (
         "async-random/drop-pending-assoc",
@@ -173,10 +181,24 @@ CASES = {
         *(f"{mode}/faults-refresh" for mode in MODES),
     )},
     "async-sched/one-capped-gateway": _one_capped_gateway,
+    **{f"{mode}/everyone-dropped-and-restored": lambda m=mode: _everyone_dropped_and_restored(m)
+       for mode in ("async-random", "async-sched", "sync-random")},
 }
+# ROADMAP item 13: a restore gives its device no gateway, and an async mode runs
+# no association until a cloud aggregation, so with every device restored and
+# nothing in the air the run stalls at h=0.
+RESTORE_STALLS = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="a restored device has no gateway (item 13)"
+)
 
 
-@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=RESTORE_STALLS)
+    if name in ("async-random/everyone-dropped-and-restored",
+                "async-sched/everyone-dropped-and-restored")
+    else name
+    for name in CASES
+])
 def test_run_keeps_the_invariants(name):
     check_run(CASES[name])
 

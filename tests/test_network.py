@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,64 @@ class TestTopologyIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="not found"):
             load_topology(tmp_path / "none.json")
+
+
+class TestNonFiniteInputs:
+    """NaN passes every `<= 0` check and inf every `> 0` one, so each field asks for finite."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["mean_down", "mean_comp", "mean_up"])
+    def test_delay_means(self, field, bad):
+        means = {"mean_down": 1.0, "mean_comp": 1.0, "mean_up": 1.0, field: bad}
+        with pytest.raises(ConfigurationError, match="delay means must be finite"):
+            DelayParams(**means)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_delay_sigma(self, bad):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            DelayParams(1.0, 1.0, 1.0, bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_topology_bandwidth(self, bad):
+        with pytest.raises(ConfigurationError, match="bandwidth must be finite"):
+            uniform_topology(3, 2, bandwidth=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_topology_cloud_gateway_delay(self, bad):
+        with pytest.raises(ConfigurationError, match="cloud_gateway_delay must be finite"):
+            uniform_topology(3, 2, cloud_gateway_delay=bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fault_time(self, bad):
+        with pytest.raises(ConfigurationError, match="fault time must be finite"):
+            FaultEvent(bad, 0, "drop")
+
+    @pytest.mark.parametrize("action", ["slowdown", "drop"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fault_factor(self, bad, action):
+        with pytest.raises(ConfigurationError, match="fault factor must be finite"):
+            FaultEvent(1.0, 0, action, bad)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["B"].__setitem__(0, "nan"),
+            lambda doc: doc.__setitem__("cloud_gateway_delay", "inf"),
+            lambda doc: doc["links"][0].__setitem__("mean_up", "nan"),
+            lambda doc: doc["devices"][0].__setitem__("mean_comp", "inf"),
+            lambda doc: doc["links"][0].__setitem__("sigma", "nan"),
+            lambda doc: doc["faults"][0].__setitem__("t", "inf"),
+            lambda doc: doc["faults"][0].__setitem__("factor", "nan"),
+        ],
+        ids=["B", "cloud_gateway_delay", "mean_up", "mean_comp", "sigma", "t", "factor"],
+    )
+    def test_loaded_file(self, tmp_path, edit):
+        doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
+        edit(doc)
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match="invalid topology file.*finite"):
+            load_topology(path)
 
 
 class TestGenTopology:

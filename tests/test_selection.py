@@ -225,13 +225,15 @@ def oracle_association_instance(rng):
 
 
 def adversarial_association_instance(rng, case):
-    """Instances at the edges of the heuristic's move bound (see the `selection` docstring).
+    """Instances at the edges of the heuristic's move skip (see the `selection` docstring).
 
     exact-ties: all-equal utilities, integer rates and equal caps, so many
-    moves tie `best` exactly. phi-extremes: phi 0 (rates ignored) or 1e3
-    (rates dominate). wide-range: utilities from 1e-12 to 1e12 in magnitude,
-    where the float margin is far wider than most terms. two-gateways: every
-    move touches both gateways, so none is left untouched.
+    moves tie `best` exactly, and the lowest utility or highest rate sum is
+    often shared by several gateways. phi-extremes: phi 0 (rates ignored) or
+    1e3 (rates dominate). wide-range: utilities from 1e-12 to 1e12 in
+    magnitude, where a re-summed gateway can round far from its cached sum
+    plus or minus the moved term. two-gateways: every move touches both
+    gateways, so none is skipped.
     """
     n = int(rng.integers(2, 41))
     g = 2 if case == "two-gateways" else int(rng.integers(2, 9))
@@ -455,8 +457,9 @@ class TestSolveAssociation:
         "case", ["exact-ties", "phi-extremes", "wide-range", "two-gateways"]
     )
     def test_heuristic_matches_reference_on_adversarial_instances(self, case):
-        # The heuristic skips moves that its bound says cannot improve; the
-        # reference re-sums every move. They must agree move for move.
+        # The heuristic skips moves that touch neither its lowest utility sum
+        # nor its highest rate sum; the reference re-sums every move. They must
+        # agree move for move.
         rng = np.random.default_rng(206)
         for _ in range(150):
             inst = adversarial_association_instance(rng, case)

@@ -424,6 +424,18 @@ class TestPolicies:
         assert result.stop_reason == "done"
         assert result.cloud_epochs_done == 12
         assert not np.array_equal(result.final_params, init_params(cfg.arch, cfg.seed))
+        if gateway == "barrier":
+            # A barrier round closes only once none of its gateway's flights is
+            # in the air, so a gateway never uploads while one of its devices
+            # has a dispatch without an upload (no fault voids one here).
+            in_air = {f"gw{j}": set() for j in range(cfg.topology.num_gateways)}
+            for t in result.transfers:
+                if t.kind == "dispatch":
+                    in_air[t.src].add(t.dst)
+                elif t.kind == "device_upload":
+                    in_air[t.dst].remove(t.src)
+                elif t.kind == "gateway_upload":
+                    assert not in_air[t.src], f"{t.src} uploaded at t={t.time} mid-round"
 
     @pytest.mark.parametrize(
         "axes", [("sync", "reply", "random"), ("async", "gossip", "random"),
