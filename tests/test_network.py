@@ -284,21 +284,24 @@ class TestNonFiniteInputs:
             FaultEvent(1.0, 0, action, bad)
 
     @pytest.mark.parametrize(
-        "edit",
+        "where, value",
         [
-            lambda doc: doc["B"].__setitem__(0, "nan"),
-            lambda doc: doc.__setitem__("cloud_gateway_delay", "inf"),
-            lambda doc: doc["links"][0].__setitem__("mean_up", "nan"),
-            lambda doc: doc["devices"][0].__setitem__("mean_comp", "inf"),
-            lambda doc: doc["links"][0].__setitem__("sigma", "nan"),
-            lambda doc: doc["faults"][0].__setitem__("t", "inf"),
-            lambda doc: doc["faults"][0].__setitem__("factor", "nan"),
+            (("B", 0), "nan"),
+            (("cloud_gateway_delay",), "inf"),
+            (("links", 0, "mean_up"), "nan"),
+            (("devices", 0, "mean_comp"), "inf"),
+            (("links", 0, "sigma"), "nan"),
+            (("faults", 0, "t"), "inf"),
+            (("faults", 0, "factor"), "nan"),
         ],
-        ids=["B", "cloud_gateway_delay", "mean_up", "mean_comp", "sigma", "t", "factor"],
+        ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else v,
     )
-    def test_loaded_file(self, tmp_path, edit):
+    def test_loaded_file(self, tmp_path, where, value):
         doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
-        edit(doc)
+        entry = doc
+        for key in where[:-1]:
+            entry = entry[key]
+        entry[where[-1]] = value
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match="invalid topology file.*finite"):
