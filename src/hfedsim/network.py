@@ -241,6 +241,8 @@ class TopologySpec:
             raise ConfigurationError("model_bytes must be >= 1")
         if not 0 < self.bandwidth_frac <= 1:
             raise ConfigurationError("bandwidth_frac must be in (0, 1]")
+        if not 0 <= self.het_sigma < math.inf:
+            raise ConfigurationError("het_sigma must be finite and >= 0")
 
 
 def gen_topology(spec: TopologySpec, seed: int) -> Topology:

@@ -2,8 +2,9 @@
 
 A device's utility combines how well its latest gradient aligns with the
 averaged gradient of the cohort (affinity) and how much it disagrees with the
-other devices pairwise (diversity). Both terms are plain dot products, so the
-whole computation reduces to one Gram matrix.
+other devices pairwise (diversity). Both terms are sums of plain dot products,
+and each sum runs through the column sum of the gradients, so a refresh costs
+O(m·p) for m devices of p coordinates, with no m × m Gram matrix.
 """
 
 from __future__ import annotations
@@ -30,19 +31,28 @@ class PcaModel:
 
 
 def learning_utility(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-device utility u = eta + nu of the gradients in the rows of `g` [m, d].
+    """Per-device utility u = eta + nu of the gradients in the rows of `g` [m, p].
 
     eta_i is the dot product of gradient i with the cohort mean gradient;
     nu_i is minus the average dot product with every other device's gradient.
     Returns the arrays (u, eta, nu), each [m], in row order.
+
+    Both come from the row sums of the Gram matrix, taken without building it:
+    sum_j g_i·g_j = g_i·S with S = sum_j g_j, and the term j = i is |g_i|^2.
+    That is O(m·p) time and memory. It rounds differently from summing a row
+    of `g @ g.T`. Both err by at most (m + p)·eps·sum_j |g_i|·|g_j|, with
+    absolute values taken elementwise (tests/test_utility.py checks this
+    against exact arithmetic), but the utilities are not bitwise those of the
+    Gram form. The contract is that no scheduling decision flips on the
+    committed scenarios: the golden traces and `tests/harness_digests.py`
+    give the same digests under either form.
     """
     n = len(g)
     if n < 2:
         raise ConfigurationError("learning utility needs >= 2 devices")
-    gram = g @ g.T
-    row_sums = gram.sum(axis=1)
+    row_sums = g @ g.sum(axis=0)
     eta = row_sums / n
-    nu = -(row_sums - np.diag(gram)) / (n - 1)
+    nu = -(row_sums - np.einsum("ij,ij->i", g, g)) / (n - 1)
     return eta + nu, eta, nu
 
 
@@ -61,7 +71,10 @@ def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:
             f"PCA dim {p} must be in [1, min(n_vectors={len(warmup_grads)}, d={d})]"
         )
     mean = g.mean(axis=0)
-    _, _, vt = np.linalg.svd(g - mean, full_matrices=False)
+    # Centred in place: `g` is a fresh stack, and a second [n, d] copy beside it
+    # would raise the memory peak of an async-sched run, which falls at this SVD.
+    g -= mean
+    _, _, vt = np.linalg.svd(g, full_matrices=False)
     components = vt[:p].copy()
     for row in components:
         pivot = np.argmax(np.abs(row))

@@ -10,7 +10,12 @@ the `perfbench/workloads.py` workloads (cohort-sync, stream-faults and
 sched-scale), seeds 1-3 by every replica: 36 runs, about a minute. A change
 that must keep traces byte-identical runs this in the parent's checkout and in
 its own, and the two outputs must be equal. Options: `--seeds` and
-`--workloads` narrow the set.
+`--workloads` narrow the set. `--against FILE` compares this run's digests
+with a previous run's output (made with the same `--seeds` and `--workloads`):
+it names on stderr each digest that differs or is in only one of the two, and
+exits 1 if there is any.
+
+    python tests/harness_digests.py --against parent-digests.json > digests.json
 
 The file is not named `test_*.py`, so pytest does not collect it. It reads
 `perfbench/workloads.py` and changes nothing there.
@@ -27,11 +32,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def compare(digests: dict, previous: dict) -> list[str]:
+    """One line per digest that differs between two runs or is in only one."""
+    lines = []
+    for key in sorted(digests.keys() | previous.keys()):
+        if key not in previous:
+            lines.append(f"missing: {key} (not in the previous run)")
+        elif key not in digests:
+            lines.append(f"missing: {key} (not in this run)")
+        elif digests[key] != previous[key]:
+            lines.append(f"differs: {key}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--workloads", nargs="+")
+    ap.add_argument("--against", type=Path, metavar="FILE")
     args = ap.parse_args(argv)
+    # Read first, so that a bad path fails before the minute of runs.
+    previous = json.loads(args.against.read_text()) if args.against else None
 
     # The benchmark's BLAS setting, fixed before numpy loads.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -50,7 +71,14 @@ def main(argv=None) -> int:
                 digests[f"{name}/seed{seed}/replica{replica}"] = digest(run(cfg))
     json.dump(digests, sys.stdout, indent=1)
     print()
-    return 0
+    if previous is None:
+        return 0
+    differences = compare(digests, previous)
+    for line in differences:
+        print(line, file=sys.stderr)
+    total = len(digests.keys() | previous.keys())
+    print(f"{total - len(differences)} of {total} digests equal {args.against}", file=sys.stderr)
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":

@@ -334,6 +334,11 @@ class TestGenTopology:
         )
         np.testing.assert_allclose(half.bandwidth, full.bandwidth / 2)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_het_sigma_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ConfigurationError, match="het_sigma must be finite"):
+            TopologySpec(num_devices=10, num_gateways=2, model_bytes=1000, het_sigma=bad)
+
 
 @pytest.mark.parametrize(
     "build",

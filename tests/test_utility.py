@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +94,43 @@ class TestLearningUtility:
         scaled, _, _ = utilities([c * v for v in vs])
         np.testing.assert_allclose(scaled, c * c * base, rtol=1e-9, atol=1e-12)
         assert np.array_equal(np.argsort(base), np.argsort(scaled))
+
+    @pytest.mark.parametrize("offset", ["none", "common", "alternating"])
+    @pytest.mark.parametrize("p", [1, 30])
+    @pytest.mark.parametrize("m", [2, 60, 500])
+    def test_row_sums_within_rounding_bound_of_exact(self, m, p, offset):
+        # Row i's exact Gram sum R_i = sum_j g_i.g_j and its diagonal D_i = |g_i|^2,
+        # as Fractions. Any summation order of the m + p terms behind R_i errs by at
+        # most (m + p) * eps * B_i, B_i = |g_i|.sum_j |g_j| taken elementwise. A
+        # common offset of 100 makes the terms large; an alternating one of +-100
+        # also makes the column sum cancel, so R_i is small against B_i.
+        rng = np.random.default_rng(m * 100 + p)
+        g = rng.normal(size=(m, p))
+        if offset == "common":
+            g += 100.0
+        elif offset == "alternating":
+            g += np.where(np.arange(m) % 2 == 0, 100.0, -100.0)[:, None]
+        _, eta, nu = learning_utility(g)
+        exact = [[Fraction(x) for x in row] for row in g.tolist()]
+        col_sum = [sum(col, Fraction(0)) for col in zip(*exact)]
+        bound = (m + p) * np.finfo(np.float64).eps * (np.abs(g) @ np.abs(g).sum(axis=0))
+        for i, row in enumerate(exact):
+            r = sum((a * s for a, s in zip(row, col_sum)), Fraction(0))
+            d = sum((a * a for a in row), Fraction(0))
+            assert abs(Fraction(eta[i]) - r / m) <= Fraction(bound[i]) / m
+            assert abs(Fraction(nu[i]) + (r - d) / (m - 1)) <= Fraction(bound[i]) / (m - 1)
+
+    def test_memory_is_linear_in_devices(self):
+        # A Gram matrix of 4000 rows alone would be 128 MB; the refresh may
+        # allocate only a few copies of `g`'s own size.
+        g = np.random.default_rng(11).normal(size=(4000, 30))
+        tracemalloc.start()
+        try:
+            learning_utility(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * g.nbytes
 
 
 class TestPca:
