@@ -58,21 +58,27 @@ class FederatedDataset:
         return len(self.shards)
 
 
-def _draw_class_samples(rng, centroid, count, spread, dim):
-    return centroid + spread * rng.standard_normal((count, dim))
+def _draw_samples(rng, classes, counts, spread: float, centroids: np.ndarray) -> Shard:
+    """`counts[k]` samples around centroid `classes[k]`, in class order.
+
+    One normal draw covers every class: the generator's stream is sequential,
+    so it yields the same numbers as one draw per class, and each entry is the
+    same `centroid + spread * z` sum. The draw is scaled and shifted in place.
+    """
+    labels = np.repeat(np.asarray(classes, dtype=np.int64), counts)
+    feats = rng.standard_normal((len(labels), centroids.shape[1]))
+    feats *= spread
+    feats += centroids[labels]
+    return Shard(feats, labels)
 
 
 def _draw_shard(rng, classes, spec: DataSpec, centroids: np.ndarray) -> Shard:
     """One device's shard: its samples split as evenly as possible over its classes, in order."""
     base, extra = divmod(spec.samples_per_device, spec.classes_per_device)
-    feats, labels = [], []
-    for k, cls in enumerate(classes[: spec.classes_per_device]):
-        cnt = base + (1 if k < extra else 0)
-        feats.append(
-            _draw_class_samples(rng, centroids[cls], cnt, spec.cluster_spread, spec.input_dim)
-        )
-        labels.append(np.full(cnt, cls, dtype=np.int64))
-    return Shard(np.concatenate(feats), np.concatenate(labels))
+    counts = [base + (1 if k < extra else 0) for k in range(spec.classes_per_device)]
+    return _draw_samples(
+        rng, classes[: spec.classes_per_device], counts, spec.cluster_spread, centroids
+    )
 
 
 def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
@@ -89,13 +95,7 @@ def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
         shards.append(_draw_shard(rng, classes, spec, centroids))
         class_map.append(classes)
 
-    test_feats, test_labels = [], []
-    for cls in range(k):
-        test_feats.append(
-            _draw_class_samples(rng, centroids[cls], TEST_SAMPLES_PER_CLASS, spec.cluster_spread, dim)
-        )
-        test_labels.append(np.full(TEST_SAMPLES_PER_CLASS, cls, dtype=np.int64))
-    test = Shard(np.concatenate(test_feats), np.concatenate(test_labels))
+    test = _draw_samples(rng, range(k), TEST_SAMPLES_PER_CLASS, spec.cluster_spread, centroids)
 
     return FederatedDataset(shards, test, class_map, centroids)
 

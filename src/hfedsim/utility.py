@@ -5,6 +5,11 @@ averaged gradient of the cohort (affinity) and how much it disagrees with the
 other devices pairwise (diversity). Both terms are sums of plain dot products,
 and each sum runs through the column sum of the gradients, so a refresh costs
 O(m·p) for m devices of p coordinates, with no m × m Gram matrix.
+
+The compressor is fitted once, on the m warmup gradients of d parameters: its
+components come from the eigenvectors of the smaller of the two Gram matrices
+of the centred stack (m × m or d × d), with a thin SVD only for a stack whose
+p-th eigenvalue is lost in rounding.
 """
 
 from __future__ import annotations
@@ -59,23 +64,47 @@ def learning_utility(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:
     """Top-p principal directions of the warmup gradients.
 
-    Components are ordered by descending singular value, with each row's sign
-    fixed so its largest-magnitude entry is positive (reproducible traces).
+    Components are ordered by descending variance, with each row's sign fixed
+    so its largest-magnitude entry is positive (reproducible traces).
+
+    The fit solves the smaller of the two Gram eigenproblems of the centred
+    [m, d] stack g, with `eigh`: g @ g.T when m <= d, where component k is
+    u_k^T g / sqrt(lambda_k) for the eigenpair (lambda_k, u_k), and g.T @ g
+    when m > d, where component k is the eigenvector itself. That costs a
+    fraction of a thin SVD of g and needs no [m, d] output beside it.
+
+    A component is defined by the Gram only while its eigenvalue stands above
+    the Gram's rounding level. So when lambda_p <= max(m, d)·eps·lambda_1 (a
+    rank-deficient stack: p = m, duplicated or all-equal gradients) the fit
+    takes the thin SVD of g instead, the one path that defines every
+    component there.
+
+    Each Gram component differs from the SVD's by about
+    eps·lambda_1 / (lambda_k - lambda_{k+1}), and the two are not bitwise
+    equal. As for `learning_utility`, the contract is that no scheduling
+    decision flips on the committed scenarios: the golden traces and
+    `tests/harness_digests.py` give the same digests under either method.
     """
     if len(warmup_grads) < 2:
         raise ConfigurationError("PCA fit needs >= 2 gradient vectors")
     g = np.stack(warmup_grads)
-    d = g.shape[1]
-    if not 1 <= p <= min(len(warmup_grads), d):
+    m, d = g.shape
+    if not 1 <= p <= min(m, d):
         raise ConfigurationError(
-            f"PCA dim {p} must be in [1, min(n_vectors={len(warmup_grads)}, d={d})]"
+            f"PCA dim {p} must be in [1, min(n_vectors={m}, d={d})]"
         )
     mean = g.mean(axis=0)
-    # Centred in place: `g` is a fresh stack, and a second [n, d] copy beside it
-    # would raise the memory peak of an async-sched run, which falls at this SVD.
+    # Centred in place: `g` is a fresh stack, and a second [m, d] copy beside
+    # it would add its full size to the fit's memory peak.
     g -= mean
-    _, _, vt = np.linalg.svd(g, full_matrices=False)
-    components = vt[:p].copy()
+    lam, vec = np.linalg.eigh(g @ g.T if m <= d else g.T @ g)
+    lam, vec = lam[::-1][:p], vec[:, ::-1][:, :p]  # the top p, descending
+    if lam[-1] <= max(m, d) * np.finfo(g.dtype).eps * lam[0]:
+        components = np.linalg.svd(g, full_matrices=False)[2][:p].copy()
+    elif m <= d:
+        components = (vec.T @ g) / np.sqrt(lam)[:, None]
+    else:
+        components = vec.T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

@@ -17,6 +17,12 @@ exits 1 if there is any.
 
     python tests/harness_digests.py --against parent-digests.json > digests.json
 
+`--workloads sched-1000` selects a scenario outside the default set:
+sched-scale at N=1000/G=20 (still H=45), the scale of ROADMAP item 16. Its
+runs take about 2 s each.
+
+    python tests/harness_digests.py --workloads sched-1000 --seeds 1 2 > digests.json
+
 The file is not named `test_*.py`, so pytest does not collect it. It reads
 `perfbench/workloads.py` and changes nothing there.
 """
@@ -24,6 +30,7 @@ The file is not named `test_*.py`, so pytest does not collect it. It reads
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -62,12 +69,19 @@ def main(argv=None) -> int:
     from simtools import digest
     from workloads import REPLICAS, WORKLOADS, build
 
+    scenarios = dict(WORKLOADS)
+    scenarios["sched-1000"] = dataclasses.replace(
+        WORKLOADS["sched-scale"], name="sched-1000", num_devices=1000, num_gateways=20
+    )
     names = args.workloads or list(WORKLOADS)
+    unknown = sorted(set(names) - scenarios.keys())
+    if unknown:
+        ap.error(f"unknown workloads {unknown}; choose from {sorted(scenarios)}")
     digests = {}
     for name in names:
         for seed in args.seeds:
             for replica in range(REPLICAS):
-                cfg, _ = build(WORKLOADS[name], seed, replica)
+                cfg, _ = build(scenarios[name], seed, replica)
                 digests[f"{name}/seed{seed}/replica{replica}"] = digest(run(cfg))
     json.dump(digests, sys.stdout, indent=1)
     print()

@@ -27,6 +27,35 @@ def spec(**kw):
     return DataSpec(**base)
 
 
+def per_class_draw(rng, classes, counts, s, centroids):
+    """Reference shard draw: one normal draw per class, concatenated in class order."""
+    feats = [
+        centroids[c] + s.cluster_spread * rng.standard_normal((n, s.input_dim))
+        for c, n in zip(classes, counts)
+    ]
+    labels = [np.full(n, c, dtype=np.int64) for c, n in zip(classes, counts)]
+    return np.concatenate(feats), np.concatenate(labels)
+
+
+def per_class_synthetic(s, seed):
+    """Reference `gen_synthetic`: the same stream, drawn one class at a time."""
+    rng = np.random.default_rng(seed)
+    centroids = rng.standard_normal((s.num_classes, s.input_dim))
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    base, extra = divmod(s.samples_per_device, s.classes_per_device)
+    counts = [base + (k < extra) for k in range(s.classes_per_device)]
+    shards = []
+    for _ in range(s.num_devices):
+        drawn = rng.choice(s.num_classes, s.classes_per_device, replace=False)
+        classes = sorted(int(c) for c in drawn)
+        shards.append(per_class_draw(rng, classes, counts, s, centroids))
+    test = per_class_draw(rng, range(s.num_classes), [100] * s.num_classes, s, centroids)
+    return shards, test, centroids
+
+
+UNEVEN_SPLITS = [(30, 2), (101, 3), (7, 10)]  # (samples_per_device, classes_per_device)
+
+
 class TestGenSynthetic:
     def test_label_skew(self):
         ds = gen_synthetic(spec(), seed=1)
@@ -63,6 +92,18 @@ class TestGenSynthetic:
             if key in seen:
                 assert labels == seen[key]
             seen[key] = labels
+
+    @pytest.mark.parametrize("samples,classes", UNEVEN_SPLITS)
+    def test_bitwise_equal_to_per_class_draws(self, samples, classes):
+        s = spec(samples_per_device=samples, classes_per_device=classes)
+        ds = gen_synthetic(s, seed=12)
+        shards, test, centroids = per_class_synthetic(s, 12)
+        assert np.array_equal(ds.centroids, centroids)
+        for shard, (feats, labels) in zip(ds.shards, shards, strict=True):
+            assert np.array_equal(shard.features, feats)
+            assert np.array_equal(shard.labels, labels)
+        assert np.array_equal(ds.test.features, test[0])
+        assert np.array_equal(ds.test.labels, test[1])
 
     def test_centroids_on_unit_sphere(self):
         ds = gen_synthetic(spec(), seed=4)
@@ -103,6 +144,19 @@ class TestRefreshShard:
         mixture_mean = ds.centroids[ds.class_map[0]].mean(axis=0)
         tol = 3 * 0.5 / np.sqrt(out.n)
         assert np.all(np.abs(out.features.mean(axis=0) - mixture_mean) < tol * 3)
+
+    @pytest.mark.parametrize("samples,classes", UNEVEN_SPLITS)
+    def test_bitwise_equal_to_per_class_draws(self, samples, classes):
+        s = spec(refresh=True, samples_per_device=samples, classes_per_device=classes)
+        ds = gen_synthetic(s, seed=13)
+        base, extra = divmod(samples, classes)
+        counts = [base + (k < extra) for k in range(classes)]
+        for i, entry in enumerate(ds.class_map):
+            out = refresh_shard(entry, s, 1000 + i, ds.centroids)
+            rng = np.random.default_rng(1000 + i)
+            feats, labels = per_class_draw(rng, entry, counts, s, ds.centroids)
+            assert np.array_equal(out.features, feats)
+            assert np.array_equal(out.labels, labels)
 
     def test_requires_centroids(self):
         s = spec(refresh=True)

@@ -21,6 +21,19 @@ def pca_reconstruct(model, coords):
     return model.mean + model.components.T @ coords
 
 
+def svd_pca_components(grads, p):
+    """Reference PCA fit: the top p right singular vectors of the centred stack,
+    with the sign rule of `pca_fit`."""
+    g = np.stack(grads)
+    g -= g.mean(axis=0)
+    components = np.linalg.svd(g, full_matrices=False)[2][:p].copy()
+    for row in components:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1
+    return components
+
+
 def utilities(vectors):
     """learning_utility on the vectors stacked as rows, as (u, eta, nu) arrays."""
     return learning_utility(np.array(vectors, dtype=np.float64))
@@ -195,6 +208,46 @@ class TestPca:
         u_proj, _, _ = utilities(projected)
         np.testing.assert_allclose(u_proj, u_raw, rtol=0, atol=1e-8)
         assert np.array_equal(np.argsort(u_raw), np.argsort(u_proj))
+
+    @pytest.mark.parametrize("m,d,p", [(9, 12, 5), (60, 200, 30), (200, 60, 30), (500, 1002, 30)])
+    def test_gram_path_matches_svd_oracle(self, m, d, p, monkeypatch):
+        # Columns of unequal scale give the spread spectrum of real gradients.
+        rng = np.random.default_rng(m + d)
+        grads = list(rng.normal(size=(m, d)) * rng.uniform(0.1, 3.0, size=d))
+        want = svd_pca_components(grads, p)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a full-rank stack must not take the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        model = pca_fit(grads, p)
+        np.testing.assert_allclose(model.components, want, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(
+            model.components @ model.components.T, np.eye(p), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "case", ["p-equals-m", "duplicated", "duplicated-tall", "all-equal", "low-rank-tall"]
+    )
+    def test_rank_deficient_stack_takes_the_svd(self, case):
+        # Each stack's p-th Gram eigenvalue is zero up to rounding, so the Gram
+        # defines no component there; the fit must be the SVD's, bit for bit.
+        rng = np.random.default_rng(21)
+        if case == "p-equals-m":  # centring leaves rank m - 1
+            grads, p = list(rng.normal(size=(6, 10))), 6
+        elif case == "duplicated":
+            grads, p = list(rng.normal(size=(4, 20))) * 2, 5
+        elif case == "duplicated-tall":
+            grads, p = list(rng.normal(size=(3, 5))) * 4, 4
+        elif case == "all-equal":
+            grads, p = [np.full(8, 0.25)] * 5, 2
+        else:  # 12 gradients of 6 coordinates in a 2-dimensional subspace
+            grads, p = list(rng.normal(size=(12, 2)) @ rng.normal(size=(2, 6))), 4
+        # pytest turns warnings into errors (pyproject.toml); errstate does the same
+        # for numpy's floating-point checks, such as a square root of a negative.
+        with np.errstate(all="raise"):
+            model = pca_fit(grads, p)
+        assert np.array_equal(model.components, svd_pca_components(grads, p))
 
     def test_wire_size(self):
         model = PcaModel(mean=np.zeros(100), components=np.eye(30, 100))
