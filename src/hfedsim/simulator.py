@@ -328,6 +328,11 @@ class SimConfig:
                 raise ConfigurationError("refresh needs a dataset with generator centroids")
             if self.data_spec.input_dim != self.dataset.centroids.shape[1]:
                 raise ConfigurationError("data_spec input_dim does not match the centroids")
+            cpd = self.data_spec.classes_per_device
+            if any(len(entry) != cpd for entry in self.dataset.class_map):
+                raise ConfigurationError(
+                    f"every class_map entry must list classes_per_device={cpd} classes"
+                )
 
 
 @dataclass

@@ -7,9 +7,9 @@ and each sum runs through the column sum of the gradients, so a refresh costs
 O(m·p) for m devices of p coordinates, with no m × m Gram matrix.
 
 The compressor is fitted once, on the m warmup gradients of d parameters: its
-components come from the eigenvectors of the smaller of the two Gram matrices
-of the centred stack (m × m or d × d), with a thin SVD only for a stack whose
-p-th eigenvalue is lost in rounding.
+components come from the eigenvectors of the m × m Gram matrix of the centred
+stack, with a thin SVD for a stack taller than it is wide (m > d) or one whose
+p-th eigenvalue is too small for the Gram to resolve.
 """
 
 from __future__ import annotations
@@ -67,23 +67,26 @@ def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:
     Components are ordered by descending variance, with each row's sign fixed
     so its largest-magnitude entry is positive (reproducible traces).
 
-    The fit solves the smaller of the two Gram eigenproblems of the centred
-    [m, d] stack g, with `eigh`: g @ g.T when m <= d, where component k is
-    u_k^T g / sqrt(lambda_k) for the eigenpair (lambda_k, u_k), and g.T @ g
-    when m > d, where component k is the eigenvector itself. That costs a
-    fraction of a thin SVD of g and needs no [m, d] output beside it.
+    When m <= d, the fit solves the m × m Gram eigenproblem of the centred
+    [m, d] stack g with `eigh`: component k is u_k^T g / sqrt(lambda_k) for the
+    eigenpair (lambda_k, u_k) of g @ g.T. That costs a fraction of a thin SVD of
+    g and needs no [m, d] output beside it.
 
-    A component is defined by the Gram only while its eigenvalue stands above
-    the Gram's rounding level. So when lambda_p <= max(m, d)·eps·lambda_1 (a
-    rank-deficient stack: p = m, duplicated or all-equal gradients) the fit
-    takes the thin SVD of g instead, the one path that defines every
-    component there.
+    The Gram squares the stack's condition number. A Gram component's norm is
+    off by about eps·lambda_1 / lambda_k and its direction by about
+    eps·lambda_1 / (lambda_k - lambda_{k+1}), where the SVD's errors grow only
+    with sigma_1 / sigma_k. So the fit takes the Gram path only while
+    lambda_p > sqrt(eps)·lambda_1, which bounds the norm error near
+    sqrt(eps) ≈ 1.5e-8. Otherwise, and whenever m > d, it takes the thin SVD
+    of g, the one path that defines every component of a rank-deficient stack
+    (p = m, duplicated or all-equal gradients). The committed warmup stacks
+    that take the Gram path have lambda_p / lambda_1 >= 7e-4, where the
+    components agree with the SVD's to within 3e-13.
 
-    Each Gram component differs from the SVD's by about
-    eps·lambda_1 / (lambda_k - lambda_{k+1}), and the two are not bitwise
-    equal. As for `learning_utility`, the contract is that no scheduling
-    decision flips on the committed scenarios: the golden traces and
-    `tests/harness_digests.py` give the same digests under either method.
+    The two paths are not bitwise equal. As for `learning_utility`, the
+    contract is that no scheduling decision flips on the committed scenarios:
+    the golden traces and `tests/harness_digests.py` give the same digests
+    under either method.
     """
     if len(warmup_grads) < 2:
         raise ConfigurationError("PCA fit needs >= 2 gradient vectors")
@@ -97,14 +100,15 @@ def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:
     # Centred in place: `g` is a fresh stack, and a second [m, d] copy beside
     # it would add its full size to the fit's memory peak.
     g -= mean
-    lam, vec = np.linalg.eigh(g @ g.T if m <= d else g.T @ g)
-    lam, vec = lam[::-1][:p], vec[:, ::-1][:, :p]  # the top p, descending
-    if lam[-1] <= max(m, d) * np.finfo(g.dtype).eps * lam[0]:
-        components = np.linalg.svd(g, full_matrices=False)[2][:p].copy()
-    elif m <= d:
-        components = (vec.T @ g) / np.sqrt(lam)[:, None]
+    resolved = False
+    if m <= d:
+        lam, u = np.linalg.eigh(g @ g.T)
+        lam, u = lam[::-1][:p], u[:, ::-1][:, :p]  # the top p, descending
+        resolved = lam[-1] > np.sqrt(np.finfo(g.dtype).eps) * lam[0]
+    if resolved:
+        components = (u.T @ g) / np.sqrt(lam)[:, None]
     else:
-        components = vec.T.copy()
+        components = np.linalg.svd(g, full_matrices=False)[2][:p].copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

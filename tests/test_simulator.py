@@ -351,6 +351,14 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="input_dim"):
             cfg.validate()
 
+    @pytest.mark.parametrize("cpd", [1, 3])
+    def test_refresh_spec_matches_the_class_map(self, cpd):
+        cfg = small_config(mode="async-random", seed=1)
+        assert all(len(entry) == 2 for entry in cfg.dataset.class_map)
+        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True, classes_per_device=cpd)
+        with pytest.raises(ConfigurationError, match="classes_per_device"):
+            cfg.validate()
+
     def test_unknown_mode(self):
         cfg = small_config()
         cfg.mode = "definitely-not-a-mode"

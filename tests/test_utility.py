@@ -209,7 +209,7 @@ class TestPca:
         np.testing.assert_allclose(u_proj, u_raw, rtol=0, atol=1e-8)
         assert np.array_equal(np.argsort(u_raw), np.argsort(u_proj))
 
-    @pytest.mark.parametrize("m,d,p", [(9, 12, 5), (60, 200, 30), (200, 60, 30), (500, 1002, 30)])
+    @pytest.mark.parametrize("m,d,p", [(9, 12, 5), (60, 200, 30), (500, 1002, 30)])
     def test_gram_path_matches_svd_oracle(self, m, d, p, monkeypatch):
         # Columns of unequal scale give the spread spectrum of real gradients.
         rng = np.random.default_rng(m + d)
@@ -226,28 +226,55 @@ class TestPca:
             model.components @ model.components.T, np.eye(p), rtol=0, atol=1e-12
         )
 
-    @pytest.mark.parametrize(
-        "case", ["p-equals-m", "duplicated", "duplicated-tall", "all-equal", "low-rank-tall"]
-    )
-    def test_rank_deficient_stack_takes_the_svd(self, case):
-        # Each stack's p-th Gram eigenvalue is zero up to rounding, so the Gram
-        # defines no component there; the fit must be the SVD's, bit for bit.
+    @pytest.mark.parametrize("case", ["p-equals-m", "duplicated", "all-equal", "tall"])
+    def test_svd_cases_match_the_oracle_bitwise(self, case):
+        # A rank-deficient stack's p-th Gram eigenvalue is zero up to rounding, so
+        # the Gram defines no component there, and a tall stack (m > d) has no
+        # Gram path; the fit must be the SVD's, bit for bit.
         rng = np.random.default_rng(21)
         if case == "p-equals-m":  # centring leaves rank m - 1
             grads, p = list(rng.normal(size=(6, 10))), 6
         elif case == "duplicated":
             grads, p = list(rng.normal(size=(4, 20))) * 2, 5
-        elif case == "duplicated-tall":
-            grads, p = list(rng.normal(size=(3, 5))) * 4, 4
         elif case == "all-equal":
             grads, p = [np.full(8, 0.25)] * 5, 2
-        else:  # 12 gradients of 6 coordinates in a 2-dimensional subspace
-            grads, p = list(rng.normal(size=(12, 2)) @ rng.normal(size=(2, 6))), 4
+        else:
+            grads, p = list(rng.normal(size=(12, 6))), 4
         # pytest turns warnings into errors (pyproject.toml); errstate does the same
         # for numpy's floating-point checks, such as a square root of a negative.
         with np.errstate(all="raise"):
             model = pca_fit(grads, p)
         assert np.array_equal(model.components, svd_pca_components(grads, p))
+
+    @pytest.mark.parametrize(
+        "ratio,atol,gram",
+        [(1e-2, 1e-10, True), (1e-3, 1e-8, True), (1e-4, 1e-12, False), (1e-5, 1e-12, False)],
+    )
+    def test_geometric_spectrum(self, ratio, atol, gram, monkeypatch):
+        # sigma_p / sigma_1 = ratio. The Gram path's error grows with
+        # lambda_1 / lambda_p = ratio**-2, so it is taken only while that stays
+        # below 1 / sqrt(eps) (ratios 1e-2 and 1e-3); below, the fit is the SVD's.
+        m, d, p, r = 40, 100, 10, 15
+        rng = np.random.default_rng(5)
+        u = rng.normal(size=(m, r))
+        u = np.linalg.qr(u - u.mean(axis=0))[0]  # zero-mean columns: centring keeps the spectrum
+        v = np.linalg.qr(rng.normal(size=(d, r)))[0]
+        sigma = ratio ** (np.arange(r) / (p - 1))
+        grads = list((u * sigma) @ v.T + 0.1 * rng.normal(size=d))
+        want = svd_pca_components(grads, p)
+        if gram:
+
+            def no_svd(*args, **kwargs):
+                raise AssertionError("a resolved spectrum must not take the SVD")
+
+            monkeypatch.setattr(np.linalg, "svd", no_svd)
+        model = pca_fit(grads, p)
+        if not gram:
+            assert np.array_equal(model.components, want)
+        np.testing.assert_allclose(model.components, want, rtol=0, atol=atol)
+        np.testing.assert_allclose(
+            model.components @ model.components.T, np.eye(p), rtol=0, atol=atol
+        )
 
     def test_wire_size(self):
         model = PcaModel(mean=np.zeros(100), components=np.eye(30, 100))
