@@ -117,7 +117,8 @@ def _knapsack_branch_and_bound(items, capacity) -> set[int]:
 
     def walk(level, load, value, ids):
         nonlocal best_value, best_ids
-        if _better(value, sorted(ids), best_value, best_ids):
+        # `_better` holds only if value >= best_value; test that before sorting.
+        if value >= best_value and _better(value, sorted(ids), best_value, best_ids):
             best_value, best_ids = value, tuple(sorted(ids))
         if level == n or bound(level, load, value) <= best_value:
             return

@@ -17,15 +17,19 @@ The `Topology` is input only; the link state a run changes lives on the
 simulation. `feasible` starts as a copy of the topology's: a drop zeroes the
 device's row and a restore copies it back. `gateway_of` holds each device's
 gateway (-1 for none), set at once by the association, for devices in the air
-too, and cleared by a drop. A flight keeps the gateway it was sent from.
-`slowdown` holds each device's delay factor, set by a slowdown fault and
-reset by a restore.
+too, and cleared by a drop. `_set_gateways` is its one writer, and rebuilds
+`members`, each gateway's devices in ascending id, from it. A flight keeps the
+gateway it was sent from. `slowdown` holds each device's delay factor, set by
+a slowdown fault and reset by a restore.
 
-Each device round in the air has one record: a `Flight` in `flights`, keyed by
-device and kept in dispatch order, from dispatch until its upload lands or a
-drop removes it. A gateway's load is the sum of its flights' rates. The device
-events carry the `Flight` itself, so an event whose flight is no longer the
-device's entry in `flights` belongs to a voided round and does nothing.
+Each device round in the air has one record: a `Flight`, from dispatch until
+its upload lands or a drop removes it. `dispatch` puts it in `flights`, keyed
+by device, and in `gateway_flights` under the gateway it was sent from, both
+in dispatch order; `_remove_flight` takes it out of both, for the upload and
+the drop alike. A gateway's load is a fresh sum of its flights' rates in
+dispatch order, never a running total, which would round differently. The
+device events carry the `Flight` itself, so an event whose flight is no longer
+the device's entry in `flights` belongs to a voided round and does nothing.
 
 Local training is lazy. A flight trains on its device's shard, from the
 gateway model it was sent, which is also its proximal anchor, with a seed drawn
@@ -73,10 +77,18 @@ because there a gateway with no members would end the warmup before the other
 gateways had swept.
 
 Latency estimate. Selection and association rate a (device, gateway) link by
-its round-latency estimate: the link's configured mean until the device's
-first upload over it, then that upload's dispatch-to-upload latency, then an
-EMA with weight `alpha_ema` on each later one. `tau_estimate` reads it and
-each upload updates it; nothing else holds it.
+its round-latency estimate, one table `latency[device][gateway]`: the link's
+configured mean from the start, replaced by the dispatch-to-upload latency of
+the device's first upload over it (`observed` holds the links that had one),
+then moved by an EMA with weight `alpha_ema` on each later one. Each upload
+updates it, and nothing else holds it. A link's rate is `model_bytes / tau`;
+the association divides the whole table at once, and a pair with no link,
+held at inf, rates 0.
+
+Utilities. `utilities` holds a learning utility per device, recomputed from
+the reported gradients on the first read after one came in. A device with
+none reported holds the cold-start value: the largest reported utility, or
+1.0 before any.
 
 Run end. The run is done once the cloud has aggregated `cloud_epochs` times
 (`h >= cloud_epochs`): that aggregation sends no model, no more events run,
@@ -119,6 +131,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -403,6 +416,8 @@ class _Simulation:
         # Link state that faults and association change during the run.
         self.feasible = self.topo.feasible.copy()
         self.gateway_of = np.full(n, -1)  # per device; -1 means no gateway
+        # Each gateway's devices in ascending id, rebuilt by `_set_gateways`.
+        self.members: list[list[int]] = [[] for _ in range(self.topo.num_gateways)]
         self.slowdown = [1.0] * n
         self.arch = cfg.arch
         self.rng = np.random.default_rng(cfg.seed)
@@ -416,8 +431,12 @@ class _Simulation:
             GatewayState(j, self.cloud_params) for j in range(self.topo.num_gateways)
         ]
         self.devices = [DeviceState(shard) for shard in cfg.dataset.shards]
-        # Observed round latency per (device, gateway); see "Latency estimate".
-        self.tau_ema: dict[tuple[int, int], float] = {}
+        # Round-latency estimate per device and gateway; see "Latency estimate".
+        # A pair with no link holds inf, so its rate `model_bytes / inf` is 0.
+        self.latency = [[math.inf] * self.topo.num_gateways for _ in range(n)]
+        for (i, j), link in self.topo.link_params.items():
+            self.latency[i][j] = link.mean_total
+        self.observed: set[tuple[int, int]] = set()  # links an upload has crossed
 
         # Reported gradients. Full length until the PCA fit (for the whole run
         # if none is fitted); from the fit on, each device's row of `coords`
@@ -425,11 +444,16 @@ class _Simulation:
         self.full_grads: dict[int, np.ndarray] = {}
         self.coords: np.ndarray | None = None
         self.has_grad = np.zeros(n, dtype=bool)
-        self.utilities: dict[int, float] = {}
+        # Per device, with the cold-start value for one that has reported none.
+        self.utilities = [1.0] * n
         self._utilities_dirty = False
         self.pca_model = None
-        # Every flight in the air, by device, in dispatch order.
+        # Every flight in the air, by device, in dispatch order; and each
+        # gateway's, by the gateway it was sent from.
         self.flights: dict[int, Flight] = {}
+        self.gateway_flights: list[dict[int, Flight]] = [
+            {} for _ in range(self.topo.num_gateways)
+        ]
 
         self.warmup_done = self.policy.selector == "random"
 
@@ -464,43 +488,50 @@ class _Simulation:
     # ---- utilities and rates ----------------------------------------------
 
     def _refresh_utilities(self) -> None:
+        """Recompute `utilities` if a gradient came in since the last refresh."""
         if not self._utilities_dirty:
             return
+        self._utilities_dirty = False
         if self.coords is not None:
             # The fit had >= 2 gradients, and a device never loses its row.
             ids = np.flatnonzero(self.has_grad)
             g = self.coords if len(ids) == len(self.coords) else self.coords[ids]
-            u, _, _ = learning_utility(g)
-            self.utilities = dict(zip(ids.tolist(), u.tolist()))
         elif len(self.full_grads) >= 2:
             ids = sorted(self.full_grads)
-            u, _, _ = learning_utility(np.stack([self.full_grads[i] for i in ids]))
-            self.utilities = dict(zip(ids, u.tolist()))
-        self._utilities_dirty = False
-
-    def utility_of(self, device: int) -> float:
-        self._refresh_utilities()
-        if device in self.utilities:
-            return self.utilities[device]
-        # Cold start: unseen devices look as attractive as the current best.
-        return max(self.utilities.values()) if self.utilities else 1.0
+            g = np.stack([self.full_grads[i] for i in ids])
+        else:
+            return
+        u = learning_utility(g)[0]
+        if len(ids) < self.topo.num_devices:
+            # Cold start: unseen devices look as attractive as the current best.
+            dense = np.full(self.topo.num_devices, max(u.tolist()))
+            dense[ids] = u
+            u = dense
+        self.utilities = u.tolist()
 
     def tau_estimate(self, device: int, gateway: int) -> float:
         """The observed round latency of the link, or its configured mean before any upload."""
-        tau = self.tau_ema.get((device, gateway))
-        return self.topo.link_params[(device, gateway)].mean_total if tau is None else tau
+        return self.latency[device][gateway]
 
     def rate_estimate(self, device: int, gateway: int) -> float:
-        return est_rate(self.topo.model_bytes, self.tau_estimate(device, gateway))
+        return est_rate(self.topo.model_bytes, self.latency[device][gateway])
 
     # ---- selection and dispatch ---------------------------------------------
 
+    def _set_gateways(self, targets) -> None:
+        """Set every device's gateway, and rebuild the member lists: the one writer of both."""
+        self.gateway_of[:] = targets
+        self.members = [
+            np.flatnonzero(self.gateway_of == j).tolist() for j in range(self.topo.num_gateways)
+        ]
+
     def _idle_candidates(self, gw: GatewayState) -> list[int]:
-        members = np.flatnonzero(self.gateway_of == gw.id).tolist()
-        return [i for i in members if i not in self.flights]
+        return [i for i in self.members[gw.id] if i not in self.flights]
 
     def _residual_bandwidth(self, gw: GatewayState) -> float:
-        load = sum(f.rate for f in self.flights.values() if f.gateway == gw.id)
+        # A fresh sum in dispatch order, not a running total: `+=` and `-=`
+        # as flights come and go would round differently.
+        load = sum(f.rate for f in self.gateway_flights[gw.id].values())
         return float(self.topo.bandwidth[gw.id]) - load
 
     def select_devices(self, gw: GatewayState) -> list[int]:
@@ -517,16 +548,18 @@ class _Simulation:
         if self.policy.selector == "utility":
             # The knapsack drops a candidate whose rate exceeds the cap, so
             # rate them first: a selection that can dispatch no one returns
-            # before `utility_of` refreshes utilities it would not read.
+            # before it refreshes utilities it would not read.
             fits = []
             for i in ids:
-                tau = self.tau_estimate(i, gw.id)
+                tau = self.latency[i][gw.id]
                 rate = est_rate(self.topo.model_bytes, tau)
                 if rate <= cap:
                     fits.append((i, tau, rate))
             if not fits:
                 return []
-            cands = [Candidate(i, self.utility_of(i), tau, rate) for i, tau, rate in fits]
+            self._refresh_utilities()
+            u = self.utilities
+            cands = [Candidate(i, u[i], tau, rate) for i, tau, rate in fits]
             return sorted(solve_selection(SelectionInstance(cands, cap, self.cfg.kappa)))
         if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
@@ -581,7 +614,7 @@ class _Simulation:
             )
             seed = self._train_seed(i, dev.rounds_started)
             flight = Flight(gw.id, gw.version, rate, gw.params, seed, total)
-            self.flights[i] = flight
+            self.flights[i] = self.gateway_flights[gw.id][i] = flight
             dev.rounds_started += 1
             self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
             self.schedule(down, self.on_device_model_arrives, i, flight, comp + up)
@@ -634,22 +667,21 @@ class _Simulation:
 
     def run_association(self) -> None:
         if self.policy.selector == "utility":
-            n, g = self.topo.num_devices, self.topo.num_gateways
-            u = np.array([self.utility_of(i) for i in range(n)])
-            rates = np.zeros((n, g))
-            for (i, j) in self.topo.link_params:
-                rates[i, j] = self.rate_estimate(i, j)
+            self._refresh_utilities()
+            tau = np.array(self.latency)
+            if not (tau > 0).all():  # as `est_rate` checks
+                raise ConfigurationError("round latency must be > 0")
             inst = AssociationInstance(
                 feasible=self.feasible.copy(),
-                u=u,
-                rates=rates,
+                u=np.array(self.utilities),
+                rates=self.topo.model_bytes / tau,
                 bandwidth=self.topo.bandwidth.copy(),
                 phi=self.cfg.phi,
             )
             targets = [-1 if j is None else j for j in solve_association(inst).gateway_of]
         else:
             targets = self._random_association()
-        self.gateway_of[:] = targets
+        self._set_gateways(targets)
 
     # ---- metric rows -----------------------------------------------------------
 
@@ -724,9 +756,14 @@ class _Simulation:
 
     def _round_landed(self, gw: GatewayState) -> bool:
         """Whether a barrier round closes now: none of its gateway's flights is in the air."""
-        return self.policy.gateway == "barrier" and not any(
-            f.gateway == gw.id for f in self.flights.values()
-        )
+        return self.policy.gateway == "barrier" and not self.gateway_flights[gw.id]
+
+    def _remove_flight(self, device: int) -> Flight | None:
+        """Take the device's flight, if any, out of the air: the one way a flight leaves."""
+        flight = self.flights.pop(device, None)
+        if flight is not None:
+            del self.gateway_flights[flight.gateway][device]
+        return flight
 
     def _flight_ended(self, gw: GatewayState) -> None:
         """The one place a flight ends, once its upload or drop has removed it.
@@ -792,13 +829,15 @@ class _Simulation:
             self._train_flights()
         params = flight.params
         raise_if_diverged(params, f"while training device {i}")
-        del self.flights[i]
+        self._remove_flight(i)
         dev = self.devices[i]
         gw = self.gateways[flight.gateway]
         dev.rounds_done += 1
         key, a, tau = (i, gw.id), self.cfg.alpha_ema, flight.observed_tau
-        ema = self.tau_ema.get(key)
-        self.tau_ema[key] = tau if ema is None else a * tau + (1 - a) * ema
+        if key in self.observed:
+            tau = a * tau + (1 - a) * self.latency[i][gw.id]
+        self.observed.add(key)
+        self.latency[i][gw.id] = tau
 
         overhead = 0
         if self.policy.selector == "utility":
@@ -871,8 +910,10 @@ class _Simulation:
             return
         # A drop cuts every link of the device and voids its flight.
         self.feasible[i] = 0
-        self.gateway_of[i] = -1
-        flight = self.flights.pop(i, None)
+        targets = self.gateway_of.copy()
+        targets[i] = -1
+        self._set_gateways(targets)
+        flight = self._remove_flight(i)
         if flight is not None:
             self._flight_ended(self.gateways[flight.gateway])
 
@@ -890,7 +931,7 @@ class _Simulation:
     # ---- main loop -------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        self.gateway_of[:] = self._random_association()
+        self._set_gateways(self._random_association())
         # Fault timers go first, so at any time a due fault fires before every
         # other event, and faults due together fire in schedule order.
         for fault in sorted(self.topo.faults, key=lambda f: f.time):

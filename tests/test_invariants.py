@@ -7,8 +7,13 @@ function of each handler, so the subclass's function is the one that runs;
 
 After every event:
   - the byte counters equal `recompute_bytes_from_log` over the transfer log;
+  - each gateway's record of its flights is the flights in the air sent from
+    it, in dispatch order, and its residual bandwidth is its cap less a fresh
+    sum of their rates, bit for bit;
   - each gateway's load (the rates of its flights) is at most its bandwidth,
     except during the warmup sweep, which ignores the cap;
+  - each gateway's member list is the devices assigned to it, in id order;
+  - every link no upload has crossed is estimated at its configured mean;
   - every assigned gateway is one the device can reach now;
   - an idle device's gateway is the latest association's target for it, or
     -1 if it has dropped since;
@@ -22,6 +27,7 @@ left no device with a link.
 import types
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +49,7 @@ class CheckedSimulation(_Simulation):
         self.dropped_since: set[int] = set()
         self.logged = (0, 0, 0)  # transfers counted so far, and their bytes and overhead
         self.ended: dict[int, simulator.Flight] = {}  # by id; holding them keeps ids unique
+        self.uploaded: set[tuple[int, int]] = set()  # (device, gateway) links in the log
 
     def schedule(self, delay, handler, *args):
         assert handler.__name__ in HANDLERS, f"{handler.__name__} runs unchecked"
@@ -78,10 +85,22 @@ class CheckedSimulation(_Simulation):
         assert self.logged[1:] == (self.bytes_total, self.bytes_overhead)
         new = self.transfers[logged_until:]
 
-        if self.warmup_done:
-            for j, cap in enumerate(self.topo.bandwidth):
-                load = sum(f.rate for f in self.flights.values() if f.gateway == j)
+        for gw, cap in zip(self.gateways, self.topo.bandwidth):
+            j = gw.id
+            sent = [(i, f) for i, f in self.flights.items() if f.gateway == j]
+            recorded = list(self.gateway_flights[j].items())
+            assert [(i, id(f)) for i, f in recorded] == [(i, id(f)) for i, f in sent]
+            load = sum(f.rate for _, f in sent)
+            assert self._residual_bandwidth(gw).hex() == (float(cap) - load).hex()
+            if self.warmup_done:
                 assert load <= cap * (1 + 1e-12), f"gateway {j} over its cap"
+            assert self.members[j] == np.flatnonzero(self.gateway_of == j).tolist()
+
+        self.uploaded.update((int(t.src[3:]), int(t.dst[2:])) for t in new
+                             if t.kind == "device_upload")
+        for (i, j), link in self.topo.link_params.items():
+            if (i, j) not in self.uploaded:
+                assert self.tau_estimate(i, j) == link.mean_total, f"link {i}-{j} moved"
 
         for i, j in enumerate(self.gateway_of):
             assert j == -1 or self.feasible[i, j], f"device {i} assigned to unreachable {j}"

@@ -19,7 +19,7 @@ from hfedsim.network import (
     topology_to_json,
 )
 from hfedsim.selection import AssociationInstance
-from hfedsim.simulator import Flight, _Simulation
+from hfedsim.simulator import _Simulation
 from hfedsim.utility import PcaModel
 from simtools import small_config, uniform_topology
 
@@ -53,9 +53,12 @@ class TestSampleRoundLatency:
 
 def _observe(sim, i, g, tau):
     """Land one upload of device i at gateway g whose round took tau."""
-    flight = Flight(g, sim.gateways[g].version, 0.0, None, 0, tau,
-                    params=sim.gateways[g].params.copy())
-    sim.flights[i] = flight
+    targets = sim.gateway_of.copy()
+    targets[i] = g
+    sim._set_gateways(targets)
+    sim.dispatch(sim.gateways[g], [i])
+    flight = sim.flights[i]
+    flight.observed_tau = tau
     sim.on_device_upload_arrives(i, flight)
 
 
@@ -154,7 +157,7 @@ class TestTopology:
         topo = small_topology()
         original = topo.feasible.copy()
         sim = _Simulation(small_config(n=3, g=2, topology=topo))
-        sim.gateway_of[:] = sim._random_association()
+        sim._set_gateways(sim._random_association())
         sim.on_fault_timer(FaultEvent(1.0, 0, "drop"))
         assert not sim.feasible[0].any()
         assert sim.gateway_of[0] == -1

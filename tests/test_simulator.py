@@ -18,7 +18,7 @@ from hfedsim.learning import (
     init_params,
     local_train,
 )
-from hfedsim.network import FaultEvent, TopologySpec, gen_topology
+from hfedsim.network import FaultEvent, TopologySpec, est_rate, gen_topology
 from hfedsim.simulator import (
     MODES,
     SimConfig,
@@ -254,6 +254,24 @@ class TestFaults:
         assert {k for sent, k in rounds(0) if sent > restore_at} == {1.0}
         assert {k for _, k in rounds(1)} == {1.0}
 
+    def test_drop_after_reassociation_frees_the_sending_gateway(self):
+        # Rates of 8000 / (2 + 4 + 2) = 1000 against caps of 1e9 add and
+        # subtract exactly, so the residuals can be compared exactly.
+        topo = uniform_topology(6, 2, mean_comp=4.0, mean_up=2.0)
+        sim = simulator._Simulation(small_config(mode="async-random", topology=topo))
+        sim._set_gateways([0, 0, 0, 1, 1, 1])
+        sending, other = sim.gateways
+        sim.dispatch(sending, [0, 1])
+        sim.dispatch(other, [3])
+        sim._set_gateways([1, 0, 0, 1, 1, 1])  # device 0 moves while in the air
+        assert all(0 not in sim._idle_candidates(gw) for gw in sim.gateways)
+        flight = sim.flights[0]
+        before = [sim._residual_bandwidth(gw) for gw in sim.gateways]
+        sim.on_fault_timer(FaultEvent(1.0, 0, "drop"))
+        after = [sim._residual_bandwidth(gw) for gw in sim.gateways]
+        assert after[0] - before[0] == flight.rate == 1000.0
+        assert after[1] == before[1]
+
     def test_sync_barrier_survives_dropout(self):
         # A device dropping mid-barrier must not deadlock the gateway round.
         topo = uniform_topology(
@@ -477,6 +495,20 @@ class TestSchedulerIntegration:
         assert result.cloud_epochs_done == 12
         assert not [t for t in result.transfers if t.kind == "pca_distribution"]
 
+    @pytest.mark.parametrize("reported", [(1, 2, 4), (0, 1, 2, 3, 4, 5)])
+    def test_unreported_devices_take_the_best_reported_utility(self, reported):
+        sim = simulator._Simulation(small_config(mode="async-sched", seed=5))
+        sim._refresh_utilities()
+        assert sim.utilities == [1.0] * 6  # before any gradient
+        rng = np.random.default_rng(5)
+        grads = [rng.normal(0, 1, sim.arch.param_count) for _ in reported]
+        for i, grad in zip(reported, grads):
+            sim._record_gradient(i, grad)
+        sim._refresh_utilities()
+        u = learning_utility(np.stack(grads))[0].tolist()
+        assert [sim.utilities[i] for i in reported] == u
+        assert all(sim.utilities[i] == max(u) for i in range(6) if i not in reported)
+
     def test_selection_that_cannot_dispatch_refreshes_no_utilities(self, monkeypatch):
         calls = []
 
@@ -485,20 +517,22 @@ class TestSchedulerIntegration:
             return learning_utility(g)
 
         monkeypatch.setattr(simulator, "learning_utility", spy)
-        sim = simulator._Simulation(small_config(mode="async-sched", seed=33))
+        # Every link rates `rate` before any upload, and each cap is 1.5 of it.
+        rate = est_rate(8000, 2.0 + 6.0 + 3.0)  # uniform_topology's size over its mean latency
+        topo = uniform_topology(6, 2, sigma=0.5, bandwidth=1.5 * rate)
+        sim = simulator._Simulation(small_config(mode="async-sched", seed=33, topology=topo))
         rng = np.random.default_rng(33)
         sim.warmup_done = True
         sim.full_grads = {i: rng.normal(0, 1, sim.arch.param_count) for i in range(6)}
         sim._utilities_dirty = True
-        sim.gateway_of[:] = [0, 0, 0, 1, 1, 1]
+        sim._set_gateways([0, 0, 0, 1, 1, 1])
         gw = sim.gateways[0]
-        # A flight on gateway 0 leaves half the smallest candidate rate of its cap.
-        least = min(sim.rate_estimate(i, 0) for i in (1, 2))
-        load = float(sim.topo.bandwidth[0]) - least / 2
-        sim.flights[0] = simulator.Flight(0, 0, load, None, 0, 1.0)
+        # Device 0's flight leaves half of a candidate's rate of gateway 0's cap.
+        sim.dispatch(gw, [0])
+        assert sim.flights[0].rate == rate
         assert sim.select_devices(gw) == []
         assert calls == [] and sim._utilities_dirty
-        del sim.flights[0]
+        sim._remove_flight(0)
         assert sim.select_devices(gw) != []
         assert calls == [6] and not sim._utilities_dirty
         sim.select_devices(gw)
