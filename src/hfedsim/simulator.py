@@ -36,18 +36,26 @@ gateway model it was sent, which is also its proximal anchor, with a seed drawn
 from the device's round count. All three are fixed while the flight is in the
 air: the model and seed at dispatch, and the shard because it refreshes only
 after its own upload has removed the flight. When an upload lands before its
-flight has trained, every flight then in the air trains at once, in lockstep
-blocks of devices that share a shard size (`local_train`), and each keeps
-its row until its own upload. Under the utility selector the block also
-computes the gradient each device reports (`grad_regularized`, on the same
-rows, anchors and shards), and each flight keeps its row of that too; a
-flight drops its anchor once trained. An async gateway sends to about one
-device at a time, so this fills blocks that dispatch-time training would run
-one row at a time, and the trace is the same as if each device had trained
-alone on arrival and computed its gradient at its upload. A divergence raises
-at the device's upload, so only a live flight raises; the gradient pass over a
-diverged row warns of nothing, and a voided flight is dropped with whatever it
-holds.
+flight has trained, that flight trains in one lockstep block (`local_train`)
+with the `COHORT_BLOCK - 1` untrained flights of its shard size that land
+first, and each keeps its row until its own upload. So a flight still in the
+air when the run ends, or voided by a drop, mostly never trains. A flight's
+landing time is known at dispatch: its upload is due at
+`(now + down) + (comp + up)`. `untrained` keeps one heap per shard size of
+(landing time, dispatch order, device), pushed at dispatch, and a trigger pops
+it, skipping each entry whose flight has trained, landed or been voided
+(`Flight.order` tells a device's flights apart). An entry holds no model, so a
+stale one pins nothing, and no trigger scans the flights in the air. Under the
+utility selector the block also computes the gradient each device reports
+(`grad_regularized`, on the same rows, anchors and shards), and each flight
+keeps its row of that too; a flight drops its anchor once trained. An async
+gateway sends to about one device at a time, so this fills blocks that
+dispatch-time training would run one row at a time, and the trace is the same
+as if each device had trained alone on arrival and computed its gradient at
+its upload: each row of both calls is bit-identical to its own one-row call.
+A divergence raises at the device's upload, so only a live flight raises; the
+gradient pass over a diverged row warns of nothing, and a voided flight is
+dropped with whatever it holds.
 
 Evaluation. The evaluation timer records a trace row every `eval_every`
 seconds, and most rows see the cloud model of the row before: a barrier cloud
@@ -198,12 +206,14 @@ MODES: dict[str, Policy] = {
     "semi-async": Policy("window", "barrier", "random"),
     "sync-gw-async-cloud": Policy("barrier", "reply", "random"),
 }
-# Flights trained in one stacked pass. On the cohort-sync benchmark (perfbench,
-# 15 s runs, seeds 91-94, one run each on a 2-core container), blocks of 8, 16,
-# 32 and uncapped ran a median 2886, 3009, 3057 and 3179 rounds/s at a peak RSS
-# of 44.2, 44.9, 46.2 and 51.9 MB. Uncapped blocks are 6% faster than 16 but
-# take 16% more RSS (17% more than 8; 12.6% more than 8 in an earlier run with
-# the per-step SGD), past the benchmark's 10% bound. 32 buys 1.6% for 3% more.
+# Flights trained in one stacked pass. Measured while every flight in the air
+# trained at once (cohort-sync, 15 s runs, seeds 91-94, one run each on a 2-core
+# container): blocks of 8, 16, 32 and uncapped ran a median 2886, 3009, 3057 and
+# 3179 rounds/s at a peak RSS of 44.2, 44.9, 46.2 and 51.9 MB; uncapped is past
+# the benchmark's 10% RSS bound. With blocks in landing order, 32 against 16 (20 s
+# runs, seeds 2121-2124, 4 alternating pairs, same host type): cohort-sync
+# 3356 -> 3330 rounds/s (32 faster in 2 of 4 pairs) and 44.8 -> 46.6 MB (+4.0%,
+# 4 of 4); sched-scale 2528 -> 2653 rounds/s (+4.9%, 4 of 4) and 65.06 -> 65.28 MB.
 COHORT_BLOCK = 16
 
 
@@ -402,6 +412,7 @@ class Flight:
     anchor: np.ndarray | None  # the gateway model sent; dropped once trained
     seed: int
     observed_tau: float  # dispatch-to-upload latency
+    order: int  # dispatches before this one in the run; keys its `untrained` entry
     params: np.ndarray | None = None  # trained parameters, once trained
     grad: np.ndarray | None = None  # the reported gradient, once trained (utility selector)
 
@@ -454,6 +465,10 @@ class _Simulation:
         self.gateway_flights: list[dict[int, Flight]] = [
             {} for _ in range(self.topo.num_gateways)
         ]
+        # Per shard size, a heap of (landing time, dispatch order, device): one
+        # entry per dispatch, stale once its flight trains, lands or is voided.
+        self.untrained: dict[int, list[tuple[float, int, int]]] = {}
+        self._dispatches = itertools.count()
 
         self.warmup_done = self.policy.selector == "random"
 
@@ -573,34 +588,45 @@ class _Simulation:
                 load += r
         return chosen
 
-    def _train_flights(self) -> None:
-        """Train every flight in the air not trained yet, in blocks that share a shard size."""
-        by_n: dict[int, list[int]] = {}
-        for i, f in self.flights.items():
-            if f.params is None:
-                by_n.setdefault(self.devices[i].shard.n, []).append(i)
-        for group in by_n.values():
-            for k in range(0, len(group), COHORT_BLOCK):
-                ids = group[k : k + COHORT_BLOCK]
-                block = [self.flights[i] for i in ids]
-                starts = np.stack([f.anchor for f in block])
-                shards, seeds = [self.devices[i].shard for i in ids], [f.seed for f in block]
-                rows = local_train(starts, self.arch, shards, self.cfg.train, seeds)
-                for f, row in zip(block, rows):
-                    # One copy per flight: a row view would keep its whole block
-                    # alive until the block's last flight lands, and raise peak memory.
-                    f.params = row.copy()
-                    f.anchor = None
-                if self.policy.selector == "utility":
-                    grads = grad_regularized(rows, starts, self.arch, shards, self.cfg.train.rho)
-                    for f, grad in zip(block, grads):
-                        f.grad = grad.copy()
+    def _train_flights(self, trigger: int) -> None:
+        """Train the trigger's flight with the untrained flights of its shard size that land first.
+
+        The block holds at most `COHORT_BLOCK` flights: the trigger, then the
+        others in landing order, ties in dispatch order. Stale entries are
+        popped until the heap's first entry is live, so none that lands
+        before `now` outlives the call, and none pins a model in any case.
+        """
+        heap = self.untrained[self.devices[trigger].shard.n]
+        ids = [trigger]
+        while heap:
+            _, order, i = heap[0]
+            f = self.flights.get(i)
+            live = f is not None and f.order == order and f.params is None
+            if live and len(ids) == COHORT_BLOCK:
+                break
+            heapq.heappop(heap)
+            if live and i != trigger:
+                ids.append(i)
+        block = [self.flights[i] for i in ids]
+        starts = np.stack([f.anchor for f in block])
+        shards, seeds = [self.devices[i].shard for i in ids], [f.seed for f in block]
+        rows = local_train(starts, self.arch, shards, self.cfg.train, seeds)
+        for f, row in zip(block, rows):
+            # One copy per flight: a row view would keep its whole block
+            # alive until the block's last flight lands, and raise peak memory.
+            f.params = row.copy()
+            f.anchor = None
+        if self.policy.selector == "utility":
+            grads = grad_regularized(rows, starts, self.arch, shards, self.cfg.train.rho)
+            for f, grad in zip(block, grads):
+                f.grad = grad.copy()
 
     def dispatch(self, gw: GatewayState, device_ids: list[int]) -> None:
         """Send the gateway model, stamped with its version, to each device.
 
         Nothing trains here. Each flight records the gateway model (its start
-        and anchor) and its seed (from `rounds_started`). It trains on its
+        and anchor) and its seed (from `rounds_started`), and enters its shard
+        size's `untrained` heap under its landing time. It trains on its
         device's shard, which refreshes only after this flight's upload, so
         the flight can train any time before its upload lands.
         """
@@ -613,8 +639,12 @@ class _Simulation:
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
             seed = self._train_seed(i, dev.rounds_started)
-            flight = Flight(gw.id, gw.version, rate, gw.params, seed, total)
+            order = next(self._dispatches)
+            flight = Flight(gw.id, gw.version, rate, gw.params, seed, total, order)
             self.flights[i] = self.gateway_flights[gw.id][i] = flight
+            # The upload's own event time: `now + down`, then `+ (comp + up)`.
+            landing = (self.now + down) + (comp + up)
+            heapq.heappush(self.untrained.setdefault(dev.shard.n, []), (landing, order, i))
             dev.rounds_started += 1
             self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
             self.schedule(down, self.on_device_model_arrives, i, flight, comp + up)
@@ -826,7 +856,7 @@ class _Simulation:
         if self.flights.get(i) is not flight:
             return
         if flight.params is None:
-            self._train_flights()
+            self._train_flights(i)
         params = flight.params
         raise_if_diverged(params, f"while training device {i}")
         self._remove_flight(i)

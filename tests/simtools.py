@@ -1,4 +1,5 @@
-"""Shared builders for simulator tests: small deterministic scenarios, and the run digest."""
+"""Shared builders for simulator tests: small deterministic scenarios, the run digest,
+and the landing times of the flights in the air."""
 
 import hashlib
 
@@ -84,3 +85,15 @@ def digest(result) -> str:
     for tr in result.transfers:
         h.update(repr((tr.time, tr.kind, tr.src, tr.dst, tr.size, tr.overhead)).encode())
     return h.hexdigest()
+
+
+def landing_times(sim) -> dict[int, float]:
+    """By flight id, the time each flight in the air lands: its queued upload's
+    time, or its queued model arrival's time plus the delay that event carries."""
+    landing = {}
+    for t, _, handler, args in sim._heap:
+        if handler.__name__ == "on_device_model_arrives":
+            landing[id(args[1])] = t + args[2]
+        elif handler.__name__ == "on_device_upload_arrives":
+            landing[id(args[1])] = t
+    return landing

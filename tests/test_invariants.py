@@ -13,6 +13,8 @@ After every event:
   - each gateway's load (the rates of its flights) is at most its bandwidth,
     except during the warmup sweep, which ignores the cap;
   - each gateway's member list is the devices assigned to it, in id order;
+  - every untrained flight in the air has an entry in its shard size's
+    `untrained` heap under its exact landing time and its dispatch order;
   - every link no upload has crossed is estimated at its configured mean;
   - every assigned gateway is one the device can reach now;
   - an idle device's gateway is the latest association's target for it, or
@@ -36,7 +38,7 @@ from hfedsim import simulator
 from hfedsim.data import DataSpec, gen_synthetic
 from hfedsim.network import FaultEvent
 from hfedsim.simulator import MODES, SimResult, _Simulation, run
-from simtools import digest, small_config, uniform_topology
+from simtools import digest, landing_times, small_config, uniform_topology
 from test_golden import SCENARIOS
 
 HANDLERS = [name for name in vars(_Simulation) if name.startswith("on_")] + ["run_association"]
@@ -95,6 +97,13 @@ class CheckedSimulation(_Simulation):
             if self.warmup_done:
                 assert load <= cap * (1 + 1e-12), f"gateway {j} over its cap"
             assert self.members[j] == np.flatnonzero(self.gateway_of == j).tolist()
+
+        landing = landing_times(self)
+        entries = {n: set(heap) for n, heap in self.untrained.items()}
+        for i, f in self.flights.items():
+            if f.params is None:
+                entry = (landing[id(f)], f.order, i)
+                assert entry in entries.get(self.devices[i].shard.n, ()), f"flight {i} not queued"
 
         self.uploaded.update((int(t.src[3:]), int(t.dst[2:])) for t in new
                              if t.kind == "device_upload")

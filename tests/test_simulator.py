@@ -27,7 +27,7 @@ from hfedsim.simulator import (
     staleness,
 )
 from hfedsim.utility import learning_utility
-from simtools import small_config, uniform_topology
+from simtools import landing_times, small_config, uniform_topology
 
 
 class TestStaleness:
@@ -609,22 +609,45 @@ def _spy_non_finite_rows(monkeypatch) -> tuple[list[bool], list[bool]]:
     return train_rows, grad_rows
 
 
+def _twelve_unequal_shards():
+    """Async-random run of 12 devices whose shards hold 24 or 20 samples."""
+    cfg = small_config(mode="async-random", n=12, seed=5)
+    cfg.dataset.shards = [
+        Shard(s.features[:m], s.labels[:m]) for s, m in zip(cfg.dataset.shards, [24, 20] * 6)
+    ]
+    return cfg
+
+
+def _sync_24_devices():
+    # 24 equal shards and no jitter: every flight is in the air at the first
+    # upload, and many land together.
+    return small_config(mode="sync-random", n=24, seed=19, topology=uniform_topology(24, 2))
+
+
+_BLOCK_CASES = [
+    *((lambda m=m: small_config(mode=m, seed=19), 2) for m in MODES),
+    (_mlp_unequal_shards, 2), (_refresh_with_faults, 2),
+    (lambda: _refresh_with_faults("async-random"), 2),
+    (_sync_24_devices, 9),  # one block holds more than 8 rows
+]
+_BLOCK_IDS = [*MODES, "mlp-unequal-shards", "refresh-faults", "async-refresh-faults",
+              "sync-random-24-devices"]
+
+
 class TestCohortTraining:
-    """Training every flight in the air in lockstep blocks changes no output."""
+    """Which flights share a lockstep block changes no output. An upload that
+    finds its flight untrained trains it with the untrained flights of its shard
+    size that land first, `COHORT_BLOCK` flights at most, so a flight whose
+    upload never lands mostly never trains."""
 
     @pytest.mark.parametrize(
-        "make_cfg, least_block",
-        [*((lambda m=m: small_config(mode=m, seed=19), 2) for m in MODES),
-         (_mlp_unequal_shards, 2), (_refresh_with_faults, 2),
-         (lambda: _refresh_with_faults("async-random"), 2),
-         # 24 equal shards and no jitter: every flight is in the air at the
-         # first upload, so one block holds more than 8 rows.
-         (lambda: small_config(mode="sync-random", n=24, seed=19,
-                               topology=uniform_topology(24, 2)), 9)],
-        ids=[*MODES, "mlp-unequal-shards", "refresh-faults", "async-refresh-faults",
-             "sync-random-24-devices"],
+        "make_cfg, least_block, block",
+        [(*case, 1) for case in _BLOCK_CASES] + [(*case, 3) for case in _BLOCK_CASES],
+        ids=_BLOCK_IDS + [f"block3-{name}" for name in _BLOCK_IDS],
     )
-    def test_blocks_of_one_give_identical_outputs(self, monkeypatch, make_cfg, least_block):
+    def test_blocks_of_one_give_identical_outputs(
+        self, monkeypatch, make_cfg, least_block, block
+    ):
         sizes = []
 
         def spy(start, arch, shards, cfg, seeds):
@@ -635,9 +658,78 @@ class TestCohortTraining:
         batched = _outputs(make_cfg())
         assert max(sizes) >= least_block
         sizes.clear()
-        monkeypatch.setattr(simulator, "COHORT_BLOCK", 1)
+        monkeypatch.setattr(simulator, "COHORT_BLOCK", block)
         assert _outputs(make_cfg()) == batched
-        assert max(sizes) == 1
+        assert max(sizes) == block
+
+    @pytest.mark.parametrize(
+        "make_cfg", [_twelve_unequal_shards, _sync_24_devices],
+        ids=["async-unequal-shards", "sync-random-24-devices"],
+    )
+    def test_a_block_is_its_trigger_and_the_flights_that_land_first(
+        self, monkeypatch, make_cfg
+    ):
+        monkeypatch.setattr(simulator, "COHORT_BLOCK", 3)
+        sim = simulator._Simulation(make_cfg())
+        calls = []  # (transfers logged before the call, seeds)
+
+        def spy(start, arch, shards, train, seeds):
+            calls.append((len(sim.transfers), list(seeds)))
+            return local_train(start, arch, shards, train, seeds)
+
+        monkeypatch.setattr(simulator, "local_train", spy)
+        result = sim.run()
+        assert not sim.topo.faults  # so every flight uploads or is still in the air
+
+        # Round r of a device is its r-th dispatch. A flight lands when its
+        # upload is logged; one still in the air lands when its queued event says.
+        dispatched, landed, rounds = {}, {}, {}
+        for k, t in enumerate(result.transfers):
+            if t.kind == "dispatch":
+                i = int(t.dst.removeprefix("dev"))
+                rounds[i] = rounds.get(i, -1) + 1
+                dispatched[i, rounds[i]] = k
+            elif t.kind == "device_upload":
+                i = int(t.src.removeprefix("dev"))
+                landed[i, rounds[i]] = (k, t.time)
+        in_air = landing_times(sim)
+        for i, f in sim.flights.items():
+            landed[i, rounds[i]] = (len(result.transfers), in_air[id(f)])
+        assert landed.keys() == dispatched.keys()
+
+        round_of = {sim._train_seed(i, r): (i, r) for i, r in dispatched}
+        size = [shard.n for shard in sim.cfg.dataset.shards]  # no refresh
+        trained, fuller = set(), 0
+        for at, seeds in calls:
+            trigger, *rest = [round_of[s] for s in seeds]
+            assert landed[trigger][0] == at, "the block's first flight uploads next"
+            waiting = sorted(
+                (landed[f][1], k, f) for f, k in dispatched.items()
+                if k < at <= landed[f][0] and f != trigger and f not in trained
+                and size[f[0]] == size[trigger[0]]
+            )
+            fuller += len(waiting) > 2
+            assert rest == [f for *_, f in waiting[:2]]
+            trained.update([trigger, *rest])
+        assert fuller > 0, "no upload found more untrained flights than a block holds"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_few_rounds_train_and_never_upload(self, monkeypatch, mode):
+        # Only a block's other flights can train and then not upload: those
+        # still in the air when the run ends, or voided.
+        monkeypatch.setattr(simulator, "COHORT_BLOCK", 3)
+        rows = []
+
+        def spy(start, arch, shards, train, seeds):
+            rows.extend(seeds)
+            return local_train(start, arch, shards, train, seeds)
+
+        monkeypatch.setattr(simulator, "local_train", spy)
+        for seed in (1, 2, 3):
+            rows.clear()
+            result = run(small_config(mode=mode, seed=seed))
+            uploads = sum(t.kind == "device_upload" for t in result.transfers)
+            assert uploads <= len(rows) <= uploads + 2
 
     def test_diverging_device_is_named(self):
         cfg = small_config(mode="sync-random", seed=4)
@@ -675,8 +767,10 @@ class TestCohortTraining:
     def _slow_diverging_device_drops(mode, monkeypatch):
         # Device 0 diverges and is slowed 3x: its model arrives at 6.5 s and its
         # upload would land at 33.5 s. The other devices' uploads at 11.5 s
-        # train its flight too, and it drops at 20 s, so its non-finite row is
-        # thrown away unused. Only a flight that uploads raises.
+        # train its flight too, because the run has fewer flights than
+        # `COHORT_BLOCK`, all with one shard size, so the first upload's block
+        # holds every one in the air. It drops at 20 s, so its non-finite row
+        # is thrown away unused. Only a flight that uploads raises.
         faults = [FaultEvent(0.0, 0, "slowdown", 3.0), FaultEvent(20.0, 0, "drop")]
         topo = uniform_topology(3, 1, sigma=0.0, faults=faults)
         cfg = small_config(mode=mode, n=3, g=1, topology=topo, seed=1,
@@ -834,6 +928,36 @@ class TestTauEstimate:
 
 
 class TestLifetime:
+    @pytest.mark.parametrize("mode", ["async-sched", "sync-random"])
+    def test_only_the_air_and_the_event_queue_hold_a_flight(self, monkeypatch, mode):
+        # The `untrained` heaps hold numbers, not flights, so a flight that has
+        # landed, or was voided and has no event left, is freed with its model
+        # even while its heap entry waits for the next trigger to pop it.
+        made, stale = [], []
+
+        class Tracked(simulator.Flight):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        train = simulator._Simulation._train_flights
+
+        def checked_train(sim, trigger):
+            live = {(f.order, i) for i, f in sim.flights.items() if f.params is None}
+            stale.append(sum((order, i) not in live
+                             for heap in sim.untrained.values() for _, order, i in heap))
+            held = {id(f) for f in sim.flights.values()}
+            held |= {id(a) for *_, args in sim._heap for a in args}
+            alive = [f for f in (ref() for ref in made) if f is not None]
+            assert all(id(f) in held for f in alive)
+            train(sim, trigger)
+
+        monkeypatch.setattr(simulator, "Flight", Tracked)
+        monkeypatch.setattr(simulator, "COHORT_BLOCK", 3)
+        monkeypatch.setattr(simulator._Simulation, "_train_flights", checked_train)
+        run(_refresh_with_faults(mode))
+        assert max(stale) > 0
+
     @pytest.mark.parametrize("mode", MODES)
     def test_finished_run_is_freed_without_the_cyclic_gc(self, mode):
         # Events still queued when the run ends must not hold the simulation,
