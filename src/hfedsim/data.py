@@ -150,6 +150,8 @@ def save_dataset(ds: FederatedDataset, out_dir: str | Path) -> Path:
 
 
 def _read_shard_file(path: Path, dim: int, num_classes: int) -> Shard:
+    if not path.is_file():
+        raise DatasetFormatError(f"{path.name}: shard file not found")
     feats, labels = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -196,8 +198,10 @@ def load_shards(path: str | Path) -> FederatedDataset:
     if not manifest["devices"]:
         raise DatasetFormatError("at least one device required")
 
-    dim = int(manifest["input_dim"])
-    num_classes = int(manifest["num_classes"])
+    try:
+        dim, num_classes = int(manifest["input_dim"]), int(manifest["num_classes"])
+    except (TypeError, ValueError) as exc:
+        raise DatasetFormatError(f"{p.name}: non-integer input_dim or num_classes ({exc})") from exc
     base = p.parent
     shards = [_read_shard_file(base / name, dim, num_classes) for name in manifest["devices"]]
     test = _read_shard_file(base / manifest["test"], dim, num_classes)
@@ -209,7 +213,10 @@ def load_shards(path: str | Path) -> FederatedDataset:
     if class_map is None:
         class_map = [sorted(set(s.labels.tolist())) for s in shards]
     else:
-        class_map = [[int(c) for c in entry] for entry in class_map]
+        try:
+            class_map = [[int(c) for c in entry] for entry in class_map]
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{p.name}: class_map must list integers ({exc})") from exc
         if len(class_map) != len(shards):
             raise DatasetFormatError(
                 f"{p.name}: class_map has {len(class_map)} entries for {len(shards)} devices"

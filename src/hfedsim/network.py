@@ -211,7 +211,10 @@ def load_topology(path: str | Path) -> Topology:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise DatasetFormatError(f"{p.name}: invalid JSON ({exc})") from exc
-    return topology_from_json(doc)
+    try:
+        return topology_from_json(doc)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{p.name}: {exc}") from exc
 
 
 # -- generator ----------------------------------------------------------------

@@ -83,14 +83,23 @@ def solve_selection(inst: SelectionInstance) -> set[int]:
     return _knapsack_greedy(items, inst.bandwidth)
 
 
-def _knapsack_greedy(items, capacity) -> set[int]:
-    order = sorted(items, key=lambda it: (-it[1] / it[2], it[0]))
-    chosen, load = set(), 0.0
-    for dev, _, rate in order:
+def fill_capacity(pairs: list[tuple[int, float]], capacity: float) -> list[int]:
+    """Greedy cap fill: the devices of the (device, rate) pairs, in order, that fit.
+
+    A pair is taken while `load + rate <= capacity`; one that does not fit is
+    skipped, and the fill goes on to the next.
+    """
+    chosen, load = [], 0.0
+    for dev, rate in pairs:
         if load + rate <= capacity:
-            chosen.add(dev)
+            chosen.append(dev)
             load += rate
     return chosen
+
+
+def _knapsack_greedy(items, capacity) -> set[int]:
+    order = sorted(items, key=lambda it: (-it[1] / it[2], it[0]))
+    return set(fill_capacity([(dev, rate) for dev, _, rate in order], capacity))
 
 
 def _knapsack_branch_and_bound(items, capacity) -> set[int]:

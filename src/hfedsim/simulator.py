@@ -93,10 +93,15 @@ updates it, and nothing else holds it. A link's rate is `model_bytes / tau`;
 the association divides the whole table at once, and a pair with no link,
 held at inf, rates 0.
 
-Utilities. `utilities` holds a learning utility per device, recomputed from
-the reported gradients on the first read after one came in. A device with
-none reported holds the cold-start value: the largest reported utility, or
-1.0 before any.
+Utilities. Under the utility selector the reported gradients live in one
+`[N, width]` matrix, `grads`, for the whole run; `has_grad` marks the devices
+that have reported one, and `pca_model` is set once the compressor is fitted.
+Until the fit a row is the full gradient (`width` is the parameter count, for
+the whole run if none is fitted); the fit replaces the matrix with the `[N, p]`
+projections of its reported rows, and each later gradient is stored projected.
+`utilities` holds a learning utility per device, recomputed from the reported
+rows on the first read after one came in. A device with none reported holds
+the cold-start value: the largest reported utility, or 1.0 before any.
 
 Run end. The run is done once the cloud has aggregated `cloud_epochs` times
 (`h >= cloud_epochs`): that aggregation sends no model, no more events run,
@@ -162,6 +167,7 @@ from .selection import (
     AssociationInstance,
     Candidate,
     SelectionInstance,
+    fill_capacity,
     solve_association,
     solve_selection,
 )
@@ -449,11 +455,10 @@ class _Simulation:
             self.latency[i][j] = link.mean_total
         self.observed: set[tuple[int, int]] = set()  # links an upload has crossed
 
-        # Reported gradients. Full length until the PCA fit (for the whole run
-        # if none is fitted); from the fit on, each device's row of `coords`
-        # holds its compressed gradient if `has_grad` says it reported one.
-        self.full_grads: dict[int, np.ndarray] = {}
-        self.coords: np.ndarray | None = None
+        # Reported gradients, one row per device (see "Utilities"); only the
+        # utility selector reads them, so no other allocates the matrix.
+        utility = self.policy.selector == "utility"
+        self.grads = np.zeros((n, cfg.arch.param_count)) if utility else None
         self.has_grad = np.zeros(n, dtype=bool)
         # Per device, with the cold-start value for one that has reported none.
         self.utilities = [1.0] * n
@@ -507,16 +512,10 @@ class _Simulation:
         if not self._utilities_dirty:
             return
         self._utilities_dirty = False
-        if self.coords is not None:
-            # The fit had >= 2 gradients, and a device never loses its row.
-            ids = np.flatnonzero(self.has_grad)
-            g = self.coords if len(ids) == len(self.coords) else self.coords[ids]
-        elif len(self.full_grads) >= 2:
-            ids = sorted(self.full_grads)
-            g = np.stack([self.full_grads[i] for i in ids])
-        else:
+        ids = np.flatnonzero(self.has_grad)
+        if len(ids) < 2:
             return
-        u = learning_utility(g)[0]
+        u = learning_utility(self._reported_rows(ids))[0]
         if len(ids) < self.topo.num_devices:
             # Cold start: unseen devices look as attractive as the current best.
             dense = np.full(self.topo.num_devices, max(u.tolist()))
@@ -524,9 +523,9 @@ class _Simulation:
             u = dense
         self.utilities = u.tolist()
 
-    def tau_estimate(self, device: int, gateway: int) -> float:
-        """The observed round latency of the link, or its configured mean before any upload."""
-        return self.latency[device][gateway]
+    def _reported_rows(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of `grads` at `ids`, the reporting devices; `grads` itself, uncopied, if all."""
+        return self.grads if len(ids) == len(self.grads) else self.grads[ids]
 
     def rate_estimate(self, device: int, gateway: int) -> float:
         return est_rate(self.topo.model_bytes, self.latency[device][gateway])
@@ -580,13 +579,7 @@ class _Simulation:
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
         else:  # random fill
             order = [ids[k] for k in self.rng.permutation(len(ids))]
-        chosen, load = [], 0.0
-        for i in order:
-            r = self.rate_estimate(i, gw.id)
-            if load + r <= cap:
-                chosen.append(i)
-                load += r
-        return chosen
+        return fill_capacity([(i, self.rate_estimate(i, gw.id)) for i in order], cap)
 
     def _train_flights(self, trigger: int) -> None:
         """Train the trigger's flight with the untrained flights of its shard size that land first.
@@ -652,19 +645,23 @@ class _Simulation:
     # ---- warmup -------------------------------------------------------------
 
     def finish_warmup(self) -> None:
+        """End the warmup: fit the compressor on the reported rows, then dispatch everywhere.
+
+        With at least two reported gradients the utility selector fits
+        `pca_model` on the reported rows of `grads`, in device order, and
+        replaces `grads` with an `[N, p]` matrix of their projections. With
+        fewer, nothing is fitted and `grads` keeps its full rows for the run.
+        """
         self.warmup_done = True
-        # One gradient cannot fit a compressor; the run then stays uncompressed.
-        if len(self.full_grads) >= 2:
-            ids = sorted(self.full_grads)
+        ids = np.flatnonzero(self.has_grad)
+        if len(ids) >= 2:
             p = min(self.cfg.pca_dim, len(ids), self.arch.param_count)
-            self.pca_model = pca_fit([self.full_grads[i] for i in ids], p)
+            self.pca_model = pca_fit(self._reported_rows(ids), p)
             size = pca_bytes(self.pca_model)
             self.charge("pca_distribution", "cloud", "all", size, overhead=size)
-            self.coords = np.zeros((self.topo.num_devices, p))
-            for i in ids:
-                self.coords[i] = pca_project(self.pca_model, self.full_grads[i])
-            self.has_grad[ids] = True
-            self.full_grads = {}
+            coords = np.zeros((self.topo.num_devices, p))
+            coords[ids] = [pca_project(self.pca_model, self.grads[i]) for i in ids]
+            self.grads = coords
             self._utilities_dirty = True
         for gw in self.gateways:
             self._start_round(gw)
@@ -674,16 +671,13 @@ class _Simulation:
 
         `_train_flights` computed it with the flight's training block: the
         anchored objective's gradient on the full shard the device trained on,
-        at the trained parameters. Here it is only stored, projected once the
-        compressor is fitted.
+        at the trained parameters. Here it becomes the device's row of `grads`,
+        projected if `pca_model` is fitted, and `has_grad` marks it.
         """
         self._utilities_dirty = True
-        if self.coords is None:
-            self.full_grads[device] = grad
-            return 8 * len(grad)
-        self.coords[device] = pca_project(self.pca_model, grad)
+        self.grads[device] = grad if self.pca_model is None else pca_project(self.pca_model, grad)
         self.has_grad[device] = True
-        return 8 * self.coords.shape[1]
+        return 8 * self.grads.shape[1]
 
     # ---- association ----------------------------------------------------------
 

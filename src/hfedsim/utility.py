@@ -61,8 +61,12 @@ def learning_utility(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return eta + nu, eta, nu
 
 
-def pca_fit(warmup_grads: list[np.ndarray], p: int) -> PcaModel:
+def pca_fit(warmup_grads: np.ndarray | list[np.ndarray], p: int) -> PcaModel:
     """Top-p principal directions of the warmup gradients.
+
+    The gradients are the m rows of `warmup_grads`, an [m, d] array or a list
+    of m [d] vectors. Either way `np.stack` copies them into a fresh [m, d]
+    stack, so the caller's array is never changed.
 
     Components are ordered by descending variance, with each row's sign fixed
     so its largest-magnitude entry is positive (reproducible traces).

@@ -244,6 +244,34 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match="at least one device required"):
             load_shards(manifest)
 
+    def test_missing_shard_file(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        (tmp_path / "device_1.csv").unlink()
+        with pytest.raises(DatasetFormatError, match=r"device_1\.csv: shard file not found"):
+            load_shards(manifest)
+
+    @pytest.mark.parametrize("key, value", [("input_dim", "abc"), ("num_classes", None)])
+    def test_non_integer_count_names_the_manifest(self, tmp_path, key, value):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data[key] = value
+        manifest.write_text(json.dumps(data))
+        message = r"manifest\.json: non-integer input_dim or num_classes"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_non_integer_class_map_entry(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["class_map"][1] = [data["class_map"][1][0], "two"]
+        manifest.write_text(json.dumps(data))
+        with pytest.raises(DatasetFormatError, match=r"manifest\.json: class_map must list"):
+            load_shards(manifest)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="manifest not found"):
             load_shards(tmp_path / "nope")

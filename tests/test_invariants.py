@@ -16,6 +16,10 @@ After every event:
   - every untrained flight in the air has an entry in its shard size's
     `untrained` heap under its exact landing time and its dispatch order;
   - every link no upload has crossed is estimated at its configured mean;
+  - under the utility selector `has_grad` marks exactly the devices with a
+    charged upload, and `grads` is `[N, param_count]` until the PCA fit and
+    `[N, pca_model.dim]` from it on; under the others no device has reported
+    and `grads` is None;
   - every assigned gateway is one the device can reach now;
   - an idle device's gateway is the latest association's target for it, or
     -1 if it has dropped since;
@@ -109,7 +113,15 @@ class CheckedSimulation(_Simulation):
                              if t.kind == "device_upload")
         for (i, j), link in self.topo.link_params.items():
             if (i, j) not in self.uploaded:
-                assert self.tau_estimate(i, j) == link.mean_total, f"link {i}-{j} moved"
+                assert self.latency[i][j] == link.mean_total, f"link {i}-{j} moved"
+
+        reported = np.flatnonzero(self.has_grad).tolist()
+        if self.policy.selector == "utility":
+            assert reported == sorted({i for i, _ in self.uploaded})
+            width = self.arch.param_count if self.pca_model is None else self.pca_model.dim
+            assert self.grads.shape == (self.topo.num_devices, width)
+        else:
+            assert reported == [] and self.grads is None
 
         for i, j in enumerate(self.gateway_of):
             assert j == -1 or self.feasible[i, j], f"device {i} assigned to unreachable {j}"

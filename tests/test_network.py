@@ -69,27 +69,27 @@ class TestLatencyTracker:
         sim = _Simulation(small_config(mode="semi-async", alpha_ema=1.0))
         _observe(sim, 0, 0, 10.0)
         _observe(sim, 0, 0, 25.0)
-        assert sim.tau_estimate(0, 0) == 25.0
+        assert sim.latency[0][0] == 25.0
 
     def test_constant_fixed_point(self):
         sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.3))
         for _ in range(5):
             _observe(sim, 1, 1, 4.0)
-        assert sim.tau_estimate(1, 1) == pytest.approx(4.0, rel=1e-12)
+        assert sim.latency[1][1] == pytest.approx(4.0, rel=1e-12)
 
     def test_two_step_average(self):
         sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.5))
         _observe(sim, 0, 1, 10.0)
         _observe(sim, 0, 1, 20.0)
-        assert sim.tau_estimate(0, 1) == 15.0
+        assert sim.latency[0][1] == 15.0
 
     def test_default_when_unobserved(self):
         sim = _Simulation(small_config(mode="semi-async", alpha_ema=0.5,
                                        topology=uniform_topology(6, 2, mean_comp=2.0)))
-        assert sim.tau_estimate(3, 0) == 7.0  # 2 down + 2 compute + 3 up
+        assert sim.latency[3][0] == 7.0  # 2 down + 2 compute + 3 up
         _observe(sim, 3, 1, 12.0)
-        assert sim.tau_estimate(3, 0) == 7.0  # another link's upload leaves it
-        assert sim.tau_estimate(3, 1) == 12.0
+        assert sim.latency[3][0] == 7.0  # another link's upload leaves it
+        assert sim.latency[3][1] == 12.0
 
 
 class TestEstRate:
@@ -248,6 +248,21 @@ class TestTopologyIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="not found"):
             load_topology(tmp_path / "none.json")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"model_size": "big"}, "invalid topology file"),
+            ({"links": [{"i": 0}]}, "topology file missing field"),
+        ],
+        ids=["model_size", "links"],
+    )
+    def test_load_error_names_the_file(self, tmp_path, change, message):
+        doc = {**topology_to_json(small_topology()), **change}
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}"):
+            load_topology(path)
 
 
 class TestNonFiniteInputs:

@@ -11,6 +11,7 @@ from hfedsim.selection import (
     AssociationInstance,
     Candidate,
     SelectionInstance,
+    fill_capacity,
     solve_association,
     solve_selection,
 )
@@ -377,6 +378,19 @@ class TestSolveSelection:
             f"median={np.median(ratios):.3f} mean={ratios.mean():.3f}"
         )
         assert ratios.min() > 0.5  # sanity floor; quality distribution printed above
+
+
+class TestFillCapacity:
+    def test_skips_a_pair_that_does_not_fit_and_takes_a_later_smaller_one(self):
+        assert fill_capacity([(4, 6.0), (1, 5.0), (7, 3.0), (2, 1.0)], 10.0) == [4, 7, 2]
+
+    def test_admits_a_pair_that_brings_the_load_exactly_to_the_cap(self):
+        assert fill_capacity([(0, 0.25), (1, 0.5), (2, 0.25)], 1.0) == [0, 1, 2]
+        assert fill_capacity([(3, 2.0)], 2.0) == [3]
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 3.0), (1, 2.5)]], ids=["empty", "all-over"])
+    def test_nothing_fits(self, pairs):
+        assert fill_capacity(pairs, 2.0) == []
 
 
 class TestSolveAssociation:

@@ -523,8 +523,8 @@ class TestSchedulerIntegration:
         sim = simulator._Simulation(small_config(mode="async-sched", seed=33, topology=topo))
         rng = np.random.default_rng(33)
         sim.warmup_done = True
-        sim.full_grads = {i: rng.normal(0, 1, sim.arch.param_count) for i in range(6)}
-        sim._utilities_dirty = True
+        for i in range(6):
+            sim._record_gradient(i, rng.normal(0, 1, sim.arch.param_count))
         sim._set_gateways([0, 0, 0, 1, 1, 1])
         gw = sim.gateways[0]
         # Device 0's flight leaves half of a candidate's rate of gateway 0's cap.
@@ -915,11 +915,11 @@ class TestTauEstimate:
             if sim.flights.get(i) is not flight:  # a voided round
                 return upload(sim, i, flight)
             mean = sim.topo.link_params[key].mean_total
-            assert sim.tau_estimate(*key) == expected.get(key, mean)
+            assert sim.latency[i][flight.gateway] == expected.get(key, mean)
             upload(sim, i, flight)
             tau = flight.observed_tau
             expected[key] = tau if key not in expected else a * tau + (1 - a) * expected[key]
-            assert sim.tau_estimate(*key) == expected[key] != mean
+            assert sim.latency[i][flight.gateway] == expected[key] != mean
             uploads.append(key)
 
         monkeypatch.setattr(simulator._Simulation, "on_device_upload_arrives", spy)

@@ -180,6 +180,16 @@ class TestPca:
         for row in a.components:
             assert row[np.argmax(np.abs(row))] > 0
 
+    def test_rows_of_an_array_fit_as_the_list_and_stay_unchanged(self):
+        rng = np.random.default_rng(10)
+        rows = rng.normal(size=(7, 9))
+        kept = rows.copy()
+        a = pca_fit(rows, p=3)
+        b = pca_fit(list(kept), p=3)
+        np.testing.assert_array_equal(rows, kept)
+        np.testing.assert_array_equal(a.mean, b.mean)
+        np.testing.assert_array_equal(a.components, b.components)
+
     def test_p_too_large(self):
         with pytest.raises(ConfigurationError, match="PCA dim"):
             pca_fit([np.zeros(3), np.ones(3)], p=3)
