@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError
+from .errors import ConfigurationError, DatasetFormatError, integer_field
 from .learning import Shard
 
 TEST_SAMPLES_PER_CLASS = 100
@@ -195,15 +195,20 @@ def load_shards(path: str | Path) -> FederatedDataset:
     for key in ("num_classes", "input_dim", "devices", "test"):
         if key not in manifest:
             raise DatasetFormatError(f"{p.name}: missing field {key!r}")
-    if not manifest["devices"]:
+    devices = manifest["devices"]
+    if not isinstance(devices, list):
+        raise DatasetFormatError(f"{p.name}: devices must be a list of file names ({devices!r})")
+    if not devices:
         raise DatasetFormatError("at least one device required")
+    files = [(f"devices[{k}]", name) for k, name in enumerate(devices)]
+    for where, name in [*files, ("test", manifest["test"])]:
+        if not isinstance(name, str):
+            raise DatasetFormatError(f"{p.name}: {where} must be a file name ({name!r})")
 
-    try:
-        dim, num_classes = int(manifest["input_dim"]), int(manifest["num_classes"])
-    except (TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"{p.name}: non-integer input_dim or num_classes ({exc})") from exc
+    dim = integer_field(manifest["input_dim"], f"{p.name}: input_dim")
+    num_classes = integer_field(manifest["num_classes"], f"{p.name}: num_classes")
     base = p.parent
-    shards = [_read_shard_file(base / name, dim, num_classes) for name in manifest["devices"]]
+    shards = [_read_shard_file(base / name, dim, num_classes) for name in devices]
     test = _read_shard_file(base / manifest["test"], dim, num_classes)
 
     if len(set(test.labels.tolist())) != num_classes:
@@ -214,8 +219,11 @@ def load_shards(path: str | Path) -> FederatedDataset:
         class_map = [sorted(set(s.labels.tolist())) for s in shards]
     else:
         try:
-            class_map = [[int(c) for c in entry] for entry in class_map]
-        except (TypeError, ValueError) as exc:
+            class_map = [
+                [integer_field(c, f"{p.name}: class_map[{i}][{k}]") for k, c in enumerate(entry)]
+                for i, entry in enumerate(class_map)
+            ]
+        except TypeError as exc:
             raise DatasetFormatError(f"{p.name}: class_map must list integers ({exc})") from exc
         if len(class_map) != len(shards):
             raise DatasetFormatError(

@@ -30,6 +30,7 @@ serves the training step and `grad_regularized`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,11 @@ class TrainConfig:
     batch_size: int
 
     def __post_init__(self):
-        if self.gamma < 0 or self.rho < 0:
-            raise ConfigurationError("gamma and rho must be >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
+        # Chained comparisons, so that NaN fails them as inf does.
+        if not (0 <= self.gamma < math.inf and 0 <= self.rho < math.inf):
+            raise ConfigurationError("gamma and rho must be >= 0 and finite")
+        if not (1 <= self.epochs < math.inf and 1 <= self.batch_size < math.inf):
+            raise ConfigurationError("epochs and batch_size must be >= 1 and finite")
 
 
 def init_params(arch: ModelArch, seed: int) -> np.ndarray:

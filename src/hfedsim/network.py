@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError
+from .errors import ConfigurationError, DatasetFormatError, integer_field
 
 FAULT_ACTIONS = ("drop", "restore", "slowdown")
 CLOUD_GATEWAY_DELAY = 0.5  # seconds each way between a gateway and the cloud
@@ -161,16 +161,20 @@ def save_topology(topo: Topology, path: str | Path) -> None:
 
 def topology_from_json(doc: dict) -> Topology:
     try:
-        n, g = int(doc["N"]), int(doc["G"])
+        n, g = integer_field(doc["N"], "N"), integer_field(doc["G"], "G")
         bandwidth = np.asarray([float(b) for b in doc["B"]], dtype=np.float64)
-        model_bytes = int(doc["model_size"])
-        comp = {int(d["i"]): float(d["mean_comp"]) for d in doc["devices"]}
+        model_bytes = integer_field(doc["model_size"], "model_size")
+        comp = {
+            integer_field(d["i"], f"devices[{k}].i"): float(d["mean_comp"])
+            for k, d in enumerate(doc["devices"])
+        }
         for i in comp:
             if not 0 <= i < n:
                 raise ConfigurationError(f"device id {i} out of range")
         link_params = {}
-        for link in doc["links"]:
-            i, j = int(link["i"]), int(link["j"])
+        for k, link in enumerate(doc["links"]):
+            i = integer_field(link["i"], f"links[{k}].i")
+            j = integer_field(link["j"], f"links[{k}].j")
             if i not in comp:
                 raise ConfigurationError(f"link device {i} missing from devices list")
             link_params[(i, j)] = DelayParams(
@@ -182,11 +186,11 @@ def topology_from_json(doc: dict) -> Topology:
         faults = [
             FaultEvent(
                 time=float(f["t"]),
-                device=int(f["device"]),
+                device=integer_field(f["device"], f"faults[{k}].device"),
                 action=str(f["action"]),
                 factor=float(f.get("factor", 1.0)),
             )
-            for f in doc.get("faults", [])
+            for k, f in enumerate(doc.get("faults", []))
         ]
         return Topology(
             num_devices=n,

@@ -97,8 +97,10 @@ Utilities. Under the utility selector the reported gradients live in one
 `[N, width]` matrix, `grads`, for the whole run; `has_grad` marks the devices
 that have reported one, and `pca_model` is set once the compressor is fitted.
 Until the fit a row is the full gradient (`width` is the parameter count, for
-the whole run if none is fitted); the fit replaces the matrix with the `[N, p]`
-projections of its reported rows, and each later gradient is stored projected.
+the whole run if none is fitted). The fit centres the reported rows in place,
+in the matrix it is about to replace, so it copies no `[m, d]` stack; the
+`[N, p]` projections of those rows replace the matrix, and each later gradient
+is stored projected.
 `utilities` holds a learning utility per device, recomputed from the reported
 rows on the first read after one came in. A device with none reported holds
 the cold-start value: the largest reported utility, or 1.0 before any.
@@ -321,6 +323,8 @@ class SimConfig:
     time_budget: float = 1e7
 
     def validate(self) -> None:
+        # Chained comparisons, so that NaN fails them; only time_budget may be inf.
+        inf = math.inf
         if self.mode not in MODES:
             raise ConfigurationError(f"unknown mode {self.mode!r}; valid: {tuple(MODES)}")
         n = self.dataset.num_devices
@@ -330,21 +334,23 @@ class SimConfig:
             )
         if not 0 < self.alpha <= 1 or not 0 < self.beta <= 1:
             raise ConfigurationError("alpha and beta must be in (0, 1]")
-        if self.staleness_exp < 0:
-            raise ConfigurationError("staleness_exp must be >= 0")
-        if self.gateway_epochs < 1 or self.cloud_epochs < 1:
-            raise ConfigurationError("gateway_epochs and cloud_epochs must be >= 1")
-        if self.kappa < 0 or self.phi < 0:
-            raise ConfigurationError("kappa and phi must be >= 0")
-        if self.assoc_period < 1:
-            raise ConfigurationError("assoc_period must be >= 1")
+        if not 0 <= self.staleness_exp < inf:
+            raise ConfigurationError("staleness_exp must be >= 0 and finite")
+        if not (1 <= self.gateway_epochs < inf and 1 <= self.cloud_epochs < inf):
+            raise ConfigurationError("gateway_epochs and cloud_epochs must be >= 1 and finite")
+        if not (0 <= self.kappa < inf and 0 <= self.phi < inf):
+            raise ConfigurationError("kappa and phi must be >= 0 and finite")
+        if not 1 <= self.assoc_period < inf:
+            raise ConfigurationError("assoc_period must be >= 1 and finite")
         utility = MODES[self.mode].selector == "utility"
         if utility and not 1 <= self.pca_dim <= self.arch.param_count:
             raise ConfigurationError("pca_dim must be in [1, model dimension]")
-        if self.semi_window <= 0:
-            raise ConfigurationError("semi_window must be > 0")
-        if self.eval_every <= 0 or self.time_budget <= 0:
-            raise ConfigurationError("eval_every and time_budget must be > 0")
+        if not 0 < self.semi_window < inf:
+            raise ConfigurationError("semi_window must be > 0 and finite")
+        if not (0 < self.eval_every < inf and 0 < self.time_budget):
+            raise ConfigurationError(
+                "eval_every and time_budget must be > 0; only time_budget may be inf"
+            )
         if not 0 < self.alpha_ema <= 1:
             raise ConfigurationError("alpha_ema must be in (0, 1]")
         for shard in [*self.dataset.shards, self.dataset.test]:
@@ -649,18 +655,22 @@ class _Simulation:
 
         With at least two reported gradients the utility selector fits
         `pca_model` on the reported rows of `grads`, in device order, and
-        replaces `grads` with an `[N, p]` matrix of their projections. With
-        fewer, nothing is fitted and `grads` keeps its full rows for the run.
+        replaces `grads` with an `[N, p]` matrix of their projections. The fit
+        centres those rows in place (`grads` itself when every device has
+        reported), so each projection is `components @ row` of a centred row:
+        the floats `pca_project` gives for the row as reported. With fewer,
+        nothing is fitted and `grads` keeps its full rows for the run.
         """
         self.warmup_done = True
         ids = np.flatnonzero(self.has_grad)
         if len(ids) >= 2:
             p = min(self.cfg.pca_dim, len(ids), self.arch.param_count)
-            self.pca_model = pca_fit(self._reported_rows(ids), p)
+            rows = self._reported_rows(ids)
+            self.pca_model = pca_fit(rows, p)
             size = pca_bytes(self.pca_model)
             self.charge("pca_distribution", "cloud", "all", size, overhead=size)
             coords = np.zeros((self.topo.num_devices, p))
-            coords[ids] = [pca_project(self.pca_model, self.grads[i]) for i in ids]
+            coords[ids] = [self.pca_model.components @ row for row in rows]
             self.grads = coords
             self._utilities_dirty = True
         for gw in self.gateways:

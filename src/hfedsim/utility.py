@@ -6,10 +6,11 @@ other devices pairwise (diversity). Both terms are sums of plain dot products,
 and each sum runs through the column sum of the gradients, so a refresh costs
 O(m·p) for m devices of p coordinates, with no m × m Gram matrix.
 
-The compressor is fitted once, on the m warmup gradients of d parameters: its
-components come from the eigenvectors of the m × m Gram matrix of the centred
-stack, with a thin SVD for a stack taller than it is wide (m > d) or one whose
-p-th eigenvalue is too small for the Gram to resolve.
+The compressor is fitted once, on the [m, d] stack of the m warmup gradients
+of d parameters, which it centres in place: its components come from the
+eigenvectors of the m × m Gram matrix of the centred stack, with a thin SVD
+for a stack taller than it is wide (m > d) or one whose p-th eigenvalue is too
+small for the Gram to resolve.
 """
 
 from __future__ import annotations
@@ -61,12 +62,15 @@ def learning_utility(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return eta + nu, eta, nu
 
 
-def pca_fit(warmup_grads: np.ndarray | list[np.ndarray], p: int) -> PcaModel:
-    """Top-p principal directions of the warmup gradients.
+def pca_fit(g: np.ndarray, p: int) -> PcaModel:
+    """Top-p principal directions of the warmup gradients, the m rows of `g`.
 
-    The gradients are the m rows of `warmup_grads`, an [m, d] array or a list
-    of m [d] vectors. Either way `np.stack` copies them into a fresh [m, d]
-    stack, so the caller's array is never changed.
+    `g` is an [m, d] float64 array, and the fit centres it in place: on
+    return it holds `g - mean`, each row rounded as `pca_project` rounds its
+    `g - mean`, so `components @ g[i]` is bit for bit the projection of the
+    original row i. A caller that needs the gradients afterwards passes a
+    copy. The fit copies no stack of its own, so on the Gram path `g` is its
+    one [m, d] array (numpy's `svd` still copies its input for LAPACK).
 
     Components are ordered by descending variance, with each row's sign fixed
     so its largest-magnitude entry is positive (reproducible traces).
@@ -92,17 +96,16 @@ def pca_fit(warmup_grads: np.ndarray | list[np.ndarray], p: int) -> PcaModel:
     the golden traces and `tests/harness_digests.py` give the same digests
     under either method.
     """
-    if len(warmup_grads) < 2:
-        raise ConfigurationError("PCA fit needs >= 2 gradient vectors")
-    g = np.stack(warmup_grads)
+    if not (isinstance(g, np.ndarray) and g.ndim == 2 and g.dtype == np.float64):
+        raise ConfigurationError("PCA fit needs an [m, d] float64 array")
     m, d = g.shape
+    if m < 2:
+        raise ConfigurationError("PCA fit needs >= 2 gradient vectors")
     if not 1 <= p <= min(m, d):
         raise ConfigurationError(
             f"PCA dim {p} must be in [1, min(n_vectors={m}, d={d})]"
         )
     mean = g.mean(axis=0)
-    # Centred in place: `g` is a fresh stack, and a second [m, d] copy beside
-    # it would add its full size to the fit's memory peak.
     g -= mean
     resolved = False
     if m <= d:

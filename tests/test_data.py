@@ -258,7 +258,64 @@ class TestLoadErrors:
         data = json.loads(manifest.read_text())
         data[key] = value
         manifest.write_text(json.dumps(data))
-        message = r"manifest\.json: non-integer input_dim or num_classes"
+        message = rf"manifest\.json: {key} must be an integer \({value!r}\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    @pytest.mark.parametrize("key, fraction", [("input_dim", 0.7), ("num_classes", 0.5)])
+    def test_fractional_count_is_rejected_not_truncated(self, tmp_path, key, fraction):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data[key] += fraction  # truncated, it would load the saved dataset as it is
+        manifest.write_text(json.dumps(data))
+        message = rf"manifest\.json: {key} must be an integer \({data[key]!r}\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_fractional_class_map_entry_is_rejected_not_truncated(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["class_map"][1][0] += 0.5
+        manifest.write_text(json.dumps(data))
+        value = data["class_map"][1][0]
+        message = rf"manifest\.json: class_map\[1\]\[0\] must be an integer \({value!r}\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_devices_must_be_a_list(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["devices"] = 5
+        manifest.write_text(json.dumps(data))
+        message = r"manifest\.json: devices must be a list of file names \(5\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_device_entry_must_be_a_file_name(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["devices"][0] = None
+        manifest.write_text(json.dumps(data))
+        message = r"manifest\.json: devices\[0\] must be a file name \(None\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_test_entry_must_be_a_file_name(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        import json
+
+        data = json.loads(manifest.read_text())
+        data["test"] = 5
+        manifest.write_text(json.dumps(data))
+        message = r"manifest\.json: test must be a file name \(5\)"
         with pytest.raises(DatasetFormatError, match=message):
             load_shards(manifest)
 
@@ -269,7 +326,8 @@ class TestLoadErrors:
         data = json.loads(manifest.read_text())
         data["class_map"][1] = [data["class_map"][1][0], "two"]
         manifest.write_text(json.dumps(data))
-        with pytest.raises(DatasetFormatError, match=r"manifest\.json: class_map must list"):
+        message = r"manifest\.json: class_map\[1\]\[1\] must be an integer \('two'\)"
+        with pytest.raises(DatasetFormatError, match=message):
             load_shards(manifest)
 
     def test_missing_manifest(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,26 @@ class TestTopologyIO:
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}"):
             load_topology(path)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("N",), ("G",), ("model_size",), ("devices", 0, "i"), ("links", 1, "i"),
+         ("links", 1, "j"), ("faults", 0, "device")],
+        ids=["N", "G", "model_size", "devices-i", "links-i", "links-j", "faults-device"],
+    )
+    def test_fractional_integer_is_rejected_not_truncated(self, tmp_path, path):
+        doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
+        *parents, key = path
+        entry = doc
+        for k in parents:
+            entry = entry[k]
+        entry[key] += 0.7  # truncated, it would load the topology as saved
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        file = tmp_path / "mesh.json"
+        file.write_text(json.dumps(doc))
+        message = rf"^mesh\.json: .*{re.escape(field)} must be an integer \({entry[key]!r}\)"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_topology(file)
 
 
 class TestNonFiniteInputs:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -26,7 +27,7 @@ from hfedsim.simulator import (
     run,
     staleness,
 )
-from hfedsim.utility import learning_utility
+from hfedsim.utility import learning_utility, pca_fit, pca_project
 from simtools import landing_times, small_config, uniform_topology
 
 
@@ -348,6 +349,16 @@ BAD_SETTINGS = [
     (dict(alpha_ema=1.5), r"alpha_ema must be in \(0, 1\]"),
 ]
 
+# NaN passes every `< 0` check and inf every `> 0` one. Only time_budget may be inf.
+NON_FINITE_SETTINGS = [
+    *[(field, value) for field in (
+        "staleness_exp", "gateway_epochs", "cloud_epochs", "kappa", "phi", "assoc_period",
+        "semi_window", "eval_every", "gamma", "rho", "epochs", "batch_size",
+    ) for value in (math.nan, math.inf)],
+    *[(field, math.nan) for field in ("alpha", "beta", "alpha_ema", "time_budget")],
+]
+TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+
 
 class TestValidation:
     def test_one_device_utility_run_ends_done(self):
@@ -402,6 +413,21 @@ class TestValidation:
         cfg = small_config(**overrides)
         with pytest.raises(ConfigurationError, match=message):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field, value", NON_FINITE_SETTINGS, ids=[f"{f}={v}" for f, v in NON_FINITE_SETTINGS]
+    )
+    def test_rejects_nan_and_inf(self, field, value):
+        cfg = small_config(mode="async-sched", seed=1)
+        with pytest.raises(ConfigurationError, match=field):
+            if field in TRAIN_FIELDS:
+                dataclasses.replace(cfg.train, **{field: value})
+            else:
+                dataclasses.replace(cfg, **{field: value}).validate()
+
+    def test_time_budget_may_be_inf(self):
+        result = run(small_config(mode="async-sched", seed=1, time_budget=math.inf))
+        assert result.stop_reason == "done"
 
     @pytest.mark.parametrize("where", ["train", "test"])
     @pytest.mark.parametrize(
@@ -494,6 +520,37 @@ class TestSchedulerIntegration:
         result = run(small_config(mode="async-sched", n=3, g=1, seed=1, topology=topo))
         assert result.cloud_epochs_done == 12
         assert not [t for t in result.transfers if t.kind == "pca_distribution"]
+
+    @pytest.mark.parametrize("dropped", [(), (0,)], ids=["all-report", "one-drops"])
+    def test_warmup_rows_are_the_projections_of_the_fitted_rows(self, monkeypatch, dropped):
+        # The fit centres its input in place: `grads` itself when every device
+        # reported, a copy of the reported rows otherwise. Either way the rows
+        # stored after it must be `pca_project` of the rows as reported.
+        fits, after = [], []
+
+        def spy_fit(g, p):
+            uncentred = g.copy()
+            model = pca_fit(g, p)
+            fits.append((uncentred, model))
+            return model
+
+        real_finish = simulator._Simulation.finish_warmup
+
+        def spy_finish(sim):
+            real_finish(sim)
+            after.append((sim.has_grad.copy(), sim.grads.copy()))
+
+        monkeypatch.setattr(simulator, "pca_fit", spy_fit)
+        monkeypatch.setattr(simulator._Simulation, "finish_warmup", spy_finish)
+        faults = [FaultEvent(5.0, i, "drop") for i in dropped]
+        topo = uniform_topology(6, 2, sigma=0.5, faults=faults)
+        run(small_config(mode="async-sched", seed=31, topology=topo))
+        ((uncentred, model),) = fits
+        ((has_grad, grads),) = after
+        assert has_grad.sum() == 6 - len(dropped) == len(uncentred)
+        want = np.stack([pca_project(model, row) for row in uncentred])
+        assert np.array_equal(grads[has_grad], want)
+        assert not grads[~has_grad].any()
 
     @pytest.mark.parametrize("reported", [(1, 2, 4), (0, 1, 2, 3, 4, 5)])
     def test_unreported_devices_take_the_best_reported_utility(self, reported):

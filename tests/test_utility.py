@@ -152,14 +152,14 @@ class TestPca:
         direction = np.array([2.0, -1.0, 0.5])
         direction /= np.linalg.norm(direction)
         grads = [float(t) * direction for t in rng.normal(size=10)]
-        model = pca_fit(grads, p=1)
+        model = pca_fit(np.stack(grads), p=1)
         cos = abs(float(model.components[0] @ direction))
         assert cos > 1 - 1e-8
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(6)
         grads = [rng.normal(size=4) for _ in range(10)]
-        model = pca_fit(grads, p=4)
+        model = pca_fit(np.stack(grads), p=4)
         for g in grads:
             back = pca_reconstruct(model, pca_project(model, g))
             np.testing.assert_allclose(back, g, atol=1e-8)
@@ -167,37 +167,62 @@ class TestPca:
     def test_components_orthonormal(self):
         rng = np.random.default_rng(7)
         grads = [rng.normal(size=12) for _ in range(9)]
-        model = pca_fit(grads, p=5)
+        model = pca_fit(np.stack(grads), p=5)
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(8)
         grads = [rng.normal(size=6) for _ in range(8)]
-        a = pca_fit(grads, p=3)
-        b = pca_fit([g.copy() for g in grads], p=3)
+        a = pca_fit(np.stack(grads), p=3)
+        b = pca_fit(np.stack(grads), p=3)
         np.testing.assert_array_equal(a.components, b.components)
         for row in a.components:
             assert row[np.argmax(np.abs(row))] > 0
 
-    def test_rows_of_an_array_fit_as_the_list_and_stay_unchanged(self):
+    def test_centres_its_input_in_place_and_fits_as_on_a_copy(self):
         rng = np.random.default_rng(10)
         rows = rng.normal(size=(7, 9))
         kept = rows.copy()
         a = pca_fit(rows, p=3)
-        b = pca_fit(list(kept), p=3)
-        np.testing.assert_array_equal(rows, kept)
+        b = pca_fit(kept.copy(), p=3)
+        np.testing.assert_array_equal(rows, kept - a.mean)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.components, b.components)
+        # So a centred row projects to the floats `pca_project` gives its original.
+        for centred, row in zip(rows, kept):
+            assert np.array_equal(a.components @ centred, pca_project(a, row))
+
+    def test_fit_allocates_no_copy_of_a_wide_stack(self):
+        # m << d: the Gram, the mean and the p components are far smaller than
+        # the [m, d] stack, so only a copy of the stack could reach half its size.
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(50, 4000))
+        tracemalloc.start()
+        try:
+            pca_fit(g, p=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.nbytes / 2
+
+    @pytest.mark.parametrize(
+        "g",
+        [[np.zeros(3), np.ones(3)], np.zeros((2, 3), dtype=np.float32), np.zeros(3)],
+        ids=["list", "float32", "one-dimensional"],
+    )
+    def test_input_must_be_a_float64_stack(self, g):
+        with pytest.raises(ConfigurationError, match=r"\[m, d\] float64 array"):
+            pca_fit(g, p=1)
 
     def test_p_too_large(self):
         with pytest.raises(ConfigurationError, match="PCA dim"):
-            pca_fit([np.zeros(3), np.ones(3)], p=3)
+            pca_fit(np.stack([np.zeros(3), np.ones(3)]), p=3)
 
     def test_project_mean_is_zero(self):
         rng = np.random.default_rng(9)
         grads = [rng.normal(size=5) for _ in range(8)]
-        model = pca_fit(grads, p=2)
+        model = pca_fit(np.stack(grads), p=2)
         np.testing.assert_allclose(
             pca_project(model, model.mean), np.zeros(2), atol=1e-15
         )
@@ -212,7 +237,7 @@ class TestPca:
         d, n = 5, 12
         raw = [rng.normal(size=d) for _ in range(n)]
         centered = [g - np.mean(raw, axis=0) for g in raw]
-        model = pca_fit(centered, p=d)
+        model = pca_fit(np.stack(centered), p=d)
         projected = [pca_project(model, g) for g in centered]
         u_raw, _, _ = utilities(centered)
         u_proj, _, _ = utilities(projected)
@@ -230,7 +255,7 @@ class TestPca:
             raise AssertionError("a full-rank stack must not take the SVD")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        model = pca_fit(grads, p)
+        model = pca_fit(np.stack(grads), p)
         np.testing.assert_allclose(model.components, want, rtol=0, atol=1e-10)
         np.testing.assert_allclose(
             model.components @ model.components.T, np.eye(p), rtol=0, atol=1e-12
@@ -253,7 +278,7 @@ class TestPca:
         # pytest turns warnings into errors (pyproject.toml); errstate does the same
         # for numpy's floating-point checks, such as a square root of a negative.
         with np.errstate(all="raise"):
-            model = pca_fit(grads, p)
+            model = pca_fit(np.stack(grads), p)
         assert np.array_equal(model.components, svd_pca_components(grads, p))
 
     @pytest.mark.parametrize(
@@ -278,7 +303,7 @@ class TestPca:
                 raise AssertionError("a resolved spectrum must not take the SVD")
 
             monkeypatch.setattr(np.linalg, "svd", no_svd)
-        model = pca_fit(grads, p)
+        model = pca_fit(np.stack(grads), p)
         if not gram:
             assert np.array_equal(model.components, want)
         np.testing.assert_allclose(model.components, want, rtol=0, atol=atol)
