@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError, integer_field
+from .errors import ConfigurationError, DatasetFormatError, integer_field, read_json
 from .learning import Shard
 
 TEST_SAMPLES_PER_CLASS = 100
@@ -137,7 +137,6 @@ def save_dataset(ds: FederatedDataset, out_dir: str | Path) -> Path:
     write_shard("test.csv", ds.test)
 
     manifest = {
-        "num_devices": ds.num_devices,
         "num_classes": num_classes,
         "input_dim": dim,
         "devices": device_files,
@@ -185,12 +184,7 @@ def load_shards(path: str | Path) -> FederatedDataset:
     p = Path(path)
     if p.is_dir():
         p = p / "manifest.json"
-    if not p.exists():
-        raise DatasetFormatError(f"manifest not found: {p}")
-    try:
-        manifest = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{p.name}: invalid JSON ({exc})") from exc
+    manifest = read_json(p)
 
     for key in ("num_classes", "input_dim", "devices", "test"):
         if key not in manifest:
@@ -199,7 +193,7 @@ def load_shards(path: str | Path) -> FederatedDataset:
     if not isinstance(devices, list):
         raise DatasetFormatError(f"{p.name}: devices must be a list of file names ({devices!r})")
     if not devices:
-        raise DatasetFormatError("at least one device required")
+        raise DatasetFormatError(f"{p.name}: at least one device required")
     files = [(f"devices[{k}]", name) for k, name in enumerate(devices)]
     for where, name in [*files, ("test", manifest["test"])]:
         if not isinstance(name, str):
@@ -212,7 +206,7 @@ def load_shards(path: str | Path) -> FederatedDataset:
     test = _read_shard_file(base / manifest["test"], dim, num_classes)
 
     if len(set(test.labels.tolist())) != num_classes:
-        raise DatasetFormatError("test set must cover all classes")
+        raise DatasetFormatError(f"{p.name}: test set must cover all classes")
 
     class_map = manifest.get("class_map")
     if class_map is None:
@@ -233,6 +227,6 @@ def load_shards(path: str | Path) -> FederatedDataset:
             extra = set(shard.labels.tolist()) - set(allowed)
             if extra:
                 raise DatasetFormatError(
-                    f"device {i}: labels {sorted(extra)} not in declared class list"
+                    f"{p.name}: device {i} ({devices[i]}): labels {sorted(extra)} not in class_map"
                 )
     return FederatedDataset(shards, test, class_map, centroids=None)

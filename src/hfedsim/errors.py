@@ -1,6 +1,15 @@
-"""Exception types shared across the package, and the integer check of the file loaders."""
+"""Exception types shared across the package, and the checks the file loaders share.
 
+Both loaders open their file through `read_json` and read each number through
+`integer_field` or `float_field`. These raise `DatasetFormatError` naming the
+file or the field, and never convert a value that is not already the number
+the field asks for, so nothing is truncated, parsed or let through as NaN.
+"""
+
+import json
+import math
 import numbers
+from pathlib import Path
 
 
 class ConfigurationError(ValueError):
@@ -15,6 +24,23 @@ class DatasetFormatError(ValueError):
     """Malformed or invalid shard/manifest file."""
 
 
+def read_json(path: Path) -> dict:
+    """The JSON object in the file at `path`.
+
+    A missing file, invalid JSON or a document that is not an object raises
+    `DatasetFormatError` naming the file.
+    """
+    if not path.is_file():
+        raise DatasetFormatError(f"{path}: file not found")
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path.name}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path.name}: not a JSON object")
+    return doc
+
+
 def integer_field(value, where: str) -> int:
     """`value` as an int if it is an integral number (3 or 3.0); `where` names the field.
 
@@ -26,3 +52,13 @@ def integer_field(value, where: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise DatasetFormatError(f"{where} must be an integer ({value!r})")
+
+
+def float_field(value, where: str) -> float:
+    """`value` as a float if it is a finite number; `where` names the field.
+
+    A bool, a string, NaN or inf raises `DatasetFormatError`.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise DatasetFormatError(f"{where} must be a finite number ({value!r})")

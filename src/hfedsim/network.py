@@ -10,6 +10,13 @@ and only if `link_params` has that (device, gateway) pair, and `feasible` is
 derived from those keys. A device's mean compute time is the `mean_comp` of
 its links, which must therefore agree. A device with no link has none.
 
+The topology file (`save_topology`, `load_topology`) stores each link fact
+as the record does: one `links` entry per (device, gateway) pair, holding its
+`i`, `j` and the four `DelayParams` fields, so a device's `mean_comp` repeats
+on each of its links and only `Topology` checks that they agree. A loading
+error names the file and the entry or field it was raised at (`links[2]`,
+`faults[0].t`, `B[0]`).
+
 Round latency between a gateway and a device is downlink + local compute +
 uplink. Each segment is its mean times an independent log-normal multiplier
 with unit mean, so configured means are true means and sigma=0 gives exact
@@ -20,12 +27,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError, integer_field
+from .errors import ConfigurationError, DatasetFormatError, float_field, integer_field, read_json
 
 FAULT_ACTIONS = ("drop", "restore", "slowdown")
 CLOUD_GATEWAY_DELAY = 0.5  # seconds each way between a gateway and the cloud
@@ -107,6 +114,8 @@ class Topology:
 
     def __post_init__(self):
         n, g = self.num_devices, self.num_gateways
+        if n < 1 or g < 1:
+            raise ConfigurationError("need >= 1 device and >= 1 gateway")
         cap = self.bandwidth
         if cap.shape != (g,) or not np.all((cap > 0) & (cap < np.inf)):
             raise ConfigurationError("bandwidth must be finite and positive per gateway")
@@ -133,21 +142,13 @@ class Topology:
 
 
 def topology_to_json(topo: Topology) -> dict:
-    links, comp = [], {}
-    for (i, j), p in sorted(topo.link_params.items()):
-        links.append(
-            {"i": i, "j": j, "mean_down": p.mean_down, "mean_up": p.mean_up, "sigma": p.sigma}
-        )
-        comp[i] = float(p.mean_comp)
-    devices = [{"i": i, "mean_comp": c} for i, c in comp.items()]
     return {
         "N": topo.num_devices,
         "G": topo.num_gateways,
         "B": [float(b) for b in topo.bandwidth],
         "model_size": int(topo.model_bytes),
         "cloud_gateway_delay": topo.cloud_gateway_delay,
-        "links": links,
-        "devices": devices,
+        "links": [{"i": i, "j": j, **asdict(p)} for (i, j), p in sorted(topo.link_params.items())],
         "faults": [
             {"t": f.time, "device": f.device, "action": f.action, "factor": f.factor}
             for f in topo.faults
@@ -160,61 +161,53 @@ def save_topology(topo: Topology, path: str | Path) -> None:
 
 
 def topology_from_json(doc: dict) -> Topology:
+    where = ""  # the section or entry being read, which a message raised there names
     try:
         n, g = integer_field(doc["N"], "N"), integer_field(doc["G"], "G")
-        bandwidth = np.asarray([float(b) for b in doc["B"]], dtype=np.float64)
         model_bytes = integer_field(doc["model_size"], "model_size")
-        comp = {
-            integer_field(d["i"], f"devices[{k}].i"): float(d["mean_comp"])
-            for k, d in enumerate(doc["devices"])
-        }
-        for i in comp:
-            if not 0 <= i < n:
-                raise ConfigurationError(f"device id {i} out of range")
+        cloud = doc.get("cloud_gateway_delay", CLOUD_GATEWAY_DELAY)
+        where = "B: "
+        bandwidth = np.asarray([float_field(b, f"B[{k}]") for k, b in enumerate(doc["B"])])
         link_params = {}
+        where = "links: "
         for k, link in enumerate(doc["links"]):
-            i = integer_field(link["i"], f"links[{k}].i")
-            j = integer_field(link["j"], f"links[{k}].j")
-            if i not in comp:
-                raise ConfigurationError(f"link device {i} missing from devices list")
-            link_params[(i, j)] = DelayParams(
-                mean_down=float(link["mean_down"]),
-                mean_comp=comp[i],
-                mean_up=float(link["mean_up"]),
-                sigma=float(link.get("sigma", 0.0)),
-            )
-        faults = [
-            FaultEvent(
-                time=float(f["t"]),
+            where = f"links[{k}]: "
+            i, j = (integer_field(link[key], f"links[{k}].{key}") for key in ("i", "j"))
+            means = [
+                float_field(link[key], f"links[{k}].{key}")
+                for key in ("mean_down", "mean_comp", "mean_up")
+            ]
+            sigma = float_field(link.get("sigma", 0.0), f"links[{k}].sigma")
+            link_params[(i, j)] = DelayParams(*means, sigma)
+        faults = []
+        where = "faults: "
+        for k, f in enumerate(doc.get("faults", [])):
+            where = f"faults[{k}]: "
+            faults.append(FaultEvent(
+                time=float_field(f["t"], f"faults[{k}].t"),
                 device=integer_field(f["device"], f"faults[{k}].device"),
                 action=str(f["action"]),
-                factor=float(f.get("factor", 1.0)),
-            )
-            for k, f in enumerate(doc.get("faults", []))
-        ]
+                factor=float_field(f.get("factor", 1.0), f"faults[{k}].factor"),
+            ))
+        where = ""
         return Topology(
             num_devices=n,
             num_gateways=g,
             link_params=link_params,
             bandwidth=bandwidth,
             model_bytes=model_bytes,
-            cloud_gateway_delay=float(doc.get("cloud_gateway_delay", CLOUD_GATEWAY_DELAY)),
+            cloud_gateway_delay=float_field(cloud, "cloud_gateway_delay"),
             faults=sorted(faults, key=lambda f: f.time),
         )
     except KeyError as exc:
-        raise DatasetFormatError(f"topology file missing field {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
-        raise DatasetFormatError(f"invalid topology file: {exc}") from exc
+        raise DatasetFormatError(f"{where}missing field {exc}") from exc
+    except (ConfigurationError, TypeError) as exc:
+        raise DatasetFormatError(f"{where}{exc}") from exc
 
 
 def load_topology(path: str | Path) -> Topology:
     p = Path(path)
-    if not p.exists():
-        raise DatasetFormatError(f"topology file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{p.name}: invalid JSON ({exc})") from exc
+    doc = read_json(p)
     try:
         return topology_from_json(doc)
     except DatasetFormatError as exc:

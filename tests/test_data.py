@@ -178,6 +178,12 @@ class TestRoundTrip:
         assert np.array_equal(ds.test.features, back.test.features)
         assert back.centroids is None
 
+    def test_manifest_lists_no_device_count(self, tmp_path):
+        import json
+
+        manifest = save_dataset(gen_synthetic(spec(), seed=6), tmp_path)
+        assert "num_devices" not in json.loads(manifest.read_text())
+
     def test_load_from_directory(self, tmp_path):
         ds = gen_synthetic(spec(), seed=6)
         save_dataset(ds, tmp_path)
@@ -241,7 +247,17 @@ class TestLoadErrors:
         data = json.loads(manifest.read_text())
         data["devices"] = []
         manifest.write_text(json.dumps(data))
-        with pytest.raises(DatasetFormatError, match="at least one device required"):
+        message = r"^manifest\.json: at least one device required$"
+        with pytest.raises(DatasetFormatError, match=message):
+            load_shards(manifest)
+
+    def test_test_set_must_cover_all_classes(self, tmp_path):
+        manifest, _ = self._saved(tmp_path)
+        target = tmp_path / "test.csv"
+        lines = target.read_text().splitlines()
+        target.write_text("\n".join(line for line in lines if not line.endswith(",2")) + "\n")
+        message = r"^manifest\.json: test set must cover all classes$"
+        with pytest.raises(DatasetFormatError, match=message):
             load_shards(manifest)
 
     def test_missing_shard_file(self, tmp_path):
@@ -331,15 +347,30 @@ class TestLoadErrors:
             load_shards(manifest)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetFormatError, match="manifest not found"):
+        with pytest.raises(DatasetFormatError, match=r"[/\\]nope: file not found$"):
             load_shards(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "text, message", [("{", "invalid JSON"), ('"devices"', "not a JSON object")],
+        ids=["invalid", "not-an-object"],
+    )
+    def test_manifest_must_hold_a_json_object(self, tmp_path, text, message):
+        manifest, _ = self._saved(tmp_path)
+        manifest.write_text(text)
+        with pytest.raises(DatasetFormatError, match=rf"^manifest\.json: {message}"):
+            load_shards(manifest)
 
     def test_undeclared_label_rejected(self, tmp_path):
         manifest, ds = self._saved(tmp_path)
         import json
 
         data = json.loads(manifest.read_text())
-        data["class_map"][0] = data["class_map"][0][:1]
+        declared, undeclared = data["class_map"][0]
+        data["class_map"][0] = [declared]
         manifest.write_text(json.dumps(data))
-        with pytest.raises(DatasetFormatError, match="device 0"):
+        message = (
+            rf"^manifest\.json: device 0 \(device_0\.csv\): labels \[{undeclared}\]"
+            r" not in class_map$"
+        )
+        with pytest.raises(DatasetFormatError, match=message):
             load_shards(manifest)

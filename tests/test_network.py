@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -230,31 +231,64 @@ class TestTopologyIO:
 
     def test_out_of_range_device_id_rejected(self):
         doc = topology_to_json(small_topology())
-        doc["devices"].append({"i": 3, "mean_comp": 5.0})
-        with pytest.raises(DatasetFormatError, match="device id 3 out of range"):
+        doc["links"].append({**doc["links"][0], "i": 3})
+        with pytest.raises(DatasetFormatError, match=r"^link \(3, 0\) out of range$"):
             topology_from_json(doc)
 
-    def test_device_entry_without_links_loads(self):
-        # Older files list every device, with or without a link.
-        doc = topology_to_json(small_topology())
-        doc["links"] = [link for link in doc["links"] if link["i"] != 2]
-        back = topology_from_json(doc)
-        assert not back.feasible[2].any()
-        assert 2 not in {d["i"] for d in topology_to_json(back)["devices"]}
+    def test_saved_links_carry_their_compute_mean(self):
+        topo = small_topology()
+        doc = topology_to_json(topo)
+        assert "devices" not in doc
+        assert {(e["i"], e["j"]): e["mean_comp"] for e in doc["links"]} == {
+            key: p.mean_comp for key, p in topo.link_params.items()
+        }
+
+    def test_links_of_one_device_that_disagree_on_compute_name_it(self, tmp_path):
+        doc = topology_to_json(uniform_topology(3, 2))
+        second = [k for k, e in enumerate(doc["links"]) if e["i"] == 1][1]
+        doc["links"][second]["mean_comp"] += 1.0
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=r"^mesh\.json: the links of device 1 differ"):
+            load_topology(path)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_save_then_load_is_exact(self, tmp_path, seed):
+        spec = TopologySpec(num_devices=12, num_gateways=3, model_bytes=4000)
+        faults = [
+            FaultEvent(0.5, 2, "drop"), FaultEvent(7.25, 5, "slowdown", 2.5),
+            FaultEvent(7.25, 2, "restore"), FaultEvent(40.0, 5, "restore"),
+        ]
+        topo = dataclasses.replace(gen_topology(spec, seed), faults=faults)
+        save_topology(topo, tmp_path / "topo.json")
+        back = load_topology(tmp_path / "topo.json")
+        assert back.link_params == topo.link_params and back.faults == topo.faults
+        np.testing.assert_array_equal(back.bandwidth, topo.bandwidth)
+        assert topology_to_json(back) == topology_to_json(topo)
 
     def test_missing_field(self):
         with pytest.raises(DatasetFormatError, match="missing field"):
             topology_from_json({"N": 2, "G": 1})
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(DatasetFormatError, match="not found"):
+        with pytest.raises(DatasetFormatError, match=r"none\.json: file not found$"):
             load_topology(tmp_path / "none.json")
+
+    @pytest.mark.parametrize(
+        "text, message", [("{", "invalid JSON"), ("[1, 2]", "not a JSON object")],
+        ids=["invalid", "not-an-object"],
+    )
+    def test_file_must_hold_a_json_object(self, tmp_path, text, message):
+        path = tmp_path / "mesh.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}"):
+            load_topology(path)
 
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"model_size": "big"}, "invalid topology file"),
-            ({"links": [{"i": 0}]}, "topology file missing field"),
+            ({"model_size": "big"}, r"model_size must be an integer \('big'\)"),
+            ({"links": [{"i": 0}]}, r"links\[0\]: missing field 'j'"),
         ],
         ids=["model_size", "links"],
     )
@@ -265,11 +299,67 @@ class TestTopologyIO:
         with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}"):
             load_topology(path)
 
+    @staticmethod
+    def _load_edited(tmp_path, path, value):
+        """Load a generated topology file in which the field at `path` is `value` (None: absent)."""
+        spec = TopologySpec(num_devices=6, num_gateways=2, model_bytes=4000)
+        topo = dataclasses.replace(gen_topology(spec, 0), faults=[FaultEvent(3.0, 1, "drop")])
+        doc = topology_to_json(topo)
+        *parents, key = path
+        entry = doc
+        for k in parents:
+            entry = entry[k]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        file = tmp_path / "mesh.json"
+        file.write_text(json.dumps(doc))
+        return load_topology(file)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("links", 2, "mean_down"), "x"),
+            (("links", 2, "mean_up"), "1.5"),
+            (("B", 0), True),
+            (("links", 2, "sigma"), True),
+            (("faults", 0, "t"), "2"),
+            (("cloud_gateway_delay",), False),
+        ],
+        ids=["mean_down-x", "mean_up-string", "B-bool", "sigma-bool", "fault-t-string",
+             "cloud_gateway_delay-bool"],
+    )
+    def test_float_field_takes_only_a_number(self, tmp_path, path, value):
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        message = rf"^mesh\.json: {re.escape(field)} must be a finite number \({value!r}\)$"
+        with pytest.raises(DatasetFormatError, match=message):
+            self._load_edited(tmp_path, path, value)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("links", 2, "mean_down"), -1, r"links\[2\]: delay means must be finite and > 0"),
+            (("links", 2, "mean_up"), None, r"links\[2\]: missing field 'mean_up'"),
+            (("faults", 0, "t"), -1, r"faults\[0\]: fault time must be finite and >= 0"),
+            (("faults", 0, "action"), "stop", r"faults\[0\]: unknown fault action 'stop'"),
+            (("N",), 0, r"need >= 1 device and >= 1 gateway"),
+            (("B",), 5, r"B: 'int' object is not iterable"),
+            (("links",), 5, r"links: 'int' object is not iterable"),
+            (("faults",), 5, r"faults: 'int' object is not iterable"),
+        ],
+        ids=["mean_down-negative", "mean_up-missing", "fault-t-negative", "fault-action",
+             "N-zero", "B-not-a-list", "links-not-a-list", "faults-not-a-list"],
+    )
+    def test_error_names_its_entry(self, tmp_path, path, value, message):
+        with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}$"):
+            self._load_edited(tmp_path, path, value)
+
     @pytest.mark.parametrize(
         "path",
-        [("N",), ("G",), ("model_size",), ("devices", 0, "i"), ("links", 1, "i"),
-         ("links", 1, "j"), ("faults", 0, "device")],
-        ids=["N", "G", "model_size", "devices-i", "links-i", "links-j", "faults-device"],
+        [("N",), ("G",), ("model_size",), ("links", 1, "i"), ("links", 1, "j"),
+         ("faults", 0, "device")],
+        ids=["N", "G", "model_size", "links-i", "links-j", "faults-device"],
     )
     def test_fractional_integer_is_rejected_not_truncated(self, tmp_path, path):
         doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
@@ -328,7 +418,7 @@ class TestNonFiniteInputs:
             (("B", 0), "nan"),
             (("cloud_gateway_delay",), "inf"),
             (("links", 0, "mean_up"), "nan"),
-            (("devices", 0, "mean_comp"), "inf"),
+            (("links", 0, "mean_comp"), "inf"),
             (("links", 0, "sigma"), "nan"),
             (("faults", 0, "t"), "inf"),
             (("faults", 0, "factor"), "nan"),
@@ -340,10 +430,12 @@ class TestNonFiniteInputs:
         entry = doc
         for key in where[:-1]:
             entry = entry[key]
-        entry[where[-1]] = value
+        entry[where[-1]] = float(value)  # written as the JSON extension NaN or Infinity
         path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DatasetFormatError, match="invalid topology file.*finite"):
+        field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where).lstrip(".")
+        message = rf"^t\.json: {re.escape(field)} must be a finite number \({value}\)$"
+        with pytest.raises(DatasetFormatError, match=message):
             load_topology(path)
 
 
