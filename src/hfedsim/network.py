@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DatasetFormatError, float_field, integer_field, read_json
+from .selection import ordered_sum
 
 FAULT_ACTIONS = ("drop", "restore", "slowdown")
 CLOUD_GATEWAY_DELAY = 0.5  # seconds each way between a gateway and the cloud
@@ -178,6 +179,10 @@ def topology_from_json(doc: dict) -> Topology:
                 for key in ("mean_down", "mean_comp", "mean_up")
             ]
             sigma = float_field(link.get("sigma", 0.0), f"links[{k}].sigma")
+            if (i, j) in link_params:
+                # Each entry before this one added one link, in entry order.
+                first = list(link_params).index((i, j))
+                raise ConfigurationError(f"link ({i}, {j}) repeats links[{first}]")
             link_params[(i, j)] = DelayParams(*means, sigma)
         faults = []
         where = "faults: "
@@ -272,7 +277,7 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
             )
             rates[j].append(est_rate(spec.model_bytes, p.mean_total))
     # Guard: a gateway with no candidate devices keeps a token positive cap.
-    bandwidth = np.array([spec.bandwidth_frac * sum(r) if r else 1.0 for r in rates])
+    bandwidth = np.array([spec.bandwidth_frac * ordered_sum(r) if r else 1.0 for r in rates])
 
     return Topology(
         num_devices=n,

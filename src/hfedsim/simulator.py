@@ -170,6 +170,7 @@ from .selection import (
     Candidate,
     SelectionInstance,
     fill_capacity,
+    ordered_sum,
     solve_association,
     solve_selection,
 )
@@ -249,7 +250,7 @@ def async_aggregate(
     return (1 - w) * current + w * incoming
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRow:
     t: float
     h: int
@@ -287,7 +288,7 @@ class MetricTrace:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer:
     """One logged wire event; `size` includes `overhead` bytes."""
 
@@ -414,7 +415,7 @@ class GatewayState:
     cycle_samples: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Flight:
     """One device round, from its dispatch until its upload lands or a drop voids it."""
 
@@ -487,6 +488,9 @@ class _Simulation:
         self.cloud_buffer: dict[int, tuple[np.ndarray, float]] = {}
 
         self.transfers: list[Transfer] = []
+        # Transfer endpoints, made once: the log keeps one per wire event.
+        self.dev_names = [f"dev{i}" for i in range(n)]
+        self.gw_names = [f"gw{j}" for j in range(self.topo.num_gateways)]
         self.bytes_total = 0
         self.bytes_overhead = 0
         self.max_stale_cloud = 0
@@ -551,7 +555,7 @@ class _Simulation:
     def _residual_bandwidth(self, gw: GatewayState) -> float:
         # A fresh sum in dispatch order, not a running total: `+=` and `-=`
         # as flights come and go would round differently.
-        load = sum(f.rate for f in self.gateway_flights[gw.id].values())
+        load = ordered_sum(f.rate for f in self.gateway_flights[gw.id].values())
         return float(self.topo.bandwidth[gw.id]) - load
 
     def select_devices(self, gw: GatewayState) -> list[int]:
@@ -645,7 +649,7 @@ class _Simulation:
             landing = (self.now + down) + (comp + up)
             heapq.heappush(self.untrained.setdefault(dev.shard.n, []), (landing, order, i))
             dev.rounds_started += 1
-            self.charge("dispatch", f"gw{gw.id}", f"dev{i}", self.topo.model_bytes)
+            self.charge("dispatch", self.gw_names[gw.id], self.dev_names[i], self.topo.model_bytes)
             self.schedule(down, self.on_device_model_arrives, i, flight, comp + up)
 
     # ---- warmup -------------------------------------------------------------
@@ -748,7 +752,7 @@ class _Simulation:
         self, current: np.ndarray, pairs: list[tuple[np.ndarray, float]], where: str
     ) -> np.ndarray:
         """Weighted mean of (params, weight) pairs in order; `current` if no weight is positive."""
-        total = sum(w for _, w in pairs)
+        total = ordered_sum(w for _, w in pairs)
         if total > 0:
             mix = np.zeros_like(current)
             for p, w in pairs:
@@ -768,7 +772,7 @@ class _Simulation:
 
     def _broadcast(self, gateways: list[GatewayState]) -> None:
         for gw in gateways:
-            self.charge("broadcast", "cloud", f"gw{gw.id}", self.topo.model_bytes)
+            self.charge("broadcast", "cloud", self.gw_names[gw.id], self.topo.model_bytes)
             self.schedule(
                 self.topo.cloud_gateway_delay, self.on_gateway_model_arrives,
                 gw, self.cloud_params, self.h,
@@ -831,7 +835,7 @@ class _Simulation:
             self._gateway_upload(gw)
 
     def _gateway_upload(self, gw: GatewayState) -> None:
-        self.charge("gateway_upload", f"gw{gw.id}", "cloud", self.topo.model_bytes)
+        self.charge("gateway_upload", self.gw_names[gw.id], "cloud", self.topo.model_bytes)
         self.schedule(
             self.topo.cloud_gateway_delay, self.on_gateway_upload_arrives,
             gw, gw.params, gw.tau, gw.cycle_samples,
@@ -879,7 +883,7 @@ class _Simulation:
         elif self.policy.selector == "loss":
             _, dev.last_loss = evaluate(params, self.arch, dev.shard)
         self.charge(
-            "device_upload", f"dev{i}", f"gw{gw.id}",
+            "device_upload", self.dev_names[i], self.gw_names[gw.id],
             self.topo.model_bytes + overhead, overhead,
         )
 

@@ -252,6 +252,16 @@ class TestTopologyIO:
         with pytest.raises(DatasetFormatError, match=r"^mesh\.json: the links of device 1 differ"):
             load_topology(path)
 
+    def test_repeated_link_names_both_entries(self, tmp_path):
+        doc = topology_to_json(uniform_topology(3, 2))
+        doc["links"].append({**doc["links"][0], "mean_down": 99.0})
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            DatasetFormatError, match=r"^mesh\.json: links\[6\]: link \(0, 0\) repeats links\[0\]$"
+        ):
+            load_topology(path)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_save_then_load_is_exact(self, tmp_path, seed):
         spec = TopologySpec(num_devices=12, num_gateways=3, model_bytes=4000)

@@ -12,6 +12,7 @@ from hfedsim.selection import (
     Candidate,
     SelectionInstance,
     fill_capacity,
+    ordered_sum,
     solve_association,
     solve_selection,
 )
@@ -391,6 +392,11 @@ class TestFillCapacity:
     @pytest.mark.parametrize("pairs", [[], [(0, 3.0), (1, 2.5)]], ids=["empty", "all-over"])
     def test_nothing_fits(self, pairs):
         assert fill_capacity(pairs, 2.0) == []
+
+
+def test_ordered_sum_adds_left_to_right():
+    # `sum()` of floats is compensated from Python 3.12 and gives 1.0 here.
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
 
 
 class TestSolveAssociation:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1031,3 +1032,19 @@ class TestLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_transfer_log_keeps_at_most_160_bytes_per_entry(self):
+        # The log is the one record that grows with a run's length: it keeps
+        # one `Transfer` per wire event, sharing the run's endpoint names.
+        topo = gen_topology(TopologySpec(20, 3, model_bytes=8000), seed=3)
+        tracemalloc.start()
+        try:
+            result = run(small_config(mode="sync-random", n=20, g=3, seed=3, topology=topo))
+            entries = len(result.transfers)
+            held = tracemalloc.get_traced_memory()[0]
+            del result.transfers
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert entries > 1000
+        assert freed / entries <= 160
