@@ -1,21 +1,37 @@
-"""Non-iid synthetic shard generation, refresh, and shard file I/O.
+"""Non-iid synthetic shard generation, refresh, and the dataset file.
 
 Devices hold samples from a small subset of classes (label skew). Classes are
 Gaussian clusters around unit-sphere centroids, so the global problem stays
 learnable by the small models while per-device distributions differ sharply.
+
+A dataset file (`save_dataset`, `load_shards`) is one JSON object:
+
+    {"num_classes": 3, "input_dim": 2, "class_map": [[0, 2], ...],
+     "devices": [{"features": [[0.1, -0.4], ...], "labels": [0, ...]}, ...],
+     "test": {"features": [...], "labels": [...]}}
+
+`devices` holds one shard per device, in device order, and `test` the global
+test set, shaped as a device's shard. `class_map` lists the classes each
+device may hold; a file without it gets the classes each shard holds. Floats
+are written with `repr`, so a saved dataset loads bit for bit. The loader
+reads the file as `network.load_topology` reads a topology: `read_json` opens
+it, every number goes through `integer_field` or `float_field` named by its
+JSON path, and an error names the file and the field or shard it was raised
+at (`devices[1].labels[2] must be an integer (2.5)`, `test.features[7][0]
+must be a finite number (nan)`, `devices[0]: shard needs >= 1 sample ...`).
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError, integer_field, read_json
+from .errors import (
+    ConfigurationError, DatasetFormatError, check_count, float_field, integer_field, read_json,
+)
 from .learning import Shard
 
 TEST_SAMPLES_PER_CLASS = 100
@@ -32,14 +48,12 @@ class DataSpec:
     refresh: bool = False
 
     def __post_init__(self):
-        if self.num_devices < 1:
-            raise ConfigurationError("num_devices must be >= 1")
-        if not 1 <= self.classes_per_device <= self.num_classes:
-            raise ConfigurationError(
-                "classes_per_device must be in [1, num_classes]"
-            )
-        if self.samples_per_device < 1 or self.input_dim < 1:
-            raise ConfigurationError("samples_per_device and input_dim must be >= 1")
+        for name in (
+            "num_devices", "num_classes", "classes_per_device", "samples_per_device", "input_dim"
+        ):
+            check_count(getattr(self, name), name)
+        if self.classes_per_device > self.num_classes:
+            raise ConfigurationError("classes_per_device must be in [1, num_classes]")
         if self.cluster_spread <= 0:
             raise ConfigurationError("cluster_spread must be > 0")
 
@@ -115,118 +129,84 @@ def refresh_shard(
     return _draw_shard(np.random.default_rng(round_seed), class_map_entry, spec, centroids)
 
 
-def save_dataset(ds: FederatedDataset, out_dir: str | Path) -> Path:
-    """Write one CSV per device plus test.csv and a manifest; returns the manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dim = ds.test.features.shape[1]
-    num_classes = int(ds.test.labels.max()) + 1
+def save_dataset(ds: FederatedDataset, path: str | Path) -> None:
+    """Write `ds` to `path` as one JSON document (see the module docstring)."""
 
-    def write_shard(name: str, shard: Shard):
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow([f"f{j}" for j in range(dim)] + ["label"])
-            for row, lab in zip(shard.features, shard.labels):
-                w.writerow([repr(float(v)) for v in row] + [int(lab)])
+    def shard_to_json(shard: Shard) -> dict:
+        return {"features": shard.features.tolist(), "labels": shard.labels.tolist()}
 
-    device_files = []
-    for i, shard in enumerate(ds.shards):
-        name = f"device_{i}.csv"
-        write_shard(name, shard)
-        device_files.append(name)
-    write_shard("test.csv", ds.test)
-
-    manifest = {
-        "num_classes": num_classes,
-        "input_dim": dim,
-        "devices": device_files,
-        "test": "test.csv",
+    doc = {
+        "num_classes": int(ds.test.labels.max()) + 1,
+        "input_dim": ds.test.features.shape[1],
         "class_map": ds.class_map,
+        "devices": [shard_to_json(s) for s in ds.shards],
+        "test": shard_to_json(ds.test),
     }
-    path = out / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2))
-    return path
+    Path(path).write_text(json.dumps(doc))
 
 
-def _read_shard_file(path: Path, dim: int, num_classes: int) -> Shard:
-    if not path.is_file():
-        raise DatasetFormatError(f"{path.name}: shard file not found")
-    feats, labels = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) != dim + 1 or header[-1] != "label":
-            raise DatasetFormatError(f"{path.name}: bad or missing header")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 1:
-                raise DatasetFormatError(
-                    f"{path.name} line {lineno}: expected {dim + 1} fields, got {len(row)}"
-                )
-            try:
-                feats.append([float(v) for v in row[:-1]])
-                label = int(row[-1])
-            except ValueError as exc:
-                raise DatasetFormatError(f"{path.name} line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, feats[-1])):
-                raise DatasetFormatError(f"{path.name} line {lineno}: non-finite feature")
-            if not 0 <= label < num_classes:
-                raise DatasetFormatError(
-                    f"{path.name} line {lineno}: label {label} outside [0, {num_classes})"
-                )
-            labels.append(label)
-    if not feats:
-        raise DatasetFormatError(f"{path.name}: shard has no samples")
-    return Shard(np.asarray(feats, dtype=np.float64), np.asarray(labels, dtype=np.int64))
+def _shard_from_json(doc: dict, where: str, dim: int, num_classes: int) -> Shard:
+    """The shard at JSON path `where`, each of its numbers read and checked by its path."""
+    feats = []
+    for r, row in enumerate(doc["features"]):
+        if len(row) != dim:
+            raise DatasetFormatError(f"{where}.features[{r}] must hold {dim} numbers ({row!r})")
+        feats.append([float_field(v, f"{where}.features[{r}][{c}]") for c, v in enumerate(row)])
+    labels = [integer_field(v, f"{where}.labels[{k}]") for k, v in enumerate(doc["labels"])]
+    for k, label in enumerate(labels):
+        if not 0 <= label < num_classes:
+            raise DatasetFormatError(f"{where}.labels[{k}] must be in [0, {num_classes}) ({label})")
+    # Shard rejects an empty shard and a label count that differs from the rows'.
+    features = np.array(feats, dtype=np.float64).reshape(len(feats), dim)
+    return Shard(features, np.array(labels, dtype=np.int64))
+
+
+def _dataset_from_json(doc: dict) -> FederatedDataset:
+    where = ""  # the shard or section being read, which a message raised there names
+    try:
+        dim = integer_field(doc["input_dim"], "input_dim")
+        num_classes = integer_field(doc["num_classes"], "num_classes")
+        devices, test = doc["devices"], doc["test"]
+        if not isinstance(devices, list) or not devices:
+            raise DatasetFormatError(f"devices must be a non-empty list ({devices!r})")
+        shards = []
+        for k, entry in enumerate(devices):
+            where = f"devices[{k}]: "
+            shards.append(_shard_from_json(entry, f"devices[{k}]", dim, num_classes))
+        where = "test: "
+        test = _shard_from_json(test, "test", dim, num_classes)
+        if len(set(test.labels.tolist())) != num_classes:
+            raise DatasetFormatError("test set must cover all classes")
+        where = "class_map: "
+        class_map = doc.get("class_map")
+        if class_map is None:
+            return FederatedDataset(shards, test, [sorted(set(s.labels.tolist())) for s in shards])
+        if len(class_map) != len(shards):
+            raise DatasetFormatError(
+                f"class_map has {len(class_map)} entries for {len(shards)} devices"
+            )
+        allowed = []
+        for i, (shard, entry) in enumerate(zip(shards, class_map)):
+            allowed.append([integer_field(c, f"class_map[{i}][{k}]") for k, c in enumerate(entry)])
+            extra = set(shard.labels.tolist()) - set(allowed[i])
+            if extra:
+                raise DatasetFormatError(f"devices[{i}]: labels {sorted(extra)} not in class_map")
+        return FederatedDataset(shards, test, allowed)
+    except KeyError as exc:
+        raise DatasetFormatError(f"{where}missing field {exc}") from exc
+    except (ConfigurationError, TypeError) as exc:
+        raise DatasetFormatError(f"{where}{exc}") from exc
 
 
 def load_shards(path: str | Path) -> FederatedDataset:
-    """Load a dataset from a manifest file (or a directory containing manifest.json)."""
+    """The dataset in the JSON file at `path`, as `save_dataset` writes it.
+
+    Every error is a `DatasetFormatError` that names the file, and the field
+    or shard it was raised at (see the module docstring).
+    """
     p = Path(path)
-    if p.is_dir():
-        p = p / "manifest.json"
-    manifest = read_json(p)
-
-    for key in ("num_classes", "input_dim", "devices", "test"):
-        if key not in manifest:
-            raise DatasetFormatError(f"{p.name}: missing field {key!r}")
-    devices = manifest["devices"]
-    if not isinstance(devices, list):
-        raise DatasetFormatError(f"{p.name}: devices must be a list of file names ({devices!r})")
-    if not devices:
-        raise DatasetFormatError(f"{p.name}: at least one device required")
-    files = [(f"devices[{k}]", name) for k, name in enumerate(devices)]
-    for where, name in [*files, ("test", manifest["test"])]:
-        if not isinstance(name, str):
-            raise DatasetFormatError(f"{p.name}: {where} must be a file name ({name!r})")
-
-    dim = integer_field(manifest["input_dim"], f"{p.name}: input_dim")
-    num_classes = integer_field(manifest["num_classes"], f"{p.name}: num_classes")
-    base = p.parent
-    shards = [_read_shard_file(base / name, dim, num_classes) for name in devices]
-    test = _read_shard_file(base / manifest["test"], dim, num_classes)
-
-    if len(set(test.labels.tolist())) != num_classes:
-        raise DatasetFormatError(f"{p.name}: test set must cover all classes")
-
-    class_map = manifest.get("class_map")
-    if class_map is None:
-        class_map = [sorted(set(s.labels.tolist())) for s in shards]
-    else:
-        try:
-            class_map = [
-                [integer_field(c, f"{p.name}: class_map[{i}][{k}]") for k, c in enumerate(entry)]
-                for i, entry in enumerate(class_map)
-            ]
-        except TypeError as exc:
-            raise DatasetFormatError(f"{p.name}: class_map must list integers ({exc})") from exc
-        if len(class_map) != len(shards):
-            raise DatasetFormatError(
-                f"{p.name}: class_map has {len(class_map)} entries for {len(shards)} devices"
-            )
-        for i, (shard, allowed) in enumerate(zip(shards, class_map)):
-            extra = set(shard.labels.tolist()) - set(allowed)
-            if extra:
-                raise DatasetFormatError(
-                    f"{p.name}: device {i} ({devices[i]}): labels {sorted(extra)} not in class_map"
-                )
-    return FederatedDataset(shards, test, class_map, centroids=None)
+    doc = read_json(p)
+    try:
+        return _dataset_from_json(doc)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{p.name}: {exc}") from exc

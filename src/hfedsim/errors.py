@@ -1,9 +1,14 @@
-"""Exception types shared across the package, and the checks the file loaders share.
+"""Exception types shared across the package, and the checks the records and file
+loaders share.
 
 Both loaders open their file through `read_json` and read each number through
 `integer_field` or `float_field`. These raise `DatasetFormatError` naming the
 file or the field, and never convert a value that is not already the number
 the field asks for, so nothing is truncated, parsed or let through as NaN.
+
+Every count a caller configures (a seed, an epoch count, a dimension, a
+device id) goes through `check_count`, which raises `ConfigurationError`
+naming the field.
 """
 
 import json
@@ -21,7 +26,18 @@ class NumericDivergenceError(RuntimeError):
 
 
 class DatasetFormatError(ValueError):
-    """Malformed or invalid shard/manifest file."""
+    """Malformed or invalid dataset or topology file."""
+
+
+def check_count(value, name: str, low: int = 1) -> None:
+    """Raise `ConfigurationError` naming `name` unless `value` is an integer >= `low`.
+
+    Any `numbers.Integral` but a bool is an integer, numpy's included. A float
+    is not, even 2.0: counts index, slice and bound loops, which a float
+    breaks mid-run or ends at the wrong step.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ConfigurationError(f"{name} must be an integer >= {low} ({value!r})")
 
 
 def read_json(path: Path) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericDivergenceError
+from .errors import ConfigurationError, NumericDivergenceError, check_count
 
 MODEL_KINDS = ("logistic", "mlp")
 
@@ -52,10 +52,9 @@ class ModelArch:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1 or self.num_classes < 2:
-            raise ConfigurationError("input_dim must be >= 1 and num_classes >= 2")
-        if self.kind == "mlp" and self.hidden_dim < 1:
-            raise ConfigurationError("mlp requires hidden_dim >= 1")
+        check_count(self.input_dim, "input_dim")
+        check_count(self.num_classes, "num_classes", 2)
+        check_count(self.hidden_dim, "hidden_dim", 1 if self.kind == "mlp" else 0)
 
     @property
     def layers(self) -> list[tuple[int, int]]:
@@ -98,8 +97,8 @@ class TrainConfig:
         # Chained comparisons, so that NaN fails them as inf does.
         if not (0 <= self.gamma < math.inf and 0 <= self.rho < math.inf):
             raise ConfigurationError("gamma and rho must be >= 0 and finite")
-        if not (1 <= self.epochs < math.inf and 1 <= self.batch_size < math.inf):
-            raise ConfigurationError("epochs and batch_size must be >= 1 and finite")
+        check_count(self.epochs, "epochs")
+        check_count(self.batch_size, "batch_size")
 
 
 def init_params(arch: ModelArch, seed: int) -> np.ndarray:

@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DatasetFormatError, float_field, integer_field, read_json
+from .errors import (
+    ConfigurationError, DatasetFormatError, check_count, float_field, integer_field, read_json,
+)
 from .selection import ordered_sum
 
 FAULT_ACTIONS = ("drop", "restore", "slowdown")
@@ -92,6 +94,7 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self):
+        check_count(self.device, "device", 0)
         if self.action not in FAULT_ACTIONS:
             raise ConfigurationError(f"unknown fault action {self.action!r}")
         if not math.isfinite(self.factor) or (self.action == "slowdown" and self.factor <= 0):
@@ -114,14 +117,12 @@ class Topology:
     feasible: np.ndarray = field(init=False)  # J [N, G], read-only: 1 where a link exists
 
     def __post_init__(self):
+        for name in ("num_devices", "num_gateways", "model_bytes"):
+            check_count(getattr(self, name), name)
         n, g = self.num_devices, self.num_gateways
-        if n < 1 or g < 1:
-            raise ConfigurationError("need >= 1 device and >= 1 gateway")
         cap = self.bandwidth
         if cap.shape != (g,) or not np.all((cap > 0) & (cap < np.inf)):
             raise ConfigurationError("bandwidth must be finite and positive per gateway")
-        if self.model_bytes <= 0:
-            raise ConfigurationError("model_size must be > 0 bytes")
         if not 0 <= self.cloud_gateway_delay < math.inf:
             raise ConfigurationError("cloud_gateway_delay must be finite and >= 0")
         feasible = np.zeros((n, g), dtype=np.int8)
@@ -135,7 +136,7 @@ class Topology:
         feasible.flags.writeable = False
         object.__setattr__(self, "feasible", feasible)
         for f in self.faults:
-            if not 0 <= f.device < n:
+            if f.device >= n:
                 raise ConfigurationError(f"fault references unknown device {f.device}")
 
 
@@ -240,10 +241,8 @@ class TopologySpec:
     bandwidth_frac: float = 0.5  # gateway cap as a fraction of its candidates' total rate
 
     def __post_init__(self):
-        if self.num_devices < 1 or self.num_gateways < 1:
-            raise ConfigurationError("need >= 1 device and >= 1 gateway")
-        if self.model_bytes < 1:
-            raise ConfigurationError("model_bytes must be >= 1")
+        for name in ("num_devices", "num_gateways", "model_bytes"):
+            check_count(getattr(self, name), name)
         if not 0 < self.bandwidth_frac <= 1:
             raise ConfigurationError("bandwidth_frac must be in (0, 1]")
         if not 0 <= self.het_sigma < math.inf:

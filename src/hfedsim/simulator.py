@@ -153,7 +153,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSpec, FederatedDataset, refresh_shard
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count
 from .learning import (
     ModelArch,
     Shard,
@@ -337,14 +337,12 @@ class SimConfig:
             raise ConfigurationError("alpha and beta must be in (0, 1]")
         if not 0 <= self.staleness_exp < inf:
             raise ConfigurationError("staleness_exp must be >= 0 and finite")
-        if not (1 <= self.gateway_epochs < inf and 1 <= self.cloud_epochs < inf):
-            raise ConfigurationError("gateway_epochs and cloud_epochs must be >= 1 and finite")
+        check_count(self.seed, "seed", 0)
+        for name in ("gateway_epochs", "cloud_epochs", "assoc_period", "pca_dim"):
+            check_count(getattr(self, name), name)
         if not (0 <= self.kappa < inf and 0 <= self.phi < inf):
             raise ConfigurationError("kappa and phi must be >= 0 and finite")
-        if not 1 <= self.assoc_period < inf:
-            raise ConfigurationError("assoc_period must be >= 1 and finite")
-        utility = MODES[self.mode].selector == "utility"
-        if utility and not 1 <= self.pca_dim <= self.arch.param_count:
+        if MODES[self.mode].selector == "utility" and self.pca_dim > self.arch.param_count:
             raise ConfigurationError("pca_dim must be in [1, model dimension]")
         if not 0 < self.semi_window < inf:
             raise ConfigurationError("semi_window must be > 0 and finite")

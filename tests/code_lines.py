@@ -1,5 +1,6 @@
-"""Code lines of each module under `src/hfedsim`, their total, and the field
-count of each record a caller configures a run with.
+"""Code lines of each module under `src/hfedsim`, their total, the field count
+of each record a caller configures a run with, and the code lines of the file
+readers and writers.
 
 Run from the repository root:
 
@@ -7,8 +8,9 @@ Run from the repository root:
 
 A code line is a line that holds some token of code. Blank lines, comment
 lines and the lines of module, class and function docstrings do not count;
-a line with code and a trailing comment does. The file is not named
-`test_*.py`, so pytest does not collect it.
+a line with code and a trailing comment does. A function's code lines are the
+code lines from its `def` to its last line, nested functions included. The
+file is not named `test_*.py`, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,13 @@ RECORDS = [
     ("simulator", "SimConfig"), ("network", "TopologySpec"), ("data", "DataSpec"),
     ("learning", "TrainConfig"), ("learning", "ModelArch"), ("simulator", "Policy"),
 ]
+# The dataset and topology file readers and writers, with their helpers, and
+# the checks they share.
+FILE_IO = {
+    "data.py": ("save_dataset", "_shard_from_json", "_dataset_from_json", "load_shards"),
+    "network.py": ("topology_to_json", "save_topology", "topology_from_json", "load_topology"),
+    "errors.py": ("read_json", "integer_field", "float_field"),
+}
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -46,19 +55,33 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(source: str) -> int:
+def code_lines(source: str) -> set[int]:
+    """The numbers of the code lines of `source`."""
     skip = docstring_lines(ast.parse(source))
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NON_CODE:
             lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return len(lines)
+    return lines
+
+
+def function_lines(source: str, names: tuple[str, ...]) -> int:
+    """Code lines of the module-level functions `names` of `source`."""
+    lines = code_lines(source)
+    spans = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+    if len(spans) != len(names):
+        raise SystemExit(f"not every one of {names} is a module-level function")
+    return sum(n in span for span in spans for n in lines)
 
 
 def main() -> int:
     total = 0
     for path in sorted(PACKAGE.glob("*.py")):
-        n = code_lines(path.read_text())
+        n = len(code_lines(path.read_text()))
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
@@ -66,6 +89,9 @@ def main() -> int:
     for module, name in RECORDS:
         record = getattr(importlib.import_module(f"hfedsim.{module}"), name)
         print(f"{len(dataclasses.fields(record)):6d}  {name} fields")
+    for module, names in FILE_IO.items():
+        n = function_lines((PACKAGE / module).read_text(), names)
+        print(f"{n:6d}  file I/O in {module}: {', '.join(names)}")
     return 0
 
 

@@ -1,17 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 
 from hfedsim.data import (
     DataSpec,
-    FederatedDataset,
     gen_synthetic,
     load_shards,
     refresh_shard,
     save_dataset,
 )
 from hfedsim.errors import ConfigurationError, DatasetFormatError
-from hfedsim.simulator import _Simulation
-from simtools import small_config
+from hfedsim.simulator import _Simulation, run
+from simtools import digest, small_config
+
+DELETE = object()  # `TestLoadErrors._load_edited` removes the field instead of setting it
 
 
 def spec(**kw):
@@ -109,6 +112,17 @@ class TestGenSynthetic:
         ds = gen_synthetic(spec(), seed=4)
         np.testing.assert_allclose(np.linalg.norm(ds.centroids, axis=1), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("num_devices", 6.0), ("num_classes", 10.0), ("classes_per_device", True),
+         ("samples_per_device", 10.5), ("input_dim", 2.5)],
+    )
+    def test_spec_refuses_a_count_that_is_not_an_integer(self, field, value):
+        # At 10.5 samples per device the shards would quietly hold 11.
+        message = rf"^{field} must be an integer >= 1 \({value!r}\)$"
+        with pytest.raises(ConfigurationError, match=message):
+            spec(**{field: value})
+
     def test_bad_spec(self):
         with pytest.raises(ConfigurationError):
             spec(classes_per_device=11)
@@ -167,210 +181,188 @@ class TestRefreshShard:
 
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
-        ds = gen_synthetic(spec(), seed=6)
-        manifest = save_dataset(ds, tmp_path)
-        back = load_shards(manifest)
-        assert back.num_devices == ds.num_devices
+        cfg = small_config(mode="async-sched", seed=6)
+        ds = cfg.dataset
+        save_dataset(ds, tmp_path / "data.json")
+        back = load_shards(tmp_path / "data.json")
         assert back.class_map == ds.class_map
-        for sa, sb in zip(ds.shards, back.shards):
-            assert np.array_equal(sa.features, sb.features)
-            assert np.array_equal(sa.labels, sb.labels)
-        assert np.array_equal(ds.test.features, back.test.features)
         assert back.centroids is None
+        for a, b in zip([*ds.shards, ds.test], [*back.shards, back.test], strict=True):
+            for x, y in ((a.features, b.features), (a.labels, b.labels)):
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        reloaded = small_config(mode="async-sched", seed=6, dataset=back)
+        assert digest(run(reloaded)) == digest(run(cfg))
 
     def test_manifest_lists_no_device_count(self, tmp_path):
-        import json
+        save_dataset(gen_synthetic(spec(), seed=6), tmp_path / "data.json")
+        doc = json.loads((tmp_path / "data.json").read_text())
+        assert set(doc) == {"num_classes", "input_dim", "class_map", "devices", "test"}
 
-        manifest = save_dataset(gen_synthetic(spec(), seed=6), tmp_path)
-        assert "num_devices" not in json.loads(manifest.read_text())
-
-    def test_load_from_directory(self, tmp_path):
+    def test_class_map_is_inferred_when_absent(self, tmp_path):
         ds = gen_synthetic(spec(), seed=6)
-        save_dataset(ds, tmp_path)
-        assert load_shards(tmp_path).num_devices == ds.num_devices
+        save_dataset(ds, tmp_path / "data.json")
+        doc = json.loads((tmp_path / "data.json").read_text())
+        del doc["class_map"]
+        (tmp_path / "data.json").write_text(json.dumps(doc))
+        assert load_shards(tmp_path / "data.json").class_map == ds.class_map
 
 
 class TestLoadErrors:
-    def _saved(self, tmp_path):
+    @staticmethod
+    def _load_edited(tmp_path, path, value):
+        """Load a saved two-device, three-class, four-feature dataset in which the
+        field at `path` is `value` (DELETE: absent); returns the saved dataset."""
         ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
-        return save_dataset(ds, tmp_path), ds
+        file = tmp_path / "data.json"
+        save_dataset(ds, file)
+        doc = json.loads(file.read_text())
+        *parents, key = path
+        entry = doc
+        for k in parents:
+            entry = entry[k]
+        if value is DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
+        file.write_text(json.dumps(doc))
+        load_shards(file)
+        return ds
 
     def test_label_out_of_range(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        target = tmp_path / "device_1.csv"
-        lines = target.read_text().splitlines()
-        parts = lines[3].split(",")
-        parts[-1] = "3"  # num_classes is 3, so label 3 is invalid
-        lines[3] = ",".join(parts)
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"device_1\.csv line 4.*label 3"):
-            load_shards(manifest)
+        # num_classes is 3, so label 3 is invalid
+        message = r"^data\.json: devices\[1\]\.labels\[3\] must be in \[0, 3\) \(3\)$"
+        with pytest.raises(DatasetFormatError, match=message):
+            self._load_edited(tmp_path, ("devices", 1, "labels", 3), 3)
 
     def test_malformed_row_reports_line(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        target = tmp_path / "device_0.csv"
-        lines = target.read_text().splitlines()
-        lines[2] = "not-a-number," + ",".join(lines[2].split(",")[1:])
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"device_0\.csv line 3"):
-            load_shards(manifest)
+        message = (
+            r"^data\.json: devices\[0\]\.features\[2\]\[0\] must be a finite number"
+            r" \('not-a-number'\)$"
+        )
+        with pytest.raises(DatasetFormatError, match=message):
+            self._load_edited(tmp_path, ("devices", 0, "features", 2, 0), "not-a-number")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_feature_reports_line(self, tmp_path, value):
-        manifest, _ = self._saved(tmp_path)
-        target = tmp_path / "device_1.csv"
-        lines = target.read_text().splitlines()
-        parts = lines[2].split(",")
-        parts[1] = value
-        lines[2] = ",".join(parts)
-        target.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"device_1\.csv line 3: non-finite feature"):
-            load_shards(manifest)
+        # Written as the JSON extension NaN, Infinity or -Infinity.
+        message = (
+            rf"^data\.json: devices\[1\]\.features\[2\]\[1\] must be a finite number \({value}\)$"
+        )
+        with pytest.raises(DatasetFormatError, match=message):
+            self._load_edited(tmp_path, ("devices", 1, "features", 2, 1), float(value))
 
     @pytest.mark.parametrize("entries", [1, 3])
     def test_class_map_needs_one_entry_per_device(self, tmp_path, entries):
         # zip() would stop at the shorter list and check no more.
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["class_map"] = (data["class_map"] * 2)[:entries]
-        manifest.write_text(json.dumps(data))
-        message = f"class_map has {entries} entries for 2 devices"
+        class_map = [[0, 1], [1, 2], [0, 2]][:entries]
+        message = rf"^data\.json: class_map has {entries} entries for 2 devices$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("class_map",), class_map)
 
     def test_empty_device_list(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["devices"] = []
-        manifest.write_text(json.dumps(data))
-        message = r"^manifest\.json: at least one device required$"
+        message = r"^data\.json: devices must be a non-empty list \(\[\]\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("devices",), [])
 
     def test_test_set_must_cover_all_classes(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        target = tmp_path / "test.csv"
-        lines = target.read_text().splitlines()
-        target.write_text("\n".join(line for line in lines if not line.endswith(",2")) + "\n")
-        message = r"^manifest\.json: test set must cover all classes$"
+        ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
+        keep = ds.test.labels != 2
+        test = {
+            "features": ds.test.features[keep].tolist(), "labels": ds.test.labels[keep].tolist()
+        }
+        message = r"^data\.json: test set must cover all classes$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
-
-    def test_missing_shard_file(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        (tmp_path / "device_1.csv").unlink()
-        with pytest.raises(DatasetFormatError, match=r"device_1\.csv: shard file not found"):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("test",), test)
 
     @pytest.mark.parametrize("key, value", [("input_dim", "abc"), ("num_classes", None)])
     def test_non_integer_count_names_the_manifest(self, tmp_path, key, value):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data[key] = value
-        manifest.write_text(json.dumps(data))
-        message = rf"manifest\.json: {key} must be an integer \({value!r}\)"
+        message = rf"^data\.json: {key} must be an integer \({value!r}\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, (key,), value)
 
     @pytest.mark.parametrize("key, fraction", [("input_dim", 0.7), ("num_classes", 0.5)])
     def test_fractional_count_is_rejected_not_truncated(self, tmp_path, key, fraction):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data[key] += fraction  # truncated, it would load the saved dataset as it is
-        manifest.write_text(json.dumps(data))
-        message = rf"manifest\.json: {key} must be an integer \({data[key]!r}\)"
+        # Truncated, it would load the saved dataset as it is.
+        value = {"input_dim": 4, "num_classes": 3}[key] + fraction
+        message = rf"^data\.json: {key} must be an integer \({value!r}\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, (key,), value)
 
     def test_fractional_class_map_entry_is_rejected_not_truncated(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["class_map"][1][0] += 0.5
-        manifest.write_text(json.dumps(data))
-        value = data["class_map"][1][0]
-        message = rf"manifest\.json: class_map\[1\]\[0\] must be an integer \({value!r}\)"
+        ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
+        value = ds.class_map[1][0] + 0.5
+        message = rf"^data\.json: class_map\[1\]\[0\] must be an integer \({value!r}\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("class_map", 1, 0), value)
 
     def test_devices_must_be_a_list(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["devices"] = 5
-        manifest.write_text(json.dumps(data))
-        message = r"manifest\.json: devices must be a list of file names \(5\)"
+        message = r"^data\.json: devices must be a non-empty list \(5\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
-
-    def test_device_entry_must_be_a_file_name(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["devices"][0] = None
-        manifest.write_text(json.dumps(data))
-        message = r"manifest\.json: devices\[0\] must be a file name \(None\)"
-        with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
-
-    def test_test_entry_must_be_a_file_name(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["test"] = 5
-        manifest.write_text(json.dumps(data))
-        message = r"manifest\.json: test must be a file name \(5\)"
-        with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("devices",), 5)
 
     def test_non_integer_class_map_entry(self, tmp_path):
-        manifest, _ = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        data["class_map"][1] = [data["class_map"][1][0], "two"]
-        manifest.write_text(json.dumps(data))
-        message = r"manifest\.json: class_map\[1\]\[1\] must be an integer \('two'\)"
+        message = r"^data\.json: class_map\[1\]\[1\] must be an integer \('two'\)$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("class_map", 1, 1), "two")
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(DatasetFormatError, match=r"[/\\]nope: file not found$"):
-            load_shards(tmp_path / "nope")
+        with pytest.raises(DatasetFormatError, match=r"[/\\]nope\.json: file not found$"):
+            load_shards(tmp_path / "nope.json")
 
     @pytest.mark.parametrize(
         "text, message", [("{", "invalid JSON"), ('"devices"', "not a JSON object")],
         ids=["invalid", "not-an-object"],
     )
     def test_manifest_must_hold_a_json_object(self, tmp_path, text, message):
-        manifest, _ = self._saved(tmp_path)
-        manifest.write_text(text)
-        with pytest.raises(DatasetFormatError, match=rf"^manifest\.json: {message}"):
-            load_shards(manifest)
+        path = tmp_path / "data.json"
+        path.write_text(text)
+        with pytest.raises(DatasetFormatError, match=rf"^data\.json: {message}"):
+            load_shards(path)
 
     def test_undeclared_label_rejected(self, tmp_path):
-        manifest, ds = self._saved(tmp_path)
-        import json
-
-        data = json.loads(manifest.read_text())
-        declared, undeclared = data["class_map"][0]
-        data["class_map"][0] = [declared]
-        manifest.write_text(json.dumps(data))
-        message = (
-            rf"^manifest\.json: device 0 \(device_0\.csv\): labels \[{undeclared}\]"
-            r" not in class_map$"
-        )
+        ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
+        declared, undeclared = ds.class_map[0]
+        message = rf"^data\.json: devices\[0\]: labels \[{undeclared}\] not in class_map$"
         with pytest.raises(DatasetFormatError, match=message):
-            load_shards(manifest)
+            self._load_edited(tmp_path, ("class_map", 0), [declared])
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("input_dim",), DELETE, r"missing field 'input_dim'"),
+            (("num_classes",), DELETE, r"missing field 'num_classes'"),
+            (("devices",), DELETE, r"missing field 'devices'"),
+            (("test",), DELETE, r"missing field 'test'"),
+            (("devices", 1, "labels"), DELETE, r"devices\[1\]: missing field 'labels'"),
+            (("test", "features"), DELETE, r"test: missing field 'features'"),
+            (("devices", 1, "labels", 2), True,
+             r"devices\[1\]\.labels\[2\] must be an integer \(True\)"),
+            (("devices", 1, "labels", 2), "1",
+             r"devices\[1\]\.labels\[2\] must be an integer \('1'\)"),
+            (("devices", 1, "labels", 2), 1.5,
+             r"devices\[1\]\.labels\[2\] must be an integer \(1\.5\)"),
+            (("devices", 0, "labels", 0), -1,
+             r"devices\[0\]\.labels\[0\] must be in \[0, 3\) \(-1\)"),
+            (("devices", 0, "features", 3), [0.5] * 5,
+             r"devices\[0\]\.features\[3\] must hold 4 numbers \(\[0\.5(, 0\.5){4}\]\)"),
+            (("test", "features", 7, 0), float("nan"),
+             r"test\.features\[7\]\[0\] must be a finite number \(nan\)"),
+            (("test", "features", 7, 0), True,
+             r"test\.features\[7\]\[0\] must be a finite number \(True\)"),
+            (("devices", 1), {"features": [], "labels": []},
+             r"devices\[1\]: shard needs >= 1 sample with matching labels"),
+            (("devices", 1, "labels", 0), DELETE,
+             r"devices\[1\]: shard needs >= 1 sample with matching labels"),
+            (("devices", 0), 5, r"devices\[0\]: 'int' object is not subscriptable"),
+            (("class_map",), 5, r"class_map: object of type 'int' has no len\(\)"),
+            (("class_map", 0), 5, r"class_map: 'int' object is not iterable"),
+        ],
+        ids=["input_dim-missing", "num_classes-missing", "devices-missing", "test-missing",
+             "labels-missing", "test-features-missing", "label-bool", "label-string",
+             "label-fraction", "label-negative", "row-length", "test-feature-nan",
+             "test-feature-bool", "empty-shard", "labels-shorter-than-rows", "device-not-an-object",
+             "class_map-not-a-list", "class_map-entry-not-a-list"],
+    )
+    def test_error_names_its_field(self, tmp_path, path, value, message):
+        with pytest.raises(DatasetFormatError, match=rf"^data\.json: {message}$"):
+            self._load_edited(tmp_path, path, value)

@@ -57,6 +57,23 @@ def assert_grad_close(analytic, numeric, rel=1e-4):
     assert np.max(np.abs(analytic - numeric) / scale) < rel
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TrainConfig(0.1, 0.1, 2.5, 8), r"^epochs must be an integer >= 1 \(2\.5\)$"),
+        (lambda: TrainConfig(0.1, 0.1, 2, True), r"^batch_size must be an integer >= 1 \(True\)$"),
+        (lambda: ModelArch("mlp", 3.5, 4, 2), r"^input_dim must be an integer >= 1 \(3\.5\)$"),
+        (lambda: ModelArch("logistic", 3, 4.0), r"^num_classes must be an integer >= 2 \(4\.0\)$"),
+        (lambda: ModelArch("mlp", 3, 4, 2.5), r"^hidden_dim must be an integer >= 1 \(2\.5\)$"),
+    ],
+    ids=["epochs-fraction", "batch_size-bool", "input_dim-fraction", "num_classes-float",
+         "hidden_dim-fraction"],
+)
+def test_records_refuse_a_count_that_is_not_an_integer(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+
+
 class TestInitParams:
     def test_deterministic(self):
         arch = ModelArch("logistic", input_dim=2, num_classes=2)

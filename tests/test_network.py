@@ -155,6 +155,29 @@ class TestTopology:
             assert all(checks)
             assert (sim.gateway_of >= 0).all()
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TopologySpec(4.5, 2, 100), r"^num_devices must be an integer >= 1 \(4\.5\)$"),
+            (lambda: TopologySpec(4, True, 100),
+             r"^num_gateways must be an integer >= 1 \(True\)$"),
+            (lambda: gen_topology(TopologySpec(4, 2, 100.5), 0),
+             r"^model_bytes must be an integer >= 1 \(100\.5\)$"),
+            (lambda: uniform_topology(3, 2, model_bytes=100.5),
+             r"^model_bytes must be an integer >= 1 \(100\.5\)$"),
+            (lambda: Topology(3.0, 2, {}, np.ones(2), 100),
+             r"^num_devices must be an integer >= 1 \(3\.0\)$"),
+            (lambda: FaultEvent(0.0, 1.5, "drop"), r"^device must be an integer >= 0 \(1\.5\)$"),
+            (lambda: FaultEvent(0.0, -1, "drop"), r"^device must be an integer >= 0 \(-1\)$"),
+        ],
+        ids=["spec-devices-fraction", "spec-gateways-bool", "spec-model_bytes-fraction",
+             "model_bytes-fraction", "num_devices-float", "fault-device-fraction",
+             "fault-device-negative"],
+    )
+    def test_records_refuse_a_count_that_is_not_an_integer(self, build, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build()
+
     def test_drop_then_restore_is_involution(self):
         topo = small_topology()
         original = topo.feasible.copy()
@@ -353,7 +376,7 @@ class TestTopologyIO:
             (("links", 2, "mean_up"), None, r"links\[2\]: missing field 'mean_up'"),
             (("faults", 0, "t"), -1, r"faults\[0\]: fault time must be finite and >= 0"),
             (("faults", 0, "action"), "stop", r"faults\[0\]: unknown fault action 'stop'"),
-            (("N",), 0, r"need >= 1 device and >= 1 gateway"),
+            (("N",), 0, r"num_devices must be an integer >= 1 \(0\)"),
             (("B",), 5, r"B: 'int' object is not iterable"),
             (("links",), 5, r"links: 'int' object is not iterable"),
             (("faults",), 5, r"faults: 'int' object is not iterable"),

@@ -335,12 +335,23 @@ class TestModesRun:
 
 BAD_SETTINGS = [
     (dict(staleness_exp=-0.5), "staleness_exp must be >= 0"),
-    (dict(gateway_epochs=0), "gateway_epochs and cloud_epochs must be >= 1"),
-    (dict(cloud_epochs=0), "gateway_epochs and cloud_epochs must be >= 1"),
+    (dict(gateway_epochs=0), r"^gateway_epochs must be an integer >= 1 \(0\)$"),
+    (dict(cloud_epochs=0), r"^cloud_epochs must be an integer >= 1 \(0\)$"),
     (dict(kappa=-1.0), "kappa and phi must be >= 0"),
     (dict(phi=-0.1), "kappa and phi must be >= 0"),
-    (dict(assoc_period=0), "assoc_period must be >= 1"),
-    (dict(mode="async-sched", pca_dim=0), r"pca_dim must be in \[1, model dimension\]"),
+    (dict(assoc_period=0), r"^assoc_period must be an integer >= 1 \(0\)$"),
+    (dict(mode="async-sched", pca_dim=0), r"^pca_dim must be an integer >= 1 \(0\)$"),
+    # A count with a fraction or a bool is refused, not run: an async gateway
+    # uploads when its cycle equals gateway_epochs, which 2.5 never does, and
+    # a fractional pca_dim fails mid-run at the PCA fit.
+    (dict(gateway_epochs=2.5), r"^gateway_epochs must be an integer >= 1 \(2\.5\)$"),
+    (dict(gateway_epochs=True), r"^gateway_epochs must be an integer >= 1 \(True\)$"),
+    (dict(cloud_epochs=12.5), r"^cloud_epochs must be an integer >= 1 \(12\.5\)$"),
+    (dict(cloud_epochs=12.0), r"^cloud_epochs must be an integer >= 1 \(12\.0\)$"),
+    (dict(assoc_period=1.5), r"^assoc_period must be an integer >= 1 \(1\.5\)$"),
+    (dict(mode="async-sched", pca_dim=4.5), r"^pca_dim must be an integer >= 1 \(4\.5\)$"),
+    (dict(seed=-1), r"^seed must be an integer >= 0 \(-1\)$"),
+    (dict(seed=1.5), r"^seed must be an integer >= 0 \(1\.5\)$"),
     # The logistic model of small_config has 3 * 4 + 4 = 16 parameters.
     (dict(mode="async-sched", pca_dim=17), r"pca_dim must be in \[1, model dimension\]"),
     (dict(semi_window=0.0), "semi_window must be > 0"),
@@ -370,7 +381,8 @@ class TestValidation:
 
     def test_refresh_needs_generator_centroids(self, tmp_path):
         cfg = small_config(mode="async-random", seed=1)
-        cfg.dataset = load_shards(save_dataset(cfg.dataset, tmp_path))
+        save_dataset(cfg.dataset, tmp_path / "data.json")
+        cfg.dataset = load_shards(tmp_path / "data.json")
         cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True)
         with pytest.raises(ConfigurationError, match="centroids"):
             cfg.validate()
@@ -411,7 +423,8 @@ class TestValidation:
         "-".join(f"{k}={v}" for k, v in overrides.items()) for overrides, _ in BAD_SETTINGS
     ])
     def test_rejects_each_bad_setting(self, overrides, message):
-        cfg = small_config(**overrides)
+        # Replaced after the build, which draws the data from a valid seed.
+        cfg = dataclasses.replace(small_config(), **overrides)
         with pytest.raises(ConfigurationError, match=message):
             cfg.validate()
 
