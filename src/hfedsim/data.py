@@ -6,19 +6,21 @@ learnable by the small models while per-device distributions differ sharply.
 
 A dataset file (`save_dataset`, `load_shards`) is one JSON object:
 
-    {"num_classes": 3, "input_dim": 2, "class_map": [[0, 2], ...],
+    {"num_classes": 3, "input_dim": 2,
      "devices": [{"features": [[0.1, -0.4], ...], "labels": [0, ...]}, ...],
      "test": {"features": [...], "labels": [...]}}
 
 `devices` holds one shard per device, in device order, and `test` the global
-test set, shaped as a device's shard. `class_map` lists the classes each
-device may hold; a file without it gets the classes each shard holds. Floats
-are written with `repr`, so a saved dataset loads bit for bit. The loader
-reads the file as `network.load_topology` reads a topology: `read_json` opens
-it, every number goes through `integer_field` or `float_field` named by its
-JSON path, and an error names the file and the field or shard it was raised
-at (`devices[1].labels[2] must be an integer (2.5)`, `test.features[7][0]
-must be a finite number (nan)`, `devices[0]: shard needs >= 1 sample ...`).
+test set, shaped as a device's shard. The file holds only what a run reads:
+a loaded dataset has no generator state, neither `centroids` nor `class_map`,
+so it cannot refresh its shards. The loader ignores any other key, such as
+the `class_map` that older files carry. Floats are written with `repr`, so a
+saved dataset loads bit for bit. The loader reads the file as
+`network.load_topology` reads a topology: `read_json` opens it, every number
+goes through `integer_field` or `float_field` named by its JSON path, and an
+error names the file and the field or shard it was raised at
+(`devices[1].labels[2] must be an integer (2.5)`, `test.features[7][0] must
+be a finite number (nan)`, `devices[0]: shard needs >= 1 sample ...`).
 """
 
 from __future__ import annotations
@@ -54,17 +56,18 @@ class DataSpec:
             check_count(getattr(self, name), name)
         if self.classes_per_device > self.num_classes:
             raise ConfigurationError("classes_per_device must be in [1, num_classes]")
-        if self.cluster_spread <= 0:
-            raise ConfigurationError("cluster_spread must be > 0")
+        # Chained, so that NaN fails it as inf does.
+        if not 0 < self.cluster_spread < np.inf:
+            raise ConfigurationError("cluster_spread must be finite and > 0")
 
 
 @dataclass
 class FederatedDataset:
     shards: list[Shard]
     test: Shard
-    class_map: list[list[int]]
-    # Class centroids used by the generator; None for datasets loaded from disk
-    # (refresh is only possible when these are known).
+    # The generator's state: the classes each device draws from and the class
+    # centroids. None for datasets loaded from disk, which cannot refresh.
+    class_map: list[list[int]] | None = None
     centroids: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -97,6 +100,7 @@ def _draw_shard(rng, classes, spec: DataSpec, centroids: np.ndarray) -> Shard:
 
 def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
     """Generate per-device label-skewed shards plus a class-balanced global test set."""
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     k, dim = spec.num_classes, spec.input_dim
 
@@ -138,7 +142,6 @@ def save_dataset(ds: FederatedDataset, path: str | Path) -> None:
     doc = {
         "num_classes": int(ds.test.labels.max()) + 1,
         "input_dim": ds.test.features.shape[1],
-        "class_map": ds.class_map,
         "devices": [shard_to_json(s) for s in ds.shards],
         "test": shard_to_json(ds.test),
     }
@@ -161,7 +164,14 @@ def _shard_from_json(doc: dict, where: str, dim: int, num_classes: int) -> Shard
     return Shard(features, np.array(labels, dtype=np.int64))
 
 
-def _dataset_from_json(doc: dict) -> FederatedDataset:
+def load_shards(path: str | Path) -> FederatedDataset:
+    """The dataset in the JSON file at `path`, as `save_dataset` writes it.
+
+    Every error is a `DatasetFormatError` that names the file, and the field
+    or shard it was raised at (see the module docstring).
+    """
+    p = Path(path)
+    doc = read_json(p)
     where = ""  # the shard or section being read, which a message raised there names
     try:
         dim = integer_field(doc["input_dim"], "input_dim")
@@ -177,36 +187,10 @@ def _dataset_from_json(doc: dict) -> FederatedDataset:
         test = _shard_from_json(test, "test", dim, num_classes)
         if len(set(test.labels.tolist())) != num_classes:
             raise DatasetFormatError("test set must cover all classes")
-        where = "class_map: "
-        class_map = doc.get("class_map")
-        if class_map is None:
-            return FederatedDataset(shards, test, [sorted(set(s.labels.tolist())) for s in shards])
-        if len(class_map) != len(shards):
-            raise DatasetFormatError(
-                f"class_map has {len(class_map)} entries for {len(shards)} devices"
-            )
-        allowed = []
-        for i, (shard, entry) in enumerate(zip(shards, class_map)):
-            allowed.append([integer_field(c, f"class_map[{i}][{k}]") for k, c in enumerate(entry)])
-            extra = set(shard.labels.tolist()) - set(allowed[i])
-            if extra:
-                raise DatasetFormatError(f"devices[{i}]: labels {sorted(extra)} not in class_map")
-        return FederatedDataset(shards, test, allowed)
-    except KeyError as exc:
-        raise DatasetFormatError(f"{where}missing field {exc}") from exc
-    except (ConfigurationError, TypeError) as exc:
-        raise DatasetFormatError(f"{where}{exc}") from exc
-
-
-def load_shards(path: str | Path) -> FederatedDataset:
-    """The dataset in the JSON file at `path`, as `save_dataset` writes it.
-
-    Every error is a `DatasetFormatError` that names the file, and the field
-    or shard it was raised at (see the module docstring).
-    """
-    p = Path(path)
-    doc = read_json(p)
-    try:
-        return _dataset_from_json(doc)
+        return FederatedDataset(shards, test)
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{p.name}: {exc}") from exc
+    except KeyError as exc:
+        raise DatasetFormatError(f"{p.name}: {where}missing field {exc}") from exc
+    except (ConfigurationError, TypeError) as exc:
+        raise DatasetFormatError(f"{p.name}: {where}{exc}") from exc

@@ -10,7 +10,8 @@ and only if `link_params` has that (device, gateway) pair, and `feasible` is
 derived from those keys. A device's mean compute time is the `mean_comp` of
 its links, which must therefore agree. A device with no link has none.
 
-The topology file (`save_topology`, `load_topology`) stores each link fact
+The topology file has one public save and one public load, `save_topology`
+and `load_topology`, which write and read a path. It stores each link fact
 as the record does: one `links` entry per (device, gateway) pair, holding its
 `i`, `j` and the four `DelayParams` fields, so a device's `mean_comp` repeats
 on each of its links and only `Topology` checks that they agree. A loading
@@ -143,8 +144,9 @@ class Topology:
 # -- serialization ------------------------------------------------------------
 
 
-def topology_to_json(topo: Topology) -> dict:
-    return {
+def save_topology(topo: Topology, path: str | Path) -> None:
+    """Write `topo` to `path` as one JSON document (see the module docstring)."""
+    doc = {
         "N": topo.num_devices,
         "G": topo.num_gateways,
         "B": [float(b) for b in topo.bandwidth],
@@ -156,13 +158,17 @@ def topology_to_json(topo: Topology) -> dict:
             for f in topo.faults
         ],
     }
+    Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def save_topology(topo: Topology, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(topology_to_json(topo), indent=2))
+def load_topology(path: str | Path) -> Topology:
+    """The topology in the JSON file at `path`, as `save_topology` writes it.
 
-
-def topology_from_json(doc: dict) -> Topology:
+    Every error is a `DatasetFormatError` that names the file, and the entry
+    or field it was raised at (see the module docstring).
+    """
+    p = Path(path)
+    doc = read_json(p)
     where = ""  # the section or entry being read, which a message raised there names
     try:
         n, g = integer_field(doc["N"], "N"), integer_field(doc["G"], "G")
@@ -205,19 +211,12 @@ def topology_from_json(doc: dict) -> Topology:
             cloud_gateway_delay=float_field(cloud, "cloud_gateway_delay"),
             faults=sorted(faults, key=lambda f: f.time),
         )
-    except KeyError as exc:
-        raise DatasetFormatError(f"{where}missing field {exc}") from exc
-    except (ConfigurationError, TypeError) as exc:
-        raise DatasetFormatError(f"{where}{exc}") from exc
-
-
-def load_topology(path: str | Path) -> Topology:
-    p = Path(path)
-    doc = read_json(p)
-    try:
-        return topology_from_json(doc)
     except DatasetFormatError as exc:
         raise DatasetFormatError(f"{p.name}: {exc}") from exc
+    except KeyError as exc:
+        raise DatasetFormatError(f"{p.name}: {where}missing field {exc}") from exc
+    except (ConfigurationError, TypeError) as exc:
+        raise DatasetFormatError(f"{p.name}: {where}{exc}") from exc
 
 
 # -- generator ----------------------------------------------------------------
@@ -251,6 +250,7 @@ class TopologySpec:
 
 def gen_topology(spec: TopologySpec, seed: int) -> Topology:
     """Mesh-like random topology with heterogeneous, long-tail-prone link delays."""
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n, g = spec.num_devices, spec.num_gateways
     gw_pos = rng.random((g, 2))

@@ -35,8 +35,8 @@ RECORDS = [
 # The dataset and topology file readers and writers, with their helpers, and
 # the checks they share.
 FILE_IO = {
-    "data.py": ("save_dataset", "_shard_from_json", "_dataset_from_json", "load_shards"),
-    "network.py": ("topology_to_json", "save_topology", "topology_from_json", "load_topology"),
+    "data.py": ("save_dataset", "_shard_from_json", "load_shards"),
+    "network.py": ("save_topology", "load_topology"),
     "errors.py": ("read_json", "integer_field", "float_field"),
 }
 

@@ -58,6 +58,20 @@ def per_class_synthetic(s, seed):
 
 UNEVEN_SPLITS = [(30, 2), (101, 3), (7, 10)]  # (samples_per_device, classes_per_device)
 
+# A dataset file as an earlier version of `save_dataset` wrote it, with the
+# `class_map` key it no longer writes, and the shards it holds.
+OLD_FILE = (
+    '{"num_classes": 2, "input_dim": 2, "class_map": [[0], [0, 1]], "devices": ['
+    '{"features": [[0.1, -0.4], [0.25, 0.001]], "labels": [0, 0]}, '
+    '{"features": [[-1.5, 0.3], [2.0, -0.7]], "labels": [1, 0]}], '
+    '"test": {"features": [[0.2, 0.2], [-0.9, 1.1]], "labels": [0, 1]}}'
+)
+OLD_FILE_SHARDS = [
+    ([[0.1, -0.4], [0.25, 1e-3]], [0, 0]),
+    ([[-1.5, 0.3], [2.0, -0.7]], [1, 0]),
+    ([[0.2, 0.2], [-0.9, 1.1]], [0, 1]),  # the test set
+]
+
 
 class TestGenSynthetic:
     def test_label_skew(self):
@@ -128,6 +142,12 @@ class TestGenSynthetic:
             spec(classes_per_device=11)
         with pytest.raises(ConfigurationError):
             spec(num_devices=0)
+        # NaN fails no `<= 0` check, and a non-finite spread draws non-finite features.
+        for bad in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ConfigurationError, match="^cluster_spread must be finite and > 0$"):
+                spec(cluster_spread=bad)
+        with pytest.raises(ConfigurationError, match=r"^seed must be an integer >= 0 \(-1\)$"):
+            gen_synthetic(DataSpec(2, 3, 2, 10, 2), -1)
 
 
 class TestRefreshShard:
@@ -185,8 +205,7 @@ class TestRoundTrip:
         ds = cfg.dataset
         save_dataset(ds, tmp_path / "data.json")
         back = load_shards(tmp_path / "data.json")
-        assert back.class_map == ds.class_map
-        assert back.centroids is None
+        assert back.class_map is None and back.centroids is None
         for a, b in zip([*ds.shards, ds.test], [*back.shards, back.test], strict=True):
             for x, y in ((a.features, b.features), (a.labels, b.labels)):
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
@@ -196,15 +215,17 @@ class TestRoundTrip:
     def test_manifest_lists_no_device_count(self, tmp_path):
         save_dataset(gen_synthetic(spec(), seed=6), tmp_path / "data.json")
         doc = json.loads((tmp_path / "data.json").read_text())
-        assert set(doc) == {"num_classes", "input_dim", "class_map", "devices", "test"}
+        assert set(doc) == {"num_classes", "input_dim", "devices", "test"}
 
-    def test_class_map_is_inferred_when_absent(self, tmp_path):
-        ds = gen_synthetic(spec(), seed=6)
-        save_dataset(ds, tmp_path / "data.json")
-        doc = json.loads((tmp_path / "data.json").read_text())
-        del doc["class_map"]
-        (tmp_path / "data.json").write_text(json.dumps(doc))
-        assert load_shards(tmp_path / "data.json").class_map == ds.class_map
+    def test_file_with_a_class_map_loads_the_same_shards(self, tmp_path):
+        (tmp_path / "old.json").write_text(OLD_FILE)
+        back = load_shards(tmp_path / "old.json")
+        assert back.class_map is None
+        shards = [*back.shards, back.test]
+        for shard, (features, labels) in zip(shards, OLD_FILE_SHARDS, strict=True):
+            x, y = shard.features, np.array(features, dtype=np.float64)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+            assert shard.labels.dtype == np.int64 and shard.labels.tolist() == labels
 
 
 class TestLoadErrors:
@@ -251,14 +272,6 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match=message):
             self._load_edited(tmp_path, ("devices", 1, "features", 2, 1), float(value))
 
-    @pytest.mark.parametrize("entries", [1, 3])
-    def test_class_map_needs_one_entry_per_device(self, tmp_path, entries):
-        # zip() would stop at the shorter list and check no more.
-        class_map = [[0, 1], [1, 2], [0, 2]][:entries]
-        message = rf"^data\.json: class_map has {entries} entries for 2 devices$"
-        with pytest.raises(DatasetFormatError, match=message):
-            self._load_edited(tmp_path, ("class_map",), class_map)
-
     def test_empty_device_list(self, tmp_path):
         message = r"^data\.json: devices must be a non-empty list \(\[\]\)$"
         with pytest.raises(DatasetFormatError, match=message):
@@ -288,22 +301,10 @@ class TestLoadErrors:
         with pytest.raises(DatasetFormatError, match=message):
             self._load_edited(tmp_path, (key,), value)
 
-    def test_fractional_class_map_entry_is_rejected_not_truncated(self, tmp_path):
-        ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
-        value = ds.class_map[1][0] + 0.5
-        message = rf"^data\.json: class_map\[1\]\[0\] must be an integer \({value!r}\)$"
-        with pytest.raises(DatasetFormatError, match=message):
-            self._load_edited(tmp_path, ("class_map", 1, 0), value)
-
     def test_devices_must_be_a_list(self, tmp_path):
         message = r"^data\.json: devices must be a non-empty list \(5\)$"
         with pytest.raises(DatasetFormatError, match=message):
             self._load_edited(tmp_path, ("devices",), 5)
-
-    def test_non_integer_class_map_entry(self, tmp_path):
-        message = r"^data\.json: class_map\[1\]\[1\] must be an integer \('two'\)$"
-        with pytest.raises(DatasetFormatError, match=message):
-            self._load_edited(tmp_path, ("class_map", 1, 1), "two")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetFormatError, match=r"[/\\]nope\.json: file not found$"):
@@ -318,13 +319,6 @@ class TestLoadErrors:
         path.write_text(text)
         with pytest.raises(DatasetFormatError, match=rf"^data\.json: {message}"):
             load_shards(path)
-
-    def test_undeclared_label_rejected(self, tmp_path):
-        ds = gen_synthetic(spec(num_devices=2, num_classes=3), seed=1)
-        declared, undeclared = ds.class_map[0]
-        message = rf"^data\.json: devices\[0\]: labels \[{undeclared}\] not in class_map$"
-        with pytest.raises(DatasetFormatError, match=message):
-            self._load_edited(tmp_path, ("class_map", 0), [declared])
 
     @pytest.mark.parametrize(
         "path, value, message",
@@ -354,14 +348,12 @@ class TestLoadErrors:
             (("devices", 1, "labels", 0), DELETE,
              r"devices\[1\]: shard needs >= 1 sample with matching labels"),
             (("devices", 0), 5, r"devices\[0\]: 'int' object is not subscriptable"),
-            (("class_map",), 5, r"class_map: object of type 'int' has no len\(\)"),
-            (("class_map", 0), 5, r"class_map: 'int' object is not iterable"),
         ],
         ids=["input_dim-missing", "num_classes-missing", "devices-missing", "test-missing",
              "labels-missing", "test-features-missing", "label-bool", "label-string",
              "label-fraction", "label-negative", "row-length", "test-feature-nan",
-             "test-feature-bool", "empty-shard", "labels-shorter-than-rows", "device-not-an-object",
-             "class_map-not-a-list", "class_map-entry-not-a-list"],
+             "test-feature-bool", "empty-shard", "labels-shorter-than-rows",
+             "device-not-an-object"],
     )
     def test_error_names_its_field(self, tmp_path, path, value, message):
         with pytest.raises(DatasetFormatError, match=rf"^data\.json: {message}$"):

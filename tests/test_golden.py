@@ -191,6 +191,19 @@ def test_trace_matches_golden(name):
     assert result.stop_reason == "done"
 
 
+def test_first_crossing_is_a_scan_of_the_rows():
+    name = "async-sched/seed1"
+    result = run(SCENARIOS[name]())
+    assert digest(result) == json.loads(GOLDEN.read_text())[name]
+    rows = result.trace.rows
+    accs = sorted({r.acc for r in rows})
+    # Every accuracy reached, each midpoint between two, and one above them all.
+    targets = accs + [(a + b) / 2 for a, b in zip(accs, accs[1:])] + [accs[-1] + 0.01]
+    for target in targets:
+        expected = next((r.t for r in rows if r.acc >= target), None)
+        assert result.trace.first_crossing(target) == expected
+
+
 def test_empty_gateway_survives_save_and_load(tmp_path):
     """Gateway 0 has no links, so after a round trip through a file it still has no members."""
     cfg = _empty_gateway()

@@ -17,8 +17,6 @@ from hfedsim.network import (
     load_topology,
     sample_round_latency,
     save_topology,
-    topology_from_json,
-    topology_to_json,
 )
 from hfedsim.selection import AssociationInstance
 from hfedsim.simulator import _Simulation
@@ -107,6 +105,12 @@ class TestEstRate:
             est_rate(100.0, 0.0)
 
 
+def saved_doc(topo, path):
+    """Save `topo` at `path` and return the JSON document the file holds."""
+    save_topology(topo, path)
+    return json.loads(path.read_text())
+
+
 def small_topology(sigma=0.0, faults=()):
     link_params = {
         (i, j): DelayParams(1.0 + i, 5.0, 2.0, sigma)
@@ -169,10 +173,12 @@ class TestTopology:
              r"^num_devices must be an integer >= 1 \(3\.0\)$"),
             (lambda: FaultEvent(0.0, 1.5, "drop"), r"^device must be an integer >= 0 \(1\.5\)$"),
             (lambda: FaultEvent(0.0, -1, "drop"), r"^device must be an integer >= 0 \(-1\)$"),
+            (lambda: gen_topology(TopologySpec(4, 2, 100), -1),
+             r"^seed must be an integer >= 0 \(-1\)$"),
         ],
         ids=["spec-devices-fraction", "spec-gateways-bool", "spec-model_bytes-fraction",
              "model_bytes-fraction", "num_devices-float", "fault-device-fraction",
-             "fault-device-negative"],
+             "fault-device-negative", "gen-seed-negative"],
     )
     def test_records_refuse_a_count_that_is_not_an_integer(self, build, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -252,33 +258,35 @@ class TestTopologyIO:
         back = load_topology(path)
         assert back.faults == [FaultEvent(3.0, 1, "slowdown", 4.0)]
 
-    def test_out_of_range_device_id_rejected(self):
-        doc = topology_to_json(small_topology())
+    def test_out_of_range_device_id_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        doc = saved_doc(small_topology(), path)
         doc["links"].append({**doc["links"][0], "i": 3})
-        with pytest.raises(DatasetFormatError, match=r"^link \(3, 0\) out of range$"):
-            topology_from_json(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DatasetFormatError, match=r"^t\.json: link \(3, 0\) out of range$"):
+            load_topology(path)
 
-    def test_saved_links_carry_their_compute_mean(self):
+    def test_saved_links_carry_their_compute_mean(self, tmp_path):
         topo = small_topology()
-        doc = topology_to_json(topo)
+        doc = saved_doc(topo, tmp_path / "t.json")
         assert "devices" not in doc
         assert {(e["i"], e["j"]): e["mean_comp"] for e in doc["links"]} == {
             key: p.mean_comp for key, p in topo.link_params.items()
         }
 
     def test_links_of_one_device_that_disagree_on_compute_name_it(self, tmp_path):
-        doc = topology_to_json(uniform_topology(3, 2))
+        path = tmp_path / "mesh.json"
+        doc = saved_doc(uniform_topology(3, 2), path)
         second = [k for k, e in enumerate(doc["links"]) if e["i"] == 1][1]
         doc["links"][second]["mean_comp"] += 1.0
-        path = tmp_path / "mesh.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match=r"^mesh\.json: the links of device 1 differ"):
             load_topology(path)
 
     def test_repeated_link_names_both_entries(self, tmp_path):
-        doc = topology_to_json(uniform_topology(3, 2))
-        doc["links"].append({**doc["links"][0], "mean_down": 99.0})
         path = tmp_path / "mesh.json"
+        doc = saved_doc(uniform_topology(3, 2), path)
+        doc["links"].append({**doc["links"][0], "mean_down": 99.0})
         path.write_text(json.dumps(doc))
         with pytest.raises(
             DatasetFormatError, match=r"^mesh\.json: links\[6\]: link \(0, 0\) repeats links\[0\]$"
@@ -297,11 +305,14 @@ class TestTopologyIO:
         back = load_topology(tmp_path / "topo.json")
         assert back.link_params == topo.link_params and back.faults == topo.faults
         np.testing.assert_array_equal(back.bandwidth, topo.bandwidth)
-        assert topology_to_json(back) == topology_to_json(topo)
+        save_topology(back, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "topo.json").read_bytes()
 
-    def test_missing_field(self):
-        with pytest.raises(DatasetFormatError, match="missing field"):
-            topology_from_json({"N": 2, "G": 1})
+    def test_missing_field(self, tmp_path):
+        path = tmp_path / "mesh.json"
+        path.write_text(json.dumps({"N": 2, "G": 1}))
+        with pytest.raises(DatasetFormatError, match=r"^mesh\.json: missing field 'model_size'$"):
+            load_topology(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetFormatError, match=r"none\.json: file not found$"):
@@ -326,8 +337,8 @@ class TestTopologyIO:
         ids=["model_size", "links"],
     )
     def test_load_error_names_the_file(self, tmp_path, change, message):
-        doc = {**topology_to_json(small_topology()), **change}
         path = tmp_path / "mesh.json"
+        doc = {**saved_doc(small_topology(), path), **change}
         path.write_text(json.dumps(doc))
         with pytest.raises(DatasetFormatError, match=rf"^mesh\.json: {message}"):
             load_topology(path)
@@ -337,7 +348,8 @@ class TestTopologyIO:
         """Load a generated topology file in which the field at `path` is `value` (None: absent)."""
         spec = TopologySpec(num_devices=6, num_gateways=2, model_bytes=4000)
         topo = dataclasses.replace(gen_topology(spec, 0), faults=[FaultEvent(3.0, 1, "drop")])
-        doc = topology_to_json(topo)
+        file = tmp_path / "mesh.json"
+        doc = saved_doc(topo, file)
         *parents, key = path
         entry = doc
         for k in parents:
@@ -346,7 +358,6 @@ class TestTopologyIO:
             del entry[key]
         else:
             entry[key] = value
-        file = tmp_path / "mesh.json"
         file.write_text(json.dumps(doc))
         return load_topology(file)
 
@@ -395,14 +406,14 @@ class TestTopologyIO:
         ids=["N", "G", "model_size", "links-i", "links-j", "faults-device"],
     )
     def test_fractional_integer_is_rejected_not_truncated(self, tmp_path, path):
-        doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
+        file = tmp_path / "mesh.json"
+        doc = saved_doc(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]), file)
         *parents, key = path
         entry = doc
         for k in parents:
             entry = entry[k]
         entry[key] += 0.7  # truncated, it would load the topology as saved
         field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
-        file = tmp_path / "mesh.json"
         file.write_text(json.dumps(doc))
         message = rf"^mesh\.json: .*{re.escape(field)} must be an integer \({entry[key]!r}\)"
         with pytest.raises(DatasetFormatError, match=message):
@@ -459,12 +470,12 @@ class TestNonFiniteInputs:
         ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else v,
     )
     def test_loaded_file(self, tmp_path, where, value):
-        doc = topology_to_json(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]))
+        path = tmp_path / "t.json"
+        doc = saved_doc(small_topology(faults=[FaultEvent(3.0, 1, "slowdown", 4.0)]), path)
         entry = doc
         for key in where[:-1]:
             entry = entry[key]
         entry[where[-1]] = float(value)  # written as the JSON extension NaN or Infinity
-        path = tmp_path / "t.json"
         path.write_text(json.dumps(doc))
         field = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where).lstrip(".")
         message = rf"^t\.json: {re.escape(field)} must be a finite number \({value}\)$"
@@ -481,11 +492,11 @@ class TestGenTopology:
         assert counts.min() >= 1 and counts.max() <= 3
         assert topo.feasible.sum() == len(topo.link_params)
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         spec = TopologySpec(num_devices=10, num_gateways=3, model_bytes=1000)
-        a = topology_to_json(gen_topology(spec, seed=2))
-        b = topology_to_json(gen_topology(spec, seed=2))
-        assert a == b
+        save_topology(gen_topology(spec, seed=2), tmp_path / "a.json")
+        save_topology(gen_topology(spec, seed=2), tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_bandwidth_scales_with_fraction(self):
         full = gen_topology(

@@ -1,11 +1,8 @@
 """Every console script that pyproject.toml declares points at a callable that imports."""
 
 import importlib
+import tomllib
 from pathlib import Path
-
-import pytest
-
-tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
 
 def test_declared_scripts_import():

@@ -23,7 +23,9 @@ from hfedsim.learning import (
 from hfedsim.network import FaultEvent, TopologySpec, est_rate, gen_topology
 from hfedsim.simulator import (
     MODES,
+    MetricTrace,
     SimConfig,
+    TraceRow,
     async_aggregate,
     run,
     staleness,
@@ -147,6 +149,28 @@ class TestDeterminism:
         a = run(small_config(seed=1))
         b = run(small_config(seed=2))
         assert a.trace.to_csv() != b.trace.to_csv()
+
+
+class TestFirstCrossing:
+    """Time to target accuracy: the `t` of the first row whose `acc` reaches it."""
+
+    @staticmethod
+    def trace(accs):
+        trace = MetricTrace()
+        for h, acc in enumerate(accs):
+            trace.append(TraceRow(10.0 * (h + 1), h, acc, 1.0, 0, 0, 0, 0))
+        return trace
+
+    def test_first_row_at_or_above_the_target(self):
+        trace = self.trace([0.2, 0.5, 0.4, 0.5, 0.9])
+        assert trace.first_crossing(0.5) == 20.0  # inclusive, and the first of two
+        assert trace.first_crossing(0.45) == 20.0
+        assert trace.first_crossing(0.6) == 50.0
+        assert trace.first_crossing(0.0) == 10.0
+
+    def test_none_when_no_row_reaches_the_target(self):
+        assert self.trace([0.2, 0.5, 0.4]).first_crossing(0.51) is None
+        assert MetricTrace().first_crossing(0.0) is None
 
 
 class TestBytesAccounting:
