@@ -3,6 +3,9 @@
 Devices hold samples from a small subset of classes (label skew). Classes are
 Gaussian clusters around unit-sphere centroids, so the global problem stays
 learnable by the small models while per-device distributions differ sharply.
+The centroids are the generator's only state: a device's classes, and how
+many samples it holds of each, are its shard's labels, and a refresh redraws
+the features around the centroids of those labels.
 
 A dataset file (`save_dataset`, `load_shards`) is one JSON object:
 
@@ -12,11 +15,11 @@ A dataset file (`save_dataset`, `load_shards`) is one JSON object:
 
 `devices` holds one shard per device, in device order, and `test` the global
 test set, shaped as a device's shard. The file holds only what a run reads:
-a loaded dataset has no generator state, neither `centroids` nor `class_map`,
-so it cannot refresh its shards. The loader ignores any other key, such as
-the `class_map` that older files carry. Floats are written with `repr`, so a
-saved dataset loads bit for bit. The loader reads the file as
-`network.load_topology` reads a topology: `read_json` opens it, every number
+a loaded dataset has no generator `centroids`, so it cannot refresh its
+shards. The loader ignores any other key, such as the per-device class lists
+that older files carry. Floats are written with `repr`, so a saved dataset
+loads bit for bit. The loader reads the file as `network.load_topology`
+reads a topology: `read_json` opens it, every number
 goes through `integer_field` or `float_field` named by its JSON path, and an
 error names the file and the field or shard it was raised at
 (`devices[1].labels[2] must be an integer (2.5)`, `test.features[7][0] must
@@ -65,9 +68,8 @@ class DataSpec:
 class FederatedDataset:
     shards: list[Shard]
     test: Shard
-    # The generator's state: the classes each device draws from and the class
-    # centroids. None for datasets loaded from disk, which cannot refresh.
-    class_map: list[list[int]] | None = None
+    # The generator's state, the class centroids; a device's classes are its
+    # shard's labels. None for datasets loaded from disk, which cannot refresh.
     centroids: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -75,62 +77,51 @@ class FederatedDataset:
         return len(self.shards)
 
 
-def _draw_samples(rng, classes, counts, spread: float, centroids: np.ndarray) -> Shard:
-    """`counts[k]` samples around centroid `classes[k]`, in class order.
+def _draw_samples(rng, labels: np.ndarray, spread: float, centroids: np.ndarray) -> Shard:
+    """One sample around the centroid of each of `labels`, in order.
 
-    One normal draw covers every class: the generator's stream is sequential,
+    One normal draw covers every sample: the generator's stream is sequential,
     so it yields the same numbers as one draw per class, and each entry is the
     same `centroid + spread * z` sum. The draw is scaled and shifted in place.
     """
-    labels = np.repeat(np.asarray(classes, dtype=np.int64), counts)
     feats = rng.standard_normal((len(labels), centroids.shape[1]))
     feats *= spread
     feats += centroids[labels]
     return Shard(feats, labels)
 
 
-def _draw_shard(rng, classes, spec: DataSpec, centroids: np.ndarray) -> Shard:
-    """One device's shard: its samples split as evenly as possible over its classes, in order."""
-    base, extra = divmod(spec.samples_per_device, spec.classes_per_device)
-    counts = [base + (1 if k < extra else 0) for k in range(spec.classes_per_device)]
-    return _draw_samples(
-        rng, classes[: spec.classes_per_device], counts, spec.cluster_spread, centroids
-    )
-
-
 def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
     """Generate per-device label-skewed shards plus a class-balanced global test set."""
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
-    k, dim = spec.num_classes, spec.input_dim
+    k, dim, spread = spec.num_classes, spec.input_dim, spec.cluster_spread
 
     centroids = rng.standard_normal((k, dim))
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
 
-    shards, class_map = [], []
+    # A device's samples split as evenly as possible over its classes, in class order.
+    base, extra = divmod(spec.samples_per_device, spec.classes_per_device)
+    counts = [base + (j < extra) for j in range(spec.classes_per_device)]
+    shards = []
     for _ in range(spec.num_devices):
-        classes = sorted(int(c) for c in rng.choice(k, spec.classes_per_device, replace=False))
-        shards.append(_draw_shard(rng, classes, spec, centroids))
-        class_map.append(classes)
+        classes = np.sort(rng.choice(k, spec.classes_per_device, replace=False))
+        shards.append(_draw_samples(rng, np.repeat(classes, counts), spread, centroids))
 
-    test = _draw_samples(rng, range(k), TEST_SAMPLES_PER_CLASS, spec.cluster_spread, centroids)
-
-    return FederatedDataset(shards, test, class_map, centroids)
+    test_labels = np.repeat(np.arange(k), TEST_SAMPLES_PER_CLASS)
+    return FederatedDataset(shards, _draw_samples(rng, test_labels, spread, centroids), centroids)
 
 
 def refresh_shard(
-    class_map_entry: list[int],
-    spec: DataSpec,
-    round_seed: int,
-    centroids: np.ndarray | None,
+    shard: Shard, spread: float, round_seed: int, centroids: np.ndarray | None
 ) -> Shard:
-    """Redraw a shard from its device's class distribution.
+    """`shard` with fresh features drawn around the centroids of its labels.
 
-    The caller decides when a shard refreshes; `spec.refresh` is not read here.
+    The new shard keeps `shard`'s labels array. The caller decides when a
+    shard refreshes; `DataSpec.refresh` is not read here.
     """
     if centroids is None:
         raise ConfigurationError("refresh requires generator centroids (synthetic data)")
-    return _draw_shard(np.random.default_rng(round_seed), class_map_entry, spec, centroids)
+    return _draw_samples(np.random.default_rng(round_seed), shard.labels, spread, centroids)
 
 
 def save_dataset(ds: FederatedDataset, path: str | Path) -> None:

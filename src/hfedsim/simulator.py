@@ -308,7 +308,8 @@ class SimConfig:
     topology: Topology
     train: TrainConfig
     seed: int = 0
-    data_spec: DataSpec | None = None  # enables per-round shard refresh
+    # Per-upload shard refresh: a run reads only `refresh` and `cluster_spread`.
+    data_spec: DataSpec | None = None
     alpha: float = 0.6  # cloud base aggregation weight
     beta: float = 0.6  # gateway base aggregation weight
     staleness_exp: float = 0.5  # q
@@ -360,13 +361,9 @@ class SimConfig:
         if self.data_spec is not None and self.data_spec.refresh:
             if self.dataset.centroids is None:
                 raise ConfigurationError("refresh needs a dataset with generator centroids")
-            if self.data_spec.input_dim != self.dataset.centroids.shape[1]:
-                raise ConfigurationError("data_spec input_dim does not match the centroids")
-            cpd = self.data_spec.classes_per_device
-            if any(len(entry) != cpd for entry in self.dataset.class_map):
-                raise ConfigurationError(
-                    f"every class_map entry must list classes_per_device={cpd} classes"
-                )
+            shape = (self.arch.num_classes, self.arch.input_dim)
+            if self.dataset.centroids.shape != shape:
+                raise ConfigurationError(f"refresh needs centroids of shape {list(shape)}")
 
 
 @dataclass
@@ -888,10 +885,7 @@ class _Simulation:
         if self.cfg.data_spec is not None and self.cfg.data_spec.refresh:
             rs = self._train_seed(i, 10_000_019 + dev.rounds_done)
             dev.shard = refresh_shard(
-                self.cfg.dataset.class_map[i],
-                self.cfg.data_spec,
-                rs,
-                self.cfg.dataset.centroids,
+                dev.shard, self.cfg.data_spec.cluster_spread, rs, self.cfg.dataset.centroids
             )
 
         if self.policy.gateway == "async":

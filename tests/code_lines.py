@@ -31,6 +31,7 @@ NON_CODE = {
 RECORDS = [
     ("simulator", "SimConfig"), ("network", "TopologySpec"), ("data", "DataSpec"),
     ("learning", "TrainConfig"), ("learning", "ModelArch"), ("simulator", "Policy"),
+    ("data", "FederatedDataset"),
 ]
 # The dataset and topology file readers and writers, with their helpers, and
 # the checks they share.

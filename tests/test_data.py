@@ -73,12 +73,23 @@ OLD_FILE_SHARDS = [
 ]
 
 
+def label_runs(shard):
+    """The classes of `shard`'s labels and the length of each one's run, checking the
+    labels come in one run per class, in class order."""
+    assert np.all(np.diff(shard.labels) >= 0)
+    classes, counts = np.unique(shard.labels, return_counts=True)
+    return classes.tolist(), counts.tolist()
+
+
 class TestGenSynthetic:
     def test_label_skew(self):
-        ds = gen_synthetic(spec(), seed=1)
-        for shard, classes in zip(ds.shards, ds.class_map):
-            assert len(classes) == 2
-            assert set(shard.labels.tolist()) == set(classes)
+        # Each device holds `classes_per_device` classes, its samples split evenly over them.
+        for samples, classes in [(30, 2), (101, 3)]:
+            s = spec(samples_per_device=samples, classes_per_device=classes)
+            for shard in gen_synthetic(s, seed=1).shards:
+                labels, counts = label_runs(shard)
+                assert len(labels) == classes
+                assert sum(counts) == samples and max(counts) - min(counts) <= 1
 
     def test_iid_degenerate_case(self):
         ds = gen_synthetic(spec(classes_per_device=10, samples_per_device=50), seed=2)
@@ -93,22 +104,21 @@ class TestGenSynthetic:
     def test_deterministic(self):
         a = gen_synthetic(spec(), seed=7)
         b = gen_synthetic(spec(), seed=7)
-        assert a.class_map == b.class_map
         for sa, sb in zip(a.shards, b.shards):
             assert np.array_equal(sa.features, sb.features)
             assert np.array_equal(sa.labels, sb.labels)
         assert np.array_equal(a.test.features, b.test.features)
 
-    def test_same_class_map_devices_have_same_label_sets(self):
-        # With few classes some devices share a class_map; their label sets match.
-        ds = gen_synthetic(spec(num_devices=20, num_classes=3), seed=5)
+    def test_devices_with_the_same_classes_hold_the_same_labels(self):
+        # With few classes some devices share their classes; their labels match.
+        ds = gen_synthetic(spec(num_devices=20, num_classes=3, samples_per_device=31), seed=5)
         seen = {}
-        for shard, classes in zip(ds.shards, ds.class_map):
-            key = tuple(classes)
-            labels = set(shard.labels.tolist())
+        for shard in ds.shards:
+            key = tuple(label_runs(shard)[0])
             if key in seen:
-                assert labels == seen[key]
-            seen[key] = labels
+                assert shard.labels.tolist() == seen[key]
+            seen[key] = shard.labels.tolist()
+        assert len(seen) < len(ds.shards)
 
     @pytest.mark.parametrize("samples,classes", UNEVEN_SPLITS)
     def test_bitwise_equal_to_per_class_draws(self, samples, classes):
@@ -165,17 +175,16 @@ class TestRefreshShard:
     def test_preserves_size_and_labels(self):
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
-        out = refresh_shard(ds.class_map[0], s, 99, ds.centroids)
+        out = refresh_shard(ds.shards[0], s.cluster_spread, 99, ds.centroids)
         assert out is not ds.shards[0]
-        assert out.n == ds.shards[0].n
-        assert set(out.labels.tolist()) == set(ds.shards[0].labels.tolist())
+        assert out.labels is ds.shards[0].labels
         assert not np.array_equal(out.features, ds.shards[0].features)
 
     def test_mean_tracks_centroid_mixture(self):
         s = spec(refresh=True, samples_per_device=4000, cluster_spread=0.5)
         ds = gen_synthetic(s, seed=8)
-        out = refresh_shard(ds.class_map[0], s, 123, ds.centroids)
-        mixture_mean = ds.centroids[ds.class_map[0]].mean(axis=0)
+        out = refresh_shard(ds.shards[0], s.cluster_spread, 123, ds.centroids)
+        mixture_mean = ds.centroids[label_runs(ds.shards[0])[0]].mean(axis=0)
         tol = 3 * 0.5 / np.sqrt(out.n)
         assert np.all(np.abs(out.features.mean(axis=0) - mixture_mean) < tol * 3)
 
@@ -185,10 +194,10 @@ class TestRefreshShard:
         ds = gen_synthetic(s, seed=13)
         base, extra = divmod(samples, classes)
         counts = [base + (k < extra) for k in range(classes)]
-        for i, entry in enumerate(ds.class_map):
-            out = refresh_shard(entry, s, 1000 + i, ds.centroids)
+        for i, shard in enumerate(ds.shards):
+            out = refresh_shard(shard, s.cluster_spread, 1000 + i, ds.centroids)
             rng = np.random.default_rng(1000 + i)
-            feats, labels = per_class_draw(rng, entry, counts, s, ds.centroids)
+            feats, labels = per_class_draw(rng, label_runs(shard)[0], counts, s, ds.centroids)
             assert np.array_equal(out.features, feats)
             assert np.array_equal(out.labels, labels)
 
@@ -196,7 +205,7 @@ class TestRefreshShard:
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
         with pytest.raises(ConfigurationError):
-            refresh_shard(ds.class_map[0], s, 0, None)
+            refresh_shard(ds.shards[0], s.cluster_spread, 0, None)
 
 
 class TestRoundTrip:
@@ -205,7 +214,7 @@ class TestRoundTrip:
         ds = cfg.dataset
         save_dataset(ds, tmp_path / "data.json")
         back = load_shards(tmp_path / "data.json")
-        assert back.class_map is None and back.centroids is None
+        assert back.centroids is None
         for a, b in zip([*ds.shards, ds.test], [*back.shards, back.test], strict=True):
             for x, y in ((a.features, b.features), (a.labels, b.labels)):
                 assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
@@ -220,7 +229,7 @@ class TestRoundTrip:
     def test_file_with_a_class_map_loads_the_same_shards(self, tmp_path):
         (tmp_path / "old.json").write_text(OLD_FILE)
         back = load_shards(tmp_path / "old.json")
-        assert back.class_map is None
+        assert back.centroids is None
         shards = [*back.shards, back.test]
         for shard, (features, labels) in zip(shards, OLD_FILE_SHARDS, strict=True):
             x, y = shard.features, np.array(features, dtype=np.float64)

@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hfedsim.data import DataSpec, gen_synthetic
@@ -29,7 +30,7 @@ from hfedsim.learning import ModelArch
 from hfedsim.network import (
     FaultEvent, TopologySpec, gen_topology, load_topology, save_topology,
 )
-from hfedsim.simulator import MODES, run
+from hfedsim.simulator import MODES, _Simulation, run
 from simtools import digest, small_config, uniform_topology
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
@@ -189,6 +190,27 @@ def test_trace_matches_golden(name):
     result = run(SCENARIOS[name]())
     assert digest(result) == json.loads(GOLDEN.read_text())[name]
     assert result.stop_reason == "done"
+
+
+def _arrays(dataset):
+    """The bytes of every array of `dataset`, with dtype and shape."""
+    arrays = [a for s in [*dataset.shards, dataset.test] for a in (s.features, s.labels)]
+    return [(a.dtype, a.shape, a.tobytes()) for a in [*arrays, dataset.centroids]]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_refresh_keeps_labels_and_leaves_the_config_alone(mode):
+    # A refresh redraws features around a device's own labels, and a run
+    # replaces its devices' shards without touching `cfg.dataset`.
+    cfg = _faults_refresh(mode)
+    shards, before = list(cfg.dataset.shards), _arrays(cfg.dataset)
+    sim = _Simulation(cfg)
+    result = sim.run()
+    assert digest(result) == json.loads(GOLDEN.read_text())[f"{mode}/faults-refresh"]
+    assert any(dev.shard is not shard for dev, shard in zip(sim.devices, shards))
+    for dev, shard in zip(sim.devices, shards, strict=True):
+        assert np.array_equal(dev.shard.labels, shard.labels)
+    assert cfg.dataset.shards == shards and _arrays(cfg.dataset) == before
 
 
 def test_first_crossing_is_a_scan_of_the_rows():

@@ -411,19 +411,20 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="centroids"):
             cfg.validate()
 
-    def test_refresh_spec_matches_the_centroids(self):
+    @pytest.mark.parametrize(
+        "cut", [np.s_[:-1], np.s_[:, :-1]], ids=["missing-row", "wrong-width"]
+    )
+    def test_refresh_needs_centroids_of_the_arch_shape(self, cut):
+        # Without a centroid for class 3 the run once passed validate and then
+        # died at the first refresh of a device holding class 3, on an IndexError.
         cfg = small_config(mode="async-random", seed=1)
-        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True, input_dim=5)
-        with pytest.raises(ConfigurationError, match="input_dim"):
+        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True)
+        cfg.dataset.centroids = cfg.dataset.centroids[cut]
+        message = r"^refresh needs centroids of shape \[4, 3\]$"
+        with pytest.raises(ConfigurationError, match=message):
             cfg.validate()
-
-    @pytest.mark.parametrize("cpd", [1, 3])
-    def test_refresh_spec_matches_the_class_map(self, cpd):
-        cfg = small_config(mode="async-random", seed=1)
-        assert all(len(entry) == 2 for entry in cfg.dataset.class_map)
-        cfg.data_spec = dataclasses.replace(cfg.data_spec, refresh=True, classes_per_device=cpd)
-        with pytest.raises(ConfigurationError, match="classes_per_device"):
-            cfg.validate()
+        with pytest.raises(ConfigurationError, match="centroids"):
+            run(cfg)
 
     def test_unknown_mode(self):
         cfg = small_config()
