@@ -4,7 +4,9 @@ Selection is a 0-1 knapsack: maximize utility-per-latency of dispatched
 devices subject to the gateway's bandwidth cap on the summed average data
 rates. Association is a min-max program: maximize the worst gateway's utility
 sum minus phi times the worst bandwidth-utilization ratio, with each device
-attached to exactly one feasible gateway when it has any.
+attached to exactly one feasible gateway when it has any. The solvers return
+each device's gateway as `gateway_of` holds it: -1 for a device with no link,
+which counts towards no gateway's sums.
 
 Both problems get an exact solver for small instances (branch and bound /
 pruned enumeration) and a greedy+local-search heuristic at scale. The plain
@@ -171,57 +173,44 @@ class AssociationInstance:
         if np.any(self.bandwidth <= 0) or self.phi < 0:
             raise ConfigurationError("bandwidth must be > 0 and phi >= 0")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.feasible.shape
 
+def association_objective(inst: AssociationInstance, assign: list[int]) -> float:
+    """Min over gateways of the assigned utility sum, minus phi times the max rate ratio.
 
-@dataclass(frozen=True)
-class Assignment:
-    gateway_of: list[int | None]  # per device: a feasible gateway, None if it has none
-    objective: float
-    u_slack: float  # min over gateways of assigned utility sum
-    r_slack: float  # max over gateways of assigned rate / bandwidth
-
-
-def _assignment_from_vector(inst: AssociationInstance, assign: list[int | None]) -> Assignment:
-    g = inst.shape[1]
+    Each gateway's sums run in device order; a device at -1 counts nowhere.
+    """
+    g = inst.feasible.shape[1]
     sums_u = np.zeros(g)
     sums_r = np.zeros(g)
     for i, j in enumerate(assign):
-        if j is not None:
+        if j >= 0:
             sums_u[j] += inst.u[i]
             sums_r[j] += inst.rates[i, j] / inst.bandwidth[j]
-    u_slack = float(sums_u.min())
-    r_slack = float(sums_r.max())
-    return Assignment(assign, u_slack - inst.phi * r_slack, u_slack, r_slack)
+    return float(sums_u.min()) - inst.phi * float(sums_r.max())
 
 
-def _pref_key(assign, g):
-    return tuple(g if j is None else j for j in assign)
+def solve_association(inst: AssociationInstance) -> list[int]:
+    """Each device's gateway, maximizing min-utility minus phi * max-rate-ratio.
 
-
-def solve_association(inst: AssociationInstance) -> Assignment:
-    """Assign devices to gateways maximizing min-utility minus phi * max-rate-ratio."""
-    n, g = inst.shape
+    A device with no feasible gateway gets -1, as `gateway_of` holds it.
+    """
+    n, g = inst.feasible.shape
     if n <= EXACT_ASSOCIATION_N and g <= EXACT_ASSOCIATION_G:
-        assign = _association_exact(inst)
-    else:
-        assign = _association_heuristic(inst)
-    return _assignment_from_vector(inst, assign)
+        return _association_exact(inst)
+    return _association_heuristic(inst)
 
 
-def _options(inst: AssociationInstance) -> list[list[int | None]]:
-    """Each device's choices: its feasible gateways in order, or [None] if it has none.
+def _options(inst: AssociationInstance) -> list[list[int]]:
+    """Each device's choices: its feasible gateways in order, or [-1] if it has none.
 
     Read once from `inst.feasible.tolist()` and shared by a solver's passes:
     indexing the array entry by entry makes a numpy scalar each time.
     """
-    return [[j for j, f in enumerate(row) if f] or [None] for row in inst.feasible.tolist()]
+    return [[j for j, f in enumerate(row) if f] or [-1] for row in inst.feasible.tolist()]
 
 
-def _association_exact(inst: AssociationInstance) -> list[int | None]:
-    n, g = inst.shape
+def _association_exact(inst: AssociationInstance) -> list[int]:
+    n, g = inst.feasible.shape
     options = _options(inst)
     # Optimistic utility still placeable at or after device i (positive part).
     pos_suffix = np.zeros((n + 1, g))
@@ -229,28 +218,29 @@ def _association_exact(inst: AssociationInstance) -> list[int | None]:
         pos_suffix[i] = pos_suffix[i + 1] + np.where(inst.feasible[i] > 0, max(inst.u[i], 0.0), 0.0)
 
     best_obj = -np.inf
-    best_assign: list[int | None] | None = None
-    best_key = None
-    assign: list[int | None] = [None] * n
+    best_assign: list[int] | None = None
+    assign = [-1] * n
     sums_u = np.zeros(g)
     sums_r = np.zeros(g)
 
     def walk(i: int):
-        nonlocal best_obj, best_assign, best_key
+        nonlocal best_obj, best_assign
         bound = float(np.min(sums_u + pos_suffix[i])) - inst.phi * float(sums_r.max())
         if bound < best_obj:
             return
         if i == n:
-            # Fresh summation in device order, as for the returned Assignment:
-            # the leaf value is independent of the DFS path's incremental updates.
-            obj = _assignment_from_vector(inst, assign).objective
-            key = _pref_key(assign, g)
-            if obj > best_obj or (obj == best_obj and (best_key is None or key < best_key)):
-                best_obj, best_assign, best_key = obj, assign.copy(), key
+            # Fresh summation in device order: the leaf value is independent
+            # of the DFS path's incremental updates. A tie goes to the
+            # lexicographically smaller list; every leaf has its -1s at the
+            # same devices, those with no link.
+            obj = association_objective(inst, assign)
+            first = best_assign is None
+            if obj > best_obj or (obj == best_obj and (first or assign < best_assign)):
+                best_obj, best_assign = obj, assign.copy()
             return
         for j in options[i]:
             assign[i] = j
-            if j is None:
+            if j < 0:
                 walk(i + 1)
             else:
                 du, dr = inst.u[i], inst.rates[i, j] / inst.bandwidth[j]
@@ -259,7 +249,7 @@ def _association_exact(inst: AssociationInstance) -> list[int | None]:
                 walk(i + 1)
                 sums_u[j] -= du
                 sums_r[j] -= dr
-            assign[i] = None
+            assign[i] = -1
 
     walk(0)
     assert best_assign is not None
@@ -281,8 +271,8 @@ def _gateway_sums(
     return su, sr
 
 
-def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
-    n, g = inst.shape
+def _association_heuristic(inst: AssociationInstance) -> list[int]:
+    n, g = inst.feasible.shape
     u = inst.u.tolist()
     ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
     options = _options(inst)
@@ -291,11 +281,11 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     # bandwidth-normalized load (utility sum as tie-break), giving a
     # bandwidth-proportional starting allocation. The local search below then
     # repairs worst-gateway utility violations from there.
-    assign: list[int | None] = [None] * n
+    assign = [-1] * n
     sums_u = [0.0] * g
     sums_r = [0.0] * g
     for i in sorted(range(n), key=lambda i: (-u[i], i)):
-        if options[i] != [None]:
+        if options[i] != [-1]:
             j = min(options[i], key=lambda j: (sums_r[j] + ratio[i][j], sums_u[j], j))
             assign[i] = j
             sums_u[j] += u[i]
@@ -308,7 +298,7 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
     # gateways it touches; the others are reused.
     members: list[list[int]] = [[] for _ in range(g)]
     for i, j in enumerate(assign):
-        if j is not None:
+        if j >= 0:
             members[j].append(i)
     for j in range(g):
         sums_u[j], sums_r[j] = _gateway_sums(members[j], j, u, ratio)
@@ -321,10 +311,8 @@ def _association_heuristic(inst: AssociationInstance) -> list[int | None]:
         improved = False
         for i in range(n):
             here = assign[i]
-            if here is None:
-                continue  # the device reaches no gateway: None is its one option
             for j in options[i]:
-                if j == here:
+                if j == here:  # so a device at -1, whose one option is -1, never moves
                     continue
                 if lo != here and lo != j and hi != here and hi != j:
                     continue

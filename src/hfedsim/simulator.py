@@ -17,10 +17,11 @@ The `Topology` is input only; the link state a run changes lives on the
 simulation. `feasible` starts as a copy of the topology's: a drop zeroes the
 device's row and a restore copies it back. `gateway_of` holds each device's
 gateway (-1 for none), set at once by the association, for devices in the air
-too, and cleared by a drop. `_set_gateways` is its one writer, and rebuilds
-`members`, each gateway's devices in ascending id, from it. A flight keeps the
-gateway it was sent from. `slowdown` holds each device's delay factor, set by
-a slowdown fault and reset by a restore.
+too, and cleared by a drop. The utility association sets it from the solver's
+list as returned, which uses the same -1. `_set_gateways` is its one writer,
+and rebuilds `members`, each gateway's devices in ascending id, from it. A
+flight keeps the gateway it was sent from. `slowdown` holds each device's
+delay factor, set by a slowdown fault and reset by a restore.
 
 Each device round in the air has one record: a `Flight`, from dispatch until
 its upload lands or a drop removes it. `dispatch` puts it in `flights`, keyed
@@ -711,7 +712,7 @@ class _Simulation:
                 bandwidth=self.topo.bandwidth.copy(),
                 phi=self.cfg.phi,
             )
-            targets = [-1 if j is None else j for j in solve_association(inst).gateway_of]
+            targets = solve_association(inst)
         else:
             targets = self._random_association()
         self._set_gateways(targets)

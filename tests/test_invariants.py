@@ -72,7 +72,7 @@ class CheckedSimulation(_Simulation):
 
     def _solve_association(self, inst):
         out = self._real_solve_association(inst)
-        self._associated(-1 if j is None else j for j in out.gateway_of)
+        self._associated(out)
         return out
 
     def run(self):

@@ -7,10 +7,10 @@ from hfedsim.errors import ConfigurationError
 from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
     EXACT_SELECTION_LIMIT,
-    Assignment,
     AssociationInstance,
     Candidate,
     SelectionInstance,
+    association_objective,
     fill_capacity,
     ordered_sum,
     solve_association,
@@ -18,12 +18,10 @@ from hfedsim.selection import (
 )
 from hfedsim.selection import (
     _association_heuristic,
-    _assignment_from_vector,
     _better,
     _knapsack_branch_and_bound,
     _knapsack_greedy,
     _options,
-    _pref_key,
     _selection_items,
 )
 
@@ -35,12 +33,12 @@ class InstanceTooLargeError(ValueError):
     """A brute-force oracle refused an instance beyond its enumeration limit."""
 
 
-def assert_within_feasibility(out: Assignment, feasible: np.ndarray) -> None:
-    """One entry per device: a gateway it can reach, or None if it can reach none."""
-    assert len(out.gateway_of) == len(feasible)
+def assert_within_feasibility(out: list[int], feasible: np.ndarray) -> None:
+    """One entry per device: a gateway it can reach, or -1 if it can reach none."""
+    assert len(out) == len(feasible)
     assert all(
-        feasible[i].any() == (j is not None) and (j is None or feasible[i, j])
-        for i, j in enumerate(out.gateway_of)
+        feasible[i].any() == (j >= 0) and (j < 0 or feasible[i, j])
+        for i, j in enumerate(out)
     )
 
 
@@ -109,9 +107,9 @@ def brute_force_selection(inst: SelectionInstance) -> set[int]:
     return set(best_ids)
 
 
-def brute_force_association(inst: AssociationInstance) -> Assignment:
+def brute_force_association(inst: AssociationInstance) -> list[int]:
     """Exhaustive optimum over every feasible assignment; refuses large instances."""
-    n, g = inst.shape
+    n, g = inst.feasible.shape
     option_lists = _options(inst)
     total = 1
     for opts in option_lists:
@@ -124,25 +122,24 @@ def brute_force_association(inst: AssociationInstance) -> Assignment:
     ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
     phi = inst.phi
     best_obj = -float("inf")
-    best_combo = best_key = None
+    best_combo = None
     for combo in itertools.product(*option_lists):
         sums_u = [0.0] * g
         sums_r = [0.0] * g
         for i, j in enumerate(combo):
-            if j is not None:
+            if j >= 0:
                 sums_u[j] += u[i]
                 sums_r[j] += ratio[i][j]
         obj = min(sums_u) - phi * max(sums_r)
-        key = _pref_key(combo, g)
-        if obj > best_obj or (obj == best_obj and key < best_key):
-            best_obj, best_combo, best_key = obj, combo, key
+        if obj > best_obj or (obj == best_obj and combo < best_combo):
+            best_obj, best_combo = obj, combo
     assert best_combo is not None
-    return _assignment_from_vector(inst, list(best_combo))
+    return list(best_combo)
 
 
-def reference_association_heuristic(inst: AssociationInstance) -> list[int | None]:
+def reference_association_heuristic(inst: AssociationInstance) -> list[int]:
     """The heuristic as it was before per-gateway sums: every trial move re-sums all devices."""
-    n, g = inst.shape
+    n, g = inst.feasible.shape
     u = inst.u.tolist()
     ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
 
@@ -152,7 +149,7 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int | Non
         sums_u = [0.0] * g
         sums_r = [0.0] * g
         for i, j in enumerate(assign):
-            if j is not None:
+            if j >= 0:
                 sums_u[j] += u[i]
                 sums_r[j] += ratio[i][j]
         return min(sums_u) - inst.phi * max(sums_r)
@@ -161,7 +158,7 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int | Non
     # bandwidth-normalized load (utility sum as tie-break), giving a
     # bandwidth-proportional starting allocation. The local search below then
     # repairs worst-gateway utility violations from there.
-    assign: list[int | None] = [None] * n
+    assign = [-1] * n
     sums_u = [0.0] * g
     sums_r = [0.0] * g
     for i in sorted(range(n), key=lambda i: (-u[i], i)):
@@ -173,7 +170,7 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int | Non
             sums_r[j] += ratio[i][j]
 
     # Single-device reassignment until no move improves the objective.
-    options = [[j for j in range(g) if inst.feasible[i, j]] or [None] for i in range(n)]
+    options = [[j for j in range(g) if inst.feasible[i, j]] or [-1] for i in range(n)]
     best = objective_of(assign)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
@@ -410,8 +407,8 @@ class TestSolveAssociation:
             phi=0.0,
         )
         out = solve_association(inst)
-        assert out.gateway_of == [0] * 5
-        assert out.u_slack == pytest.approx(inst.u.sum(), rel=1e-12)
+        assert out == [0] * 5
+        assert association_objective(inst, out) == pytest.approx(inst.u.sum(), rel=1e-12)
 
     def test_two_gateway_tie_breaks_to_gateway_zero(self):
         inst = AssociationInstance(
@@ -422,9 +419,9 @@ class TestSolveAssociation:
             phi=0.0,
         )
         out = solve_association(inst)
-        assert out.gateway_of == [0]
-        assert out.objective == 0.0  # the empty gateway pins the min at zero
-        assert brute_force_association(inst).gateway_of == [0]
+        assert out == [0]
+        assert association_objective(inst, out) == 0.0  # the empty gateway pins the min at zero
+        assert brute_force_association(inst) == [0]
 
     def test_infeasible_device_left_unassigned(self):
         feasible = np.array([[1, 1], [0, 0], [1, 0]], dtype=np.int8)
@@ -436,7 +433,7 @@ class TestSolveAssociation:
             phi=0.1,
         )
         out = solve_association(inst)
-        assert out.gateway_of[1] is None
+        assert out[1] == -1
         assert_within_feasibility(out, feasible)
 
     def test_matches_brute_force_on_100_random_instances(self):
@@ -445,7 +442,9 @@ class TestSolveAssociation:
             inst = random_association_instance(rng)
             got = solve_association(inst)
             want = brute_force_association(inst)
-            assert got.objective == pytest.approx(want.objective, abs=1e-9)
+            assert association_objective(inst, got) == pytest.approx(
+                association_objective(inst, want), abs=1e-9
+            )
             assert_within_feasibility(got, inst.feasible)
 
     def test_heuristic_quality_report(self, capsys):
@@ -453,14 +452,14 @@ class TestSolveAssociation:
         ratios, gaps = [], []
         for _ in range(40):
             inst = random_association_instance(rng, n=7, g=3)
-            exact = brute_force_association(inst)
-            heur = _assignment_from_vector(inst, _association_heuristic(inst))
-            if abs(exact.objective) > 1e-9:
-                if exact.objective > 0:
-                    ratios.append(heur.objective / exact.objective)
+            exact = association_objective(inst, brute_force_association(inst))
+            heur = association_objective(inst, _association_heuristic(inst))
+            if abs(exact) > 1e-9:
+                if exact > 0:
+                    ratios.append(heur / exact)
                 else:
-                    gaps.append(exact.objective - heur.objective)
-            assert heur.objective <= exact.objective + 1e-12
+                    gaps.append(exact - heur)
+            assert heur <= exact + 1e-12
         ratios = np.array(ratios)
         print(
             f"\nassociation heuristic/exact ratio (positive optima): "
@@ -513,8 +512,62 @@ class TestSolveAssociation:
         for _ in range(30):
             inst = random_association_instance(rng)
             out = solve_association(inst)
-            assert isinstance(out, Assignment)
             assert_within_feasibility(out, inst.feasible)
-            assert out.objective == pytest.approx(
-                out.u_slack - inst.phi * out.r_slack, rel=1e-12, abs=1e-15
+
+
+class TestUnreachableDevices:
+    """A device with no feasible gateway is at -1, and -1 must count nowhere.
+
+    -1 is also a valid index: the last gateway. A solver that sums or indexes
+    by an unreachable device's -1 counts it on that gateway.
+    """
+
+    @staticmethod
+    def instance_with_unreachable_rows(rng, n, g):
+        inst = random_association_instance(rng, n=n, g=g)
+        feasible = inst.feasible.copy()
+        feasible[rng.permutation(n)[: int(rng.integers(1, n // 2 + 1))]] = 0
+        return AssociationInstance(
+            feasible=feasible, u=inst.u, rates=inst.rates, bandwidth=inst.bandwidth, phi=inst.phi
+        )
+
+    @pytest.mark.parametrize(
+        "n, g, count",
+        [(12, 4, 4), (8, 3, 40), (5, 2, 40), (40, 6, 40)],
+        ids=["exact-12x4", "exact-8x3", "exact-5x2", "heuristic-40x6"],
+    )
+    def test_solver_ignores_unreachable_devices(self, n, g, count):
+        # 12 devices on 4 gateways is the exact search's largest instance and
+        # its slowest, so it draws fewer.
+        rng = np.random.default_rng(207 + n)
+        for _ in range(count):
+            inst = self.instance_with_unreachable_rows(rng, n, g)
+            out = solve_association(inst)
+            reach = inst.feasible.any(axis=1)
+            assert [j for j, r in zip(out, reach) if not r] == [-1] * int((~reach).sum())
+            assert_within_feasibility(out, inst.feasible)
+            # The same instance without the unreachable rows gives the same
+            # gateways to the other devices, and the same objective, float for float.
+            reduced = AssociationInstance(
+                feasible=inst.feasible[reach], u=inst.u[reach], rates=inst.rates[reach],
+                bandwidth=inst.bandwidth, phi=inst.phi,
             )
+            want = solve_association(reduced)
+            assert [j for j, r in zip(out, reach) if r] == want
+            assert association_objective(inst, out) == association_objective(reduced, want)
+
+    def test_unreachable_device_on_the_last_gateway_would_change_the_choice(self):
+        # Device 1 reaches nothing; counted on gateway 1, its rate ratio of
+        # 100 would outweigh everything, and both solvers would put devices 0
+        # and 2 together on gateway 0.
+        inst = AssociationInstance(
+            feasible=np.array([[1, 1], [0, 0], [1, 1]], dtype=np.int8),
+            u=np.array([1.0, 5.0, 1.0]),
+            rates=np.array([[1.0, 1.0], [1000.0, 1000.0], [1.0, 1.0]]),
+            bandwidth=np.array([10.0, 10.0]),
+            phi=1.0,
+        )
+        assert solve_association(inst) == [0, -1, 1]
+        assert _association_heuristic(inst) == [0, -1, 1]
+        assert brute_force_association(inst) == [0, -1, 1]
+        assert association_objective(inst, [0, -1, 1]) == 1.0 - 0.1
