@@ -8,7 +8,8 @@ the field asks for, so nothing is truncated, parsed or let through as NaN.
 
 Every count a caller configures (a seed, an epoch count, a dimension, a
 device id) goes through `check_count`, which raises `ConfigurationError`
-naming the field.
+naming the field. `is_integer` is its rule of what an integer is, which
+`Topology` also applies to its link endpoints.
 """
 
 import json
@@ -29,14 +30,18 @@ class DatasetFormatError(ValueError):
     """Malformed or invalid dataset or topology file."""
 
 
-def check_count(value, name: str, low: int = 1) -> None:
-    """Raise `ConfigurationError` naming `name` unless `value` is an integer >= `low`.
+def is_integer(value) -> bool:
+    """Whether `value` is an integer: any `numbers.Integral` but a bool, numpy's included.
 
-    Any `numbers.Integral` but a bool is an integer, numpy's included. A float
-    is not, even 2.0: counts index, slice and bound loops, which a float
-    breaks mid-run or ends at the wrong step.
+    A float is not, even 2.0: counts and ids index, slice and bound loops,
+    which a float breaks mid-run or ends at the wrong step.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_count(value, name: str, low: int = 1) -> None:
+    """Raise `ConfigurationError` naming `name` unless `value` is an integer >= `low`."""
+    if not is_integer(value) or value < low:
         raise ConfigurationError(f"{name} must be an integer >= {low} ({value!r})")
 
 
@@ -63,7 +68,7 @@ def integer_field(value, where: str) -> int:
     A bool, a string, or a number with a fraction (2.7, NaN, inf) raises
     `DatasetFormatError` rather than being converted, so nothing is truncated.
     """
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+    if is_integer(value):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)

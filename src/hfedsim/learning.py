@@ -80,6 +80,11 @@ class Shard:
             raise ConfigurationError("features must be [n, d], labels must be [n]")
         if len(self.features) != len(self.labels) or len(self.labels) == 0:
             raise ConfigurationError("shard needs >= 1 sample with matching labels")
+        # Labels index the one-hot rows and the centroids: a float label fails
+        # that mid-run, and a bool one reads as a mask. Kinds "i" and "u" are
+        # numpy's signed and unsigned integers; a bool is kind "b".
+        if self.labels.dtype.kind not in "iu":
+            raise ConfigurationError(f"labels must be integers (dtype {self.labels.dtype})")
 
     @property
     def n(self) -> int:

@@ -34,7 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DatasetFormatError, check_count, float_field, integer_field, read_json,
+    ConfigurationError, DatasetFormatError, check_count, float_field, integer_field, is_integer,
+    read_json,
 )
 from .selection import ordered_sum
 
@@ -122,6 +123,8 @@ class Topology:
             check_count(getattr(self, name), name)
         n, g = self.num_devices, self.num_gateways
         cap = self.bandwidth
+        if not isinstance(cap, np.ndarray):
+            raise ConfigurationError(f"bandwidth must be a numpy array ({cap!r})")
         if cap.shape != (g,) or not np.all((cap > 0) & (cap < np.inf)):
             raise ConfigurationError("bandwidth must be finite and positive per gateway")
         if not 0 <= self.cloud_gateway_delay < math.inf:
@@ -129,6 +132,10 @@ class Topology:
         feasible = np.zeros((n, g), dtype=np.int8)
         comp: dict[int, float] = {}
         for (i, j), p in self.link_params.items():
+            # A bool endpoint would index `feasible` as a mask, a whole row.
+            # Plain ints, the common case, skip the slower `is_integer`.
+            if not (type(i) is type(j) is int or is_integer(i) and is_integer(j)):
+                raise ConfigurationError(f"link ({i}, {j}) endpoints must be integers")
             if not (0 <= i < n and 0 <= j < g):
                 raise ConfigurationError(f"link ({i}, {j}) out of range")
             if comp.setdefault(i, p.mean_comp) != p.mean_comp:
@@ -259,19 +266,25 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
     link_het = rng.lognormal(0.0, spec.het_sigma, n)
     comp_het = rng.lognormal(0.0, spec.het_sigma, n)
 
-    link_params = {}
+    # Whole-array passes over every (device, gateway) pair: distances, each
+    # device's gateways nearest first, and the delay scale. Each entry is the
+    # float a per-device pass gives. The link-count draws stay one per device,
+    # in device order, as the generator's stream has them.
+    dist = np.linalg.norm(gw_pos[None] - dev_pos[:, None], axis=2)  # [N, G]
+    nearest = np.argsort(dist, axis=1).tolist()
+    scale = (link_het[:, None] * (0.5 + dist)).tolist()
     comp = (GEN_COMP * comp_het).tolist()
+
+    link_params = {}
     rates: list[list[float]] = [[] for _ in range(g)]  # per gateway, in device order
     for i in range(n):
-        dist = np.linalg.norm(gw_pos - dev_pos[i], axis=1)
         k = min(g, int(rng.integers(1, 4)))
-        for j in np.argsort(dist)[:k]:
-            j = int(j)
-            scale = float(link_het[i] * (0.5 + dist[j]))
+        for j in nearest[i][:k]:
+            s = scale[i][j]
             p = link_params[(i, j)] = DelayParams(
-                mean_down=GEN_DOWN * scale,
+                mean_down=GEN_DOWN * s,
                 mean_comp=comp[i],
-                mean_up=GEN_UP * scale,
+                mean_up=GEN_UP * s,
                 sigma=GEN_JITTER_SIGMA,
             )
             rates[j].append(est_rate(spec.model_bytes, p.mean_total))

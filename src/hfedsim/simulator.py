@@ -354,11 +354,12 @@ class SimConfig:
             )
         if not 0 < self.alpha_ema <= 1:
             raise ConfigurationError("alpha_ema must be in (0, 1]")
-        for shard in [*self.dataset.shards, self.dataset.test]:
-            if shard.features.shape[1] != self.arch.input_dim:
-                raise ConfigurationError("dataset input_dim does not match architecture")
-            if shard.labels.min() < 0 or shard.labels.max() >= self.arch.num_classes:
-                raise ConfigurationError("dataset labels must be in [0, num_classes)")
+        shards = [*self.dataset.shards, self.dataset.test]
+        if any(shard.features.shape[1] != self.arch.input_dim for shard in shards):
+            raise ConfigurationError("dataset input_dim does not match architecture")
+        labels = np.concatenate([shard.labels for shard in shards])
+        if labels.min() < 0 or labels.max() >= self.arch.num_classes:
+            raise ConfigurationError("dataset labels must be in [0, num_classes)")
         if self.data_spec is not None and self.data_spec.refresh:
             if self.dataset.centroids is None:
                 raise ConfigurationError("refresh needs a dataset with generator centroids")

@@ -8,6 +8,10 @@ import pytest
 from hfedsim.errors import ConfigurationError, DatasetFormatError
 from hfedsim.learning import Shard
 from hfedsim.network import (
+    GEN_COMP,
+    GEN_DOWN,
+    GEN_JITTER_SIGMA,
+    GEN_UP,
     DelayParams,
     FaultEvent,
     Topology,
@@ -18,7 +22,7 @@ from hfedsim.network import (
     sample_round_latency,
     save_topology,
 )
-from hfedsim.selection import AssociationInstance
+from hfedsim.selection import AssociationInstance, ordered_sum
 from hfedsim.simulator import _Simulation
 from hfedsim.utility import PcaModel
 from simtools import small_config, uniform_topology
@@ -235,6 +239,22 @@ class TestTopology:
     def test_bad_fault_action(self):
         with pytest.raises(ConfigurationError):
             FaultEvent(0.0, 0, "explode")
+
+    @pytest.mark.parametrize(
+        "bandwidth, link, message",
+        [
+            ([5.0, 6.0], (0, 0), r"^bandwidth must be a numpy array \(\[5\.0, 6\.0\]\)$"),
+            (np.array([5.0, 6.0]), (1.0, 0), r"^link \(1\.0, 0\) endpoints must be integers$"),
+            (np.array([5.0, 6.0]), (True, 0), r"^link \(True, 0\) endpoints must be integers$"),
+        ],
+        ids=["bandwidth-list", "link-float", "link-bool"],
+    )
+    def test_rejects_malformed_caller_input(self, bandwidth, link, message):
+        # Unchecked, a list fails on `.shape`, a float endpoint fails inside
+        # numpy, and a bool one marks device 0's whole row feasible.
+        links = {(1, 1): DelayParams(1.0, 5.0, 2.0), link: DelayParams(1.0, 5.0, 2.0)}
+        with pytest.raises(ConfigurationError, match=message):
+            Topology(2, 2, links, bandwidth=bandwidth, model_bytes=1000)
 
 
 class TestTopologyIO:
@@ -483,7 +503,49 @@ class TestNonFiniteInputs:
             load_topology(path)
 
 
+def reference_gen_topology(spec, seed):
+    """`gen_topology` as one pass per device, the oracle for its whole-array passes."""
+    rng = np.random.default_rng(seed)
+    n, g = spec.num_devices, spec.num_gateways
+    gw_pos = rng.random((g, 2))
+    dev_pos = rng.random((n, 2))
+    link_het = rng.lognormal(0.0, spec.het_sigma, n)
+    comp_het = rng.lognormal(0.0, spec.het_sigma, n)
+
+    link_params = {}
+    comp = (GEN_COMP * comp_het).tolist()
+    rates = [[] for _ in range(g)]
+    for i in range(n):
+        dist = np.linalg.norm(gw_pos - dev_pos[i], axis=1)
+        k = min(g, int(rng.integers(1, 4)))
+        for j in np.argsort(dist)[:k]:
+            j = int(j)
+            scale = float(link_het[i] * (0.5 + dist[j]))
+            p = link_params[(i, j)] = DelayParams(
+                mean_down=GEN_DOWN * scale,
+                mean_comp=comp[i],
+                mean_up=GEN_UP * scale,
+                sigma=GEN_JITTER_SIGMA,
+            )
+            rates[j].append(est_rate(spec.model_bytes, p.mean_total))
+    bandwidth = np.array([spec.bandwidth_frac * ordered_sum(r) if r else 1.0 for r in rates])
+    return link_params, bandwidth
+
+
 class TestGenTopology:
+    @pytest.mark.parametrize("g", [1, 3, 10, 20])
+    @pytest.mark.parametrize("n", [1, 7, 100, 500])
+    def test_matches_the_per_device_reference(self, n, g):
+        for seed in range(5):
+            for het_sigma in (0.0, 1.0):
+                for frac in (0.2, 1.0):
+                    spec = TopologySpec(n, g, 8016, het_sigma=het_sigma, bandwidth_frac=frac)
+                    topo = gen_topology(spec, seed)
+                    links, bandwidth = reference_gen_topology(spec, seed)
+                    # Same keys in the same order, and every float equal.
+                    assert list(topo.link_params.items()) == list(links.items())
+                    assert topo.bandwidth.tobytes() == bandwidth.tobytes()
+
     def test_every_device_has_one_to_three_gateways(self):
         topo = gen_topology(
             TopologySpec(num_devices=20, num_gateways=4, model_bytes=1000), seed=1

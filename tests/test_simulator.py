@@ -477,19 +477,23 @@ class TestValidation:
              r"labels must be in \[0, num_classes\)"),
             (lambda s: Shard(s.features, np.where(s.labels == s.labels[0], 4, s.labels)),
              r"labels must be in \[0, num_classes\)"),
+            (lambda s: Shard(s.features, s.labels.astype(float)),
+             r"^labels must be integers \(dtype float64\)$"),
+            (lambda s: Shard(s.features, s.labels > 0), r"^labels must be integers \(dtype bool\)$"),
         ],
-        ids=["input-dim", "negative-label", "label-past-classes"],
+        ids=["input-dim", "negative-label", "label-past-classes", "float-labels", "bool-labels"],
     )
     def test_rejects_each_bad_shard_before_the_run(self, where, edit, message):
         # Unchecked, a negative training label trains on the last class's
-        # one-hot, a negative test label gives a wrong accuracy, and a test
-        # label >= num_classes raises IndexError mid-run.
+        # one-hot, a negative test label gives a wrong accuracy, a test
+        # label >= num_classes raises IndexError mid-run, and so does a
+        # float label. The shard itself rejects labels that are not integers.
         cfg = small_config(mode="sync-random", seed=1)
-        if where == "train":
-            cfg.dataset.shards[2] = edit(cfg.dataset.shards[2])
-        else:
-            cfg.dataset.test = edit(cfg.dataset.test)
         with pytest.raises(ConfigurationError, match=message):
+            if where == "train":
+                cfg.dataset.shards[2] = edit(cfg.dataset.shards[2])
+            else:
+                cfg.dataset.test = edit(cfg.dataset.test)
             run(cfg)
 
 
