@@ -86,7 +86,7 @@ def _draw_samples(rng, labels: np.ndarray, spread: float, centroids: np.ndarray)
     """
     feats = rng.standard_normal((len(labels), centroids.shape[1]))
     feats *= spread
-    feats += centroids[labels]
+    feats += centroids.take(labels, axis=0)
     return Shard(feats, labels)
 
 

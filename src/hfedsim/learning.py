@@ -16,16 +16,20 @@ aggregates). `grad_regularized` is stacked the same way: for a block of
 trained rows it gives the full-shard gradient each device reports, anchored at
 the start it trained from, each row bit-identical to its own K = 1 call.
 
-Three things keep a step lean without changing a bit of it. Each epoch gathers
-its shuffled features and one-hot labels once, and a step slices its batch out
-of them: the slice holds the same values in the same [b, d] layout as a batch
-gathered alone, so every gemm sees the same operands. The softmax gradient
-subtracts that one-hot instead of subtracting 1.0 at each label: x - 0.0 is x,
-so only the label's entry moves, by the same 1.0. And the gradient is written
-through `unpack` views into one [K, P] buffer that lives for the whole call,
-in place of a concatenation per step: a gemm or a sum computes the same values
-wherever its output lies. The one stacked gradient function, `_grad_stacked`,
-serves the training step and `grad_regularized`.
+Four things keep a step lean without changing a bit of it. Each epoch sorts
+its shuffled order within every batch with one sort, and a step gathers its
+batch with flat `take`s from the block's [K·n, d] features and [K·n] labels,
+stacked once per call: the batch holds the same values in the same [b, d]
+layout as a batch gathered alone, so every gemm sees the same operands. The
+softmax takes its max over classes from a class-major copy of the logits, one
+pass per class across every row; a max is exact in any order. The softmax
+gradient subtracts the gathered one-hot instead of subtracting 1.0 at each
+label: x - 0.0 is x, so only the label's entry moves, by the same 1.0. And
+the gradient is written through `unpack` views into one [K, P] buffer that
+lives for the whole call, in place of a concatenation per step: a gemm or a
+sum computes the same values wherever its output lies. The one stacked
+gradient function, `_grad_stacked`, serves the training step and
+`grad_regularized`, and both stack their shards with `_stack_shards`.
 """
 
 from __future__ import annotations
@@ -166,9 +170,14 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Max-shifted logits, their exponentials, and the sums of those over classes.
 
-    The shift is made in place: the shifted logits are ``logits`` itself.
+    The shift is made in place: the shifted logits are ``logits`` itself. Its
+    max over classes reduces a class-major copy across rows, one pass per
+    class, where a reduce along the short class axis runs one loop per row; a
+    max is exact in any order, so the shift is the same.
     """
-    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    c = logits.shape[-1]
+    shift = np.maximum.reduce(logits.reshape(-1, c).T.copy(), axis=0)
+    logits -= shift.reshape(*logits.shape[:-1], 1)
     probs = np.exp(logits)
     return logits, probs, np.add.reduce(probs, axis=2)
 
@@ -214,14 +223,14 @@ def _grad_stacked(
 
 
 def _stack_shards(arch: ModelArch, shards: list[Shard]) -> tuple[np.ndarray, np.ndarray]:
-    """Features [K, n, d] and one-hot labels [K, n, C] of K shards of one size."""
+    """Features [K·n, d] and integer labels [K·n] of K shards of one size, shard
+    after shard: sample i of shard k is row k·n + i."""
     for shard in shards:
         if shard.n != shards[0].n:
             raise ConfigurationError("cohort shards must hold the same number of samples")
         if shard.features.shape[1] != arch.input_dim:
             raise ConfigurationError("shard input_dim does not match architecture")
-    features = np.stack([s.features for s in shards])
-    return features, np.eye(arch.num_classes)[np.stack([s.labels for s in shards])]
+    return np.concatenate([s.features for s in shards]), np.concatenate([s.labels for s in shards])
 
 
 def grad_regularized(
@@ -242,28 +251,17 @@ def grad_regularized(
     k = len(shards)
     if not shards or params.shape != (k, arch.param_count) or anchors.shape != params.shape:
         raise ConfigurationError(f"params and anchors must be [{k}, {arch.param_count}]")
-    features, onehots = _stack_shards(arch, shards)
+    features, labels = _stack_shards(arch, shards)
+    x = features.reshape(k, -1, arch.input_dim)
+    onehots = np.eye(arch.num_classes).take(labels.reshape(k, -1), axis=0)
     grad = np.empty_like(params)
     with np.errstate(over="ignore", invalid="ignore"):
-        _grad_stacked(unpack(arch, params), arch, features, onehots, unpack(arch, grad))
+        _grad_stacked(unpack(arch, params), arch, x, onehots, unpack(arch, grad))
         if rho != 0.0:
             pull = params - anchors
             pull *= rho
             grad += pull
     return grad
-
-
-def _epoch_order(rngs: list[np.random.Generator], n: int, batch_size: int) -> np.ndarray:
-    """One epoch's sample order [K, n]: row k is a seeded permutation from rngs[k],
-    sorted within each batch of ``batch_size`` consecutive entries.
-
-    Sorting inside a batch keeps summation order independent of the shuffle, so
-    a full-batch step is bit-identical to an unshuffled gradient step.
-    """
-    order = np.stack([rng.permutation(n) for rng in rngs])
-    for s in range(0, n, batch_size):
-        order[:, s : s + batch_size].sort(axis=1)
-    return order
 
 
 def local_train(
@@ -282,14 +280,21 @@ def local_train(
     Returns the final parameters [K, P], a new array; row k is bit-identical to
     training device k alone, i.e. to the K = 1 call on ``start[k][None]``.
 
-    Each epoch gathers its features and one-hot labels in shuffled order with
-    one fancy index each. A step's batch is a slice of them, with the same
-    values in the same [b, d] layout as a batch gathered alone, so each gemm
-    sees the same operands. The step subtracts the one-hot where it used to
-    subtract 1.0 at each label; x - 0.0 is x, so no other entry moves. It
-    writes its gradient through `unpack` views into one [K, P] buffer, and
-    the update computes its terms in a second one: a gemm, a sum or a product
-    gives the same values wherever its output lies.
+    Each epoch draws a permutation per device and sorts it within each batch
+    of ``cfg.batch_size`` consecutive entries, with one sort for the whole
+    epoch. Sorting inside a batch keeps summation order independent of the
+    shuffle, so a full-batch step is bit-identical to an unshuffled gradient
+    step. The sorted order, offset by k·n in row k, indexes the block's
+    stacked rows: a step gathers its batch's features with one flat `take`
+    and its one-hot labels with two, the same values in the same [b, d]
+    layout as a batch gathered alone, so each gemm sees the same operands.
+    (A gather of the whole epoch at once is a fresh [K, n, d] block each
+    epoch, whose new pages cost more than the step's small takes.) The step
+    subtracts the one-hot where it used to subtract 1.0 at each label; x - 0.0
+    is x, so no other entry moves. It writes its gradient through `unpack`
+    views into one [K, P] buffer, and the update computes its terms in a
+    second one: a gemm, a sum or a product gives the same values wherever its
+    output lies.
 
     A row that diverges keeps running: the update never turns a non-finite
     weight finite again, so `raise_if_diverged` on a final row tells whether
@@ -300,21 +305,34 @@ def local_train(
         raise ConfigurationError("need one seed per shard and at least one shard")
     if start.shape != (k, arch.param_count):
         raise ConfigurationError(f"start must be [{k}, {arch.param_count}]")
-    features, onehots = _stack_shards(arch, shards)
-    n = shards[0].n
-    rows = np.arange(k)[:, None]
+    features, labels = _stack_shards(arch, shards)
+    n, b = shards[0].n, cfg.batch_size
+    # Entry p of an epoch's order is keyed by its sample plus n·(p // b): batch
+    # j's keys fill [j·n, (j+1)·n), so one sort of a row sorts each batch in
+    # place. Subtracting that again and adding k·n gives stacked row numbers.
+    samples = np.arange(n)
+    batch_keys = samples // b * n
+    to_rows = np.arange(k)[:, None] * n - batch_keys
+    order = np.empty((k, n), dtype=samples.dtype)
+    eye = np.eye(arch.num_classes)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     params = start.copy()
     grad, step = np.empty_like(params), np.empty_like(params)
     # Views: they follow the in-place updates of params and grad.
     layers, grad_layers = unpack(arch, params), unpack(arch, grad)
-    b = cfg.batch_size
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
-            order = _epoch_order(rngs, n, b)
-            xs, ts = features[rows, order], onehots[rows, order]
+            # Shuffling a row of 0..n-1 draws what rng.permutation(n) draws.
+            order[:] = samples
+            for rng, row in zip(rngs, order):
+                rng.shuffle(row)
+            order += batch_keys
+            order.sort(axis=1)
+            order += to_rows
             for s in range(0, n, b):
-                _grad_stacked(layers, arch, xs[:, s : s + b], ts[:, s : s + b], grad_layers)
+                rows = order[:, s : s + b]
+                onehot = eye.take(labels.take(rows), axis=0)  # eye's row c is c's one-hot
+                _grad_stacked(layers, arch, features.take(rows, axis=0), onehot, grad_layers)
                 if cfg.rho != 0.0:
                     np.subtract(params, start, out=step)
                     step *= cfg.rho

@@ -268,18 +268,19 @@ def gen_topology(spec: TopologySpec, seed: int) -> Topology:
 
     # Whole-array passes over every (device, gateway) pair: distances, each
     # device's gateways nearest first, and the delay scale. Each entry is the
-    # float a per-device pass gives. The link-count draws stay one per device,
-    # in device order, as the generator's stream has them.
+    # float a per-device pass gives. One draw of every link count gives the
+    # numbers of one draw per device in device order (numpy 2.4; the
+    # per-device oracle test holds it).
     dist = np.linalg.norm(gw_pos[None] - dev_pos[:, None], axis=2)  # [N, G]
     nearest = np.argsort(dist, axis=1).tolist()
     scale = (link_het[:, None] * (0.5 + dist)).tolist()
     comp = (GEN_COMP * comp_het).tolist()
+    links = np.minimum(rng.integers(1, 4, size=n), g).tolist()
 
     link_params = {}
     rates: list[list[float]] = [[] for _ in range(g)]  # per gateway, in device order
     for i in range(n):
-        k = min(g, int(rng.integers(1, 4)))
-        for j in nearest[i][:k]:
+        for j in nearest[i][: links[i]]:
             s = scale[i][j]
             p = link_params[(i, j)] = DelayParams(
                 mean_down=GEN_DOWN * s,

@@ -17,6 +17,11 @@ exits 1 if there is any.
 
     python tests/harness_digests.py --against parent-digests.json > digests.json
 
+`tests/harness_digests_seed1.json` holds the `--seeds 1` output (12 runs, numpy
+2.4.6). CI compares against it, so a change to the bits of any run fails there:
+
+    python tests/harness_digests.py --seeds 1 --against tests/harness_digests_seed1.json
+
 `--workloads sched-1000` selects a scenario outside the default set:
 sched-scale at N=1000/G=20 (still H=45), the scale of ROADMAP item 16. Its
 runs take about 2 s each.

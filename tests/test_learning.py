@@ -6,6 +6,7 @@ from hfedsim.learning import (
     ModelArch,
     Shard,
     TrainConfig,
+    _softmax_terms,
     evaluate,
     grad_regularized,
     init_params,
@@ -319,6 +320,32 @@ class TestEvaluate:
         assert loss == pytest.approx(np.log(k), abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 2), (3, 7, 10), (16, 16, 10), (2, 5, 3)])
+def test_softmax_shift_is_the_max_over_classes(shape):
+    # The class-major max gives the shift a reduce along the class axis gives,
+    # on rows that hold NaN, +-inf, all -inf and tied maxima too.
+    rng = np.random.default_rng(sum(shape))
+    logits = rng.normal(0, 3, shape)
+    rows = logits.reshape(-1, shape[-1])
+    specials = [np.nan, np.inf, -np.inf]
+    for r in range(len(rows)):
+        kind = r % 6
+        if kind < 3:
+            rows[r, rng.integers(shape[-1])] = specials[kind]
+        elif kind == 3:
+            rows[r] = -np.inf
+        elif kind == 4:
+            rows[r] = rows[r, rng.integers(shape[-1])]  # every entry ties
+        else:
+            rows[r, rng.integers(shape[-1])] = rows[r].max()  # the max ties, or is doubled
+    with np.errstate(invalid="ignore"):
+        expected = logits - np.maximum.reduce(logits, axis=2, keepdims=True)
+        shifted, probs, norm = _softmax_terms(logits.copy())
+    assert np.array_equal(shifted, expected, equal_nan=True)
+    assert np.array_equal(probs, np.exp(expected), equal_nan=True)
+    assert np.array_equal(norm, np.add.reduce(np.exp(expected), axis=2), equal_nan=True)
+
+
 def reference_forward(params, arch, x):
     """2-D forward pass of one model: (logits, hidden layer or None, output weights)."""
     bounds = np.cumsum([fi * fo + fo for fi, fo in arch.layers])[:-1]
@@ -394,14 +421,34 @@ class TestLocalTrainCohort:
             TrainConfig(gamma=0.1, rho=0.0, epochs=2, batch_size=5),
             TrainConfig(gamma=0.1, rho=0.3, epochs=2, batch_size=5),
             TrainConfig(gamma=0.0, rho=0.3, epochs=1, batch_size=4),
+            # The batch edges of the epoch's one sort: one sample per batch,
+            # and one batch that holds the whole shard with room to spare.
+            TrainConfig(gamma=0.1, rho=0.3, epochs=2, batch_size=1),
+            TrainConfig(gamma=0.1, rho=0.3, epochs=2, batch_size=20),
         ],
-        ids=["rho0", "rho", "gamma0"],
+        ids=["rho0", "rho", "gamma0", "b1", "b_over_n"],
     )
     def test_rows_match_sequential(self, kind, k, cfg):
-        n = 13  # not a multiple of either batch size: every epoch ends on a short batch
+        n = 13  # not a multiple of 4 or 5: those epochs end on a short batch
         arch, shards, seeds, start = self._cohort(kind, k, n, seed=k)
-        rows = local_train(_rows(start, k), arch, shards, cfg, seeds)
-        assert rows.shape == (k, arch.param_count)
+        self._assert_rows_match_sequential(start, arch, shards, cfg, seeds)
+
+    def test_bench_shaped_block_matches_sequential(self):
+        # The benchmark's block: MLP 20-32-10, 16 rows of 100 samples, b = 16.
+        rng = np.random.default_rng(30)
+        k, n = 16, 100
+        arch = ModelArch("mlp", input_dim=20, num_classes=10, hidden_dim=32)
+        shards = [
+            Shard(rng.normal(0, 1, (n, 20)), rng.integers(0, 10, n)) for _ in range(k)
+        ]
+        seeds = [int(s) for s in rng.integers(0, 2**32, k)]
+        cfg = TrainConfig(gamma=0.05, rho=0.1, epochs=2, batch_size=16)
+        self._assert_rows_match_sequential(init_params(arch, 30), arch, shards, cfg, seeds)
+
+    @staticmethod
+    def _assert_rows_match_sequential(start, arch, shards, cfg, seeds):
+        rows = local_train(_rows(start, len(shards)), arch, shards, cfg, seeds)
+        assert rows.shape == (len(shards), arch.param_count)
         for row, shard, seed in zip(rows, shards, seeds):
             alone = local_train(start[None], arch, [shard], cfg, [seed])[0]
             assert np.array_equal(row, alone)
