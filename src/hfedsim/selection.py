@@ -8,9 +8,14 @@ attached to exactly one feasible gateway when it has any. The solvers return
 each device's gateway as `gateway_of` holds it: -1 for a device with no link,
 which counts towards no gateway's sums.
 
-Both problems get an exact solver for small instances (branch and bound /
-pruned enumeration) and a greedy+local-search heuristic at scale. The plain
-exhaustive oracles that check the exact solvers live with the tests.
+Selection is solved exactly by branch and bound up to
+`EXACT_SELECTION_LIMIT` items, and greedily beyond. Association is solved
+exactly by scoring every assignment when there are at most
+`EXACT_ASSOCIATION_LIMIT` of them (the product over devices of their link
+counts, a device with none counting 1), and by a greedy+local-search
+heuristic beyond. So the path follows the reachable choices: devices with no
+link do not change it. The plain exhaustive oracles that check the exact
+solvers live with the tests.
 
 The heuristic's local search moves one device at a time and accepts a move
 only if the objective, summed afresh over the two gateways it touches, beats
@@ -25,6 +30,8 @@ and it is skipped without re-summing.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -33,8 +40,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 EXACT_SELECTION_LIMIT = 25  # branch-and-bound beyond this degrades to greedy
-EXACT_ASSOCIATION_N = 12
-EXACT_ASSOCIATION_G = 4
+EXACT_ASSOCIATION_LIMIT = 2**15  # assignments; more take the heuristic
 
 
 @dataclass(frozen=True)
@@ -174,30 +180,47 @@ class AssociationInstance:
             raise ConfigurationError("bandwidth must be > 0 and phi >= 0")
 
 
-def association_objective(inst: AssociationInstance, assign: list[int]) -> float:
-    """Min over gateways of the assigned utility sum, minus phi times the max rate ratio.
+def _tables(inst: AssociationInstance) -> tuple[list[float], list[list[float]]]:
+    """Each device's utility and its rate ratio on each gateway, `rates / bandwidth`, as lists."""
+    return inst.u.tolist(), (inst.rates / inst.bandwidth[None, :]).tolist()
 
-    Each gateway's sums run in device order; a device at -1 counts nowhere.
+
+def _objective(assign, u: list[float], ratio: list[list[float]], phi: float, g: int) -> float:
+    """Min over gateways of the assigned utility sum, minus phi times the max rate-ratio sum.
+
+    Each gateway's sums run in device order from 0.0; a device at -1 counts nowhere.
     """
-    g = inst.feasible.shape[1]
-    sums_u = np.zeros(g)
-    sums_r = np.zeros(g)
+    sums_u = [0.0] * g
+    sums_r = [0.0] * g
     for i, j in enumerate(assign):
         if j >= 0:
-            sums_u[j] += inst.u[i]
-            sums_r[j] += inst.rates[i, j] / inst.bandwidth[j]
-    return float(sums_u.min()) - inst.phi * float(sums_r.max())
+            sums_u[j] += u[i]
+            sums_r[j] += ratio[i][j]
+    return min(sums_u) - phi * max(sums_r)
+
+
+def association_objective(inst: AssociationInstance, assign: list[int]) -> float:
+    """The association objective of `assign`, as the solvers score it."""
+    u, ratio = _tables(inst)
+    return _objective(assign, u, ratio, inst.phi, inst.feasible.shape[1])
 
 
 def solve_association(inst: AssociationInstance) -> list[int]:
     """Each device's gateway, maximizing min-utility minus phi * max-rate-ratio.
 
-    A device with no feasible gateway gets -1, as `gateway_of` holds it.
+    A device with no feasible gateway gets -1, as `gateway_of` holds it. With
+    at most `EXACT_ASSOCIATION_LIMIT` assignments every one is scored:
+    `product` yields them in lexicographic order and `max` keeps the first
+    best, so a tie goes to the lexicographically smallest list.
     """
-    n, g = inst.feasible.shape
-    if n <= EXACT_ASSOCIATION_N and g <= EXACT_ASSOCIATION_G:
-        return _association_exact(inst)
-    return _association_heuristic(inst)
+    links = np.count_nonzero(inst.feasible, axis=1)
+    if math.prod(np.maximum(links, 1).tolist()) > EXACT_ASSOCIATION_LIMIT:
+        return _association_heuristic(inst)
+    u, ratio = _tables(inst)
+    g = inst.feasible.shape[1]
+    return list(
+        max(itertools.product(*_options(inst)), key=lambda a: _objective(a, u, ratio, inst.phi, g))
+    )
 
 
 def _options(inst: AssociationInstance) -> list[list[int]]:
@@ -207,53 +230,6 @@ def _options(inst: AssociationInstance) -> list[list[int]]:
     indexing the array entry by entry makes a numpy scalar each time.
     """
     return [[j for j, f in enumerate(row) if f] or [-1] for row in inst.feasible.tolist()]
-
-
-def _association_exact(inst: AssociationInstance) -> list[int]:
-    n, g = inst.feasible.shape
-    options = _options(inst)
-    # Optimistic utility still placeable at or after device i (positive part).
-    pos_suffix = np.zeros((n + 1, g))
-    for i in range(n - 1, -1, -1):
-        pos_suffix[i] = pos_suffix[i + 1] + np.where(inst.feasible[i] > 0, max(inst.u[i], 0.0), 0.0)
-
-    best_obj = -np.inf
-    best_assign: list[int] | None = None
-    assign = [-1] * n
-    sums_u = np.zeros(g)
-    sums_r = np.zeros(g)
-
-    def walk(i: int):
-        nonlocal best_obj, best_assign
-        bound = float(np.min(sums_u + pos_suffix[i])) - inst.phi * float(sums_r.max())
-        if bound < best_obj:
-            return
-        if i == n:
-            # Fresh summation in device order: the leaf value is independent
-            # of the DFS path's incremental updates. A tie goes to the
-            # lexicographically smaller list; every leaf has its -1s at the
-            # same devices, those with no link.
-            obj = association_objective(inst, assign)
-            first = best_assign is None
-            if obj > best_obj or (obj == best_obj and (first or assign < best_assign)):
-                best_obj, best_assign = obj, assign.copy()
-            return
-        for j in options[i]:
-            assign[i] = j
-            if j < 0:
-                walk(i + 1)
-            else:
-                du, dr = inst.u[i], inst.rates[i, j] / inst.bandwidth[j]
-                sums_u[j] += du
-                sums_r[j] += dr
-                walk(i + 1)
-                sums_u[j] -= du
-                sums_r[j] -= dr
-            assign[i] = -1
-
-    walk(0)
-    assert best_assign is not None
-    return best_assign
 
 
 def _gateway_sums(
@@ -273,8 +249,7 @@ def _gateway_sums(
 
 def _association_heuristic(inst: AssociationInstance) -> list[int]:
     n, g = inst.feasible.shape
-    u = inst.u.tolist()
-    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
+    u, ratio = _tables(inst)
     options = _options(inst)
 
     # Construction: every device joins the feasible gateway with the lowest

@@ -24,9 +24,10 @@ exits 1 if there is any.
 
 `--workloads sched-1000` selects a scenario outside the default set:
 sched-scale at N=1000/G=20 (still H=45), the scale of ROADMAP item 16. Its
-runs take about 2 s each.
+runs take about 2 s each. `tests/harness_digests_sched1000_seed1.json` holds
+its `--seeds 1` output (4 runs, numpy 2.4.6), and CI compares against it too:
 
-    python tests/harness_digests.py --workloads sched-1000 --seeds 1 2 > digests.json
+    python tests/harness_digests.py --workloads sched-1000 --seeds 1 --against tests/harness_digests_sched1000_seed1.json
 
 The file is not named `test_*.py`, so pytest does not collect it. It reads
 `perfbench/workloads.py` and changes nothing there.

@@ -6,6 +6,7 @@ import pytest
 from hfedsim.errors import ConfigurationError
 from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
+    EXACT_ASSOCIATION_LIMIT,
     EXACT_SELECTION_LIMIT,
     AssociationInstance,
     Candidate,
@@ -441,11 +442,51 @@ class TestSolveAssociation:
         for _ in range(100):
             inst = random_association_instance(rng)
             got = solve_association(inst)
-            want = brute_force_association(inst)
-            assert association_objective(inst, got) == pytest.approx(
-                association_objective(inst, want), abs=1e-9
-            )
+            assert got == brute_force_association(inst)
             assert_within_feasibility(got, inst.feasible)
+
+    @staticmethod
+    def fully_linked_instance(rng, n, g):
+        inst = random_association_instance(rng, n=n, g=g)
+        return AssociationInstance(
+            feasible=np.ones((n, g), dtype=np.int8), u=inst.u, rates=inst.rates,
+            bandwidth=inst.bandwidth, phi=inst.phi,
+        )
+
+    def test_exact_path_scores_each_assignment_afresh(self):
+        # In real numbers `want` ties with [0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0]:
+        # the largest rate sum is 10/29 in both. Summed in device order, the
+        # floats give `want` the smaller maximum by one bit. A branch and bound
+        # that pruned on running sums (`+=` then `-=` along its path) cut
+        # `want` off and returned the other list.
+        inst = AssociationInstance(
+            feasible=np.array(
+                [[1, 1]] * 4 + [[0, 1]] + [[1, 1]] * 5 + [[0, 1], [1, 0]], dtype=np.int8
+            ),
+            u=np.zeros(12),
+            rates=np.array([
+                [1.0, 2.0], [3.0, 1.0], [2.0, 1.0], [3.0, 2.0], [3.0, 1.0], [1.0, 3.0],
+                [1.0, 3.0], [2.0, 3.0], [2.0, 3.0], [1.0, 1.0], [2.0, 3.0], [3.0, 2.0],
+            ]),
+            bandwidth=np.array([29.0, 29.0]),
+            phi=0.1,
+        )
+        want = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0]
+        assert brute_force_association(inst) == want
+        assert solve_association(inst) == want
+
+    # On both instances the heuristic misses the optimum, so each test tells
+    # the two paths apart.
+    def test_exact_up_to_the_limit(self):
+        inst = self.fully_linked_instance(np.random.default_rng(208), 15, 2)
+        assert 2**15 == EXACT_ASSOCIATION_LIMIT
+        want = brute_force_association(inst)
+        assert solve_association(inst) == want != _association_heuristic(inst)
+
+    def test_heuristic_beyond_the_limit(self):
+        inst = self.fully_linked_instance(np.random.default_rng(209), 16, 2)
+        want = _association_heuristic(inst)
+        assert solve_association(inst) == want != brute_force_association(inst)
 
     def test_heuristic_quality_report(self, capsys):
         rng = np.random.default_rng(202)
@@ -532,15 +573,16 @@ class TestUnreachableDevices:
         )
 
     @pytest.mark.parametrize(
-        "n, g, count",
-        [(12, 4, 4), (8, 3, 40), (5, 2, 40), (40, 6, 40)],
-        ids=["exact-12x4", "exact-8x3", "exact-5x2", "heuristic-40x6"],
+        "n, g",
+        [(13, 2), (12, 4), (8, 3), (5, 2), (40, 6)],
+        ids=["exact-13x2", "mixed-12x4", "exact-8x3", "exact-5x2", "heuristic-40x6"],
     )
-    def test_solver_ignores_unreachable_devices(self, n, g, count):
-        # 12 devices on 4 gateways is the exact search's largest instance and
-        # its slowest, so it draws fewer.
+    def test_solver_ignores_unreachable_devices(self, n, g):
+        # The path follows the assignment count, which unreachable rows leave
+        # as it is, so an instance and its reduced copy take the same path.
+        # 30 of the 40 draws at 12x4 are exact, the other 10 heuristic.
         rng = np.random.default_rng(207 + n)
-        for _ in range(count):
+        for _ in range(40):
             inst = self.instance_with_unreachable_rows(rng, n, g)
             out = solve_association(inst)
             reach = inst.feasible.any(axis=1)
