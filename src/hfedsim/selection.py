@@ -9,10 +9,10 @@ each device's gateway as `gateway_of` holds it: -1 for a device with no link,
 which counts towards no gateway's sums.
 
 Selection is solved exactly by branch and bound up to
-`EXACT_SELECTION_LIMIT` items, and greedily beyond. Association is solved
-exactly by scoring every assignment when there are at most
-`EXACT_ASSOCIATION_LIMIT` of them (the product over devices of their link
-counts, a device with none counting 1), and by a greedy+local-search
+`EXACT_SELECTION_LIMIT` rows that survive its filter, and greedily beyond.
+Association is solved exactly by scoring every assignment when there are at
+most `EXACT_ASSOCIATION_LIMIT` of them (the product over devices of their
+link counts, a device with none counting 1), and by a greedy+local-search
 heuristic beyond. So the path follows the reachable choices: devices with no
 link do not change it. The plain exhaustive oracles that check the exact
 solvers live with the tests.
@@ -43,53 +43,30 @@ EXACT_SELECTION_LIMIT = 25  # branch-and-bound beyond this degrades to greedy
 EXACT_ASSOCIATION_LIMIT = 2**15  # assignments; more take the heuristic
 
 
-@dataclass(frozen=True)
-class Candidate:
-    device_id: int
-    u: float  # learning utility
-    tau: float  # round-latency estimate, seconds
-    rate: float  # average data rate on the link, bytes/s
+def solve_selection(rows, bandwidth: float, kappa: float = 1.0) -> list[int]:
+    """The devices to dispatch, ascending, maximizing total utility-per-latency value.
 
-
-@dataclass(frozen=True)
-class SelectionInstance:
-    candidates: list[Candidate]
-    bandwidth: float  # gateway cap, bytes/s
-    kappa: float = 1.0
-
-    def __post_init__(self):
-        if self.bandwidth <= 0 or self.kappa < 0:
-            raise ConfigurationError("bandwidth must be > 0 and kappa >= 0")
-        for c in self.candidates:
-            if c.tau <= 0 or c.rate <= 0:
-                raise ConfigurationError(f"device {c.device_id}: tau and rate must be > 0")
-
-
-def _selection_items(inst: SelectionInstance) -> list[tuple[int, float, float]]:
-    """(device_id, value, rate) for candidates worth considering, id order."""
+    Each row is `(device, utility, latency, rate)`: the learning utility, the
+    round-latency estimate in seconds and the average data rate on the link
+    in bytes/s. A row's value is `utility * (1 / latency) ** kappa`; a row
+    with value <= 0 or a rate above `bandwidth` is dropped. The branch and
+    bound seeds its incumbent with the greedy fill and prunes a subtree whose
+    bound only equals it, so among picks of equal value it keeps the greedy's
+    density-first pick, not the smallest ids.
+    """
+    if bandwidth <= 0 or kappa < 0:
+        raise ConfigurationError("bandwidth must be > 0 and kappa >= 0")
     items = []
-    for c in sorted(inst.candidates, key=lambda c: c.device_id):
-        value = c.u * (1.0 / c.tau) ** inst.kappa
-        if value <= 0 or c.rate > inst.bandwidth:
+    for dev, u, tau, rate in sorted(rows):
+        if tau <= 0 or rate <= 0:
+            raise ConfigurationError(f"device {dev}: tau and rate must be > 0")
+        value = u * (1.0 / tau) ** kappa
+        if value <= 0 or rate > bandwidth:
             continue
-        items.append((c.device_id, value, c.rate))
-    return items
-
-
-def _better(value, ids, best_value, best_ids):
-    if value > best_value:
-        return True
-    return value == best_value and best_ids is not None and tuple(ids) < tuple(best_ids)
-
-
-def solve_selection(inst: SelectionInstance) -> set[int]:
-    """Choose the dispatch set maximizing total utility-per-latency value."""
-    items = _selection_items(inst)
-    if not items:
-        return set()
+        items.append((dev, value, rate))
     if len(items) <= EXACT_SELECTION_LIMIT:
-        return _knapsack_branch_and_bound(items, inst.bandwidth)
-    return _knapsack_greedy(items, inst.bandwidth)
+        return _knapsack_branch_and_bound(items, bandwidth)
+    return _knapsack_greedy(items, bandwidth)
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -119,19 +96,18 @@ def fill_capacity(pairs: list[tuple[int, float]], capacity: float) -> list[int]:
     return chosen
 
 
-def _knapsack_greedy(items, capacity) -> set[int]:
+def _knapsack_greedy(items, capacity) -> list[int]:
     order = sorted(items, key=lambda it: (-it[1] / it[2], it[0]))
-    return set(fill_capacity([(dev, rate) for dev, _, rate in order], capacity))
+    return sorted(fill_capacity([(dev, rate) for dev, _, rate in order], capacity))
 
 
-def _knapsack_branch_and_bound(items, capacity) -> set[int]:
+def _knapsack_branch_and_bound(items, capacity) -> list[int]:
     order = sorted(items, key=lambda it: (-it[1] / it[2], it[0]))
     n = len(order)
     # Seed the incumbent with the greedy solution so the fractional bound
     # prunes aggressively from the start.
-    greedy_ids = _knapsack_greedy(items, capacity)
-    best_value = ordered_sum(v for dev, v, _ in items if dev in greedy_ids)
-    best_ids = tuple(sorted(greedy_ids))
+    best_ids = _knapsack_greedy(items, capacity)
+    best_value = ordered_sum(v for dev, v, _ in items if dev in best_ids)
 
     def bound(level, load, value):
         # Fractional relaxation from this level on, in density order.
@@ -148,9 +124,9 @@ def _knapsack_branch_and_bound(items, capacity) -> set[int]:
 
     def walk(level, load, value, ids):
         nonlocal best_value, best_ids
-        # `_better` holds only if value >= best_value; test that before sorting.
-        if value >= best_value and _better(value, sorted(ids), best_value, best_ids):
-            best_value, best_ids = value, tuple(sorted(ids))
+        # Of the picks the walk reaches, a tie goes to the smaller sorted ids.
+        if value > best_value or (value == best_value and sorted(ids) < best_ids):
+            best_value, best_ids = value, sorted(ids)
         if level == n or bound(level, load, value) <= best_value:
             return
         dev, v, r = order[level]
@@ -161,7 +137,7 @@ def _knapsack_branch_and_bound(items, capacity) -> set[int]:
         walk(level + 1, load, value, ids)
 
     walk(0, 0.0, 0.0, [])
-    return set(best_ids)
+    return best_ids
 
 
 @dataclass(frozen=True, eq=False)

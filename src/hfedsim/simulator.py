@@ -168,8 +168,6 @@ from .learning import (
 from .network import FaultEvent, Topology, est_rate, sample_round_latency
 from .selection import (
     AssociationInstance,
-    Candidate,
-    SelectionInstance,
     fill_capacity,
     ordered_sum,
     solve_association,
@@ -580,8 +578,8 @@ class _Simulation:
                 return []
             self._refresh_utilities()
             u = self.utilities
-            cands = [Candidate(i, u[i], tau, rate) for i, tau, rate in fits]
-            return sorted(solve_selection(SelectionInstance(cands, cap, self.cfg.kappa)))
+            rows = [(i, u[i], tau, rate) for i, tau, rate in fits]
+            return solve_selection(rows, cap, self.cfg.kappa)
         if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
         else:  # random fill

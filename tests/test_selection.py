@@ -9,8 +9,6 @@ from hfedsim.selection import (
     EXACT_ASSOCIATION_LIMIT,
     EXACT_SELECTION_LIMIT,
     AssociationInstance,
-    Candidate,
-    SelectionInstance,
     association_objective,
     fill_capacity,
     ordered_sum,
@@ -19,11 +17,9 @@ from hfedsim.selection import (
 )
 from hfedsim.selection import (
     _association_heuristic,
-    _better,
     _knapsack_branch_and_bound,
     _knapsack_greedy,
     _options,
-    _selection_items,
 )
 
 BRUTE_SELECTION_LIMIT = 20
@@ -43,32 +39,40 @@ def assert_within_feasibility(out: list[int], feasible: np.ndarray) -> None:
     )
 
 
-def selection_objective(inst: SelectionInstance, chosen: set[int]) -> float:
-    return sum(
-        c.u * (1.0 / c.tau) ** inst.kappa for c in inst.candidates if c.device_id in chosen
-    )
+def selection_value(u: float, tau: float, kappa: float) -> float:
+    """A row's utility per latency, as the paper's gateway objective weighs it."""
+    return u * (1.0 / tau) ** kappa
 
 
-def selection_load(inst: SelectionInstance, chosen: set[int]) -> float:
-    return sum(c.rate for c in inst.candidates if c.device_id in chosen)
+def selection_objective(rows, kappa: float, chosen: list[int]) -> float:
+    return sum(selection_value(u, tau, kappa) for dev, u, tau, _ in rows if dev in chosen)
+
+
+def selection_load(rows, chosen: list[int]) -> float:
+    return sum(rate for dev, _, _, rate in rows if dev in chosen)
+
+
+def selection_items(rows, bandwidth: float, kappa: float) -> list[tuple[int, float, float]]:
+    """(device, value, rate) of the rows the knapsack considers, in device order."""
+    items = [(dev, selection_value(u, tau, kappa), rate) for dev, u, tau, rate in sorted(rows)]
+    return [it for it in items if it[1] > 0 and it[2] <= bandwidth]
 
 
 def random_selection_instance(rng, n=None, kappa=None):
+    """(rows, bandwidth, kappa): the arguments of `solve_selection`."""
     n = n if n is not None else int(rng.integers(0, 13))
-    cands = [
-        Candidate(
-            device_id=i,
-            u=float(rng.normal(0.5, 1.0)),
-            tau=float(rng.uniform(0.5, 60.0)),
-            rate=float(rng.uniform(1.0, 20.0)),
+    rows = [
+        (
+            i,
+            float(rng.normal(0.5, 1.0)),
+            float(rng.uniform(0.5, 60.0)),
+            float(rng.uniform(1.0, 20.0)),
         )
         for i in range(n)
     ]
-    return SelectionInstance(
-        candidates=cands,
-        bandwidth=float(rng.uniform(5.0, 70.0)),
-        kappa=float(rng.choice([0.0, 0.5, 1.0, 2.0])) if kappa is None else kappa,
-    )
+    bandwidth = float(rng.uniform(5.0, 70.0))
+    kappa = float(rng.choice([0.0, 0.5, 1.0, 2.0])) if kappa is None else kappa
+    return rows, bandwidth, kappa
 
 
 def random_association_instance(rng, n=None, g=None):
@@ -84,28 +88,32 @@ def random_association_instance(rng, n=None, g=None):
     )
 
 
-def brute_force_selection(inst: SelectionInstance) -> set[int]:
-    """Exhaustive optimum over all candidate subsets; refuses large instances."""
-    if len(inst.candidates) > BRUTE_SELECTION_LIMIT:
+def brute_force_selection(rows, bandwidth: float, kappa: float = 1.0) -> list[int]:
+    """Exhaustive optimum over all row subsets; refuses large instances.
+
+    Among subsets of equal value it returns the lexicographically smallest
+    sorted ids. A row of value <= 0 never raises a subset's value, so it is
+    left out; a subset over the cap is infeasible.
+    """
+    if len(rows) > BRUTE_SELECTION_LIMIT:
         raise InstanceTooLargeError(
-            f"{len(inst.candidates)} candidates exceeds brute-force limit "
-            f"{BRUTE_SELECTION_LIMIT}"
+            f"{len(rows)} rows exceeds brute-force limit {BRUTE_SELECTION_LIMIT}"
         )
-    items = _selection_items(inst)
-    best_value, best_ids = 0.0, ()
+    items = [(dev, selection_value(u, tau, kappa), rate) for dev, u, tau, rate in sorted(rows)]
+    items = [it for it in items if it[1] > 0]
+    best_value, best_ids = 0.0, []
     for mask in range(1 << len(items)):
+        picked = [it for k, it in enumerate(items) if mask >> k & 1]
         value = load = 0.0
-        ids = []
-        for k, (dev, v, r) in enumerate(items):
-            if mask >> k & 1:
-                value += v
-                load += r
-                ids.append(dev)
-        if load > inst.bandwidth:
+        for _, v, r in picked:
+            value += v
+            load += r
+        ids = [dev for dev, _, _ in picked]
+        if load > bandwidth:
             continue
-        if _better(value, ids, best_value, best_ids):
-            best_value, best_ids = value, tuple(ids)
-    return set(best_ids)
+        if value > best_value or (value == best_value and ids < best_ids):
+            best_value, best_ids = value, ids
+    return best_ids
 
 
 def brute_force_association(inst: AssociationInstance) -> list[int]:
@@ -267,9 +275,9 @@ class TestInstanceValidation:
         ids=["bandwidth", "kappa", "tau", "rate"],
     )
     def test_selection_instance_rejects(self, bandwidth, kappa, tau, rate, message):
-        cands = [Candidate(3, u=1.0, tau=1.0, rate=1.0), Candidate(7, u=1.0, tau=tau, rate=rate)]
+        rows = [(3, 1.0, 1.0, 1.0), (7, 1.0, tau, rate)]
         with pytest.raises(ConfigurationError, match=message):
-            SelectionInstance(cands, bandwidth=bandwidth, kappa=kappa)
+            solve_selection(rows, bandwidth, kappa)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -294,83 +302,108 @@ class TestInstanceValidation:
 
 class TestSolveSelection:
     def test_nonpositive_utilities_select_nothing(self):
-        cands = [Candidate(i, u=-abs(u), tau=1.0, rate=1.0) for i, u in enumerate([1.0, 0.0, 2.0])]
-        inst = SelectionInstance(cands, bandwidth=100.0, kappa=1.0)
-        assert solve_selection(inst) == set()
+        rows = [(i, -abs(u), 1.0, 1.0) for i, u in enumerate([1.0, 0.0, 2.0])]
+        assert solve_selection(rows, 100.0, 1.0) == []
 
     def test_single_fitting_candidate_selected(self):
-        inst = SelectionInstance([Candidate(3, u=2.0, tau=5.0, rate=4.0)], bandwidth=4.0)
-        assert solve_selection(inst) == {3}
+        assert solve_selection([(3, 2.0, 5.0, 4.0)], 4.0) == [3]
 
     def test_empty_instance(self):
-        inst = SelectionInstance([], bandwidth=1.0)
-        assert solve_selection(inst) == set()
-        assert brute_force_selection(inst) == set()
+        assert solve_selection([], 1.0) == []
+        assert brute_force_selection([], 1.0) == []
+
+    def test_returns_the_devices_ascending(self):
+        rows = [(9, 1.0, 1.0, 1.0), (2, 3.0, 1.0, 1.0), (5, 2.0, 1.0, 1.0)]
+        assert solve_selection(rows, 10.0) == [2, 5, 9]
+        # The greedy fill takes devices 29, 28, ... (densest first).
+        rows = [(i, float(i), 1.0, 1.0) for i in reversed(range(1, EXACT_SELECTION_LIMIT + 5))]
+        assert solve_selection(rows, 3.0) == [27, 28, 29]
 
     def test_matches_brute_force_on_200_random_instances(self):
         rng = np.random.default_rng(100)
         for _ in range(200):
-            inst = random_selection_instance(rng)
-            got = solve_selection(inst)
-            want = brute_force_selection(inst)
-            assert selection_objective(inst, got) == pytest.approx(
-                selection_objective(inst, want), abs=1e-9
-            )
-            assert selection_load(inst, got) <= inst.bandwidth + 1e-12
+            rows, bandwidth, kappa = random_selection_instance(rng)
+            got = solve_selection(rows, bandwidth, kappa)
+            assert got == brute_force_selection(rows, bandwidth, kappa)
+            assert selection_load(rows, got) <= bandwidth
+
+    def test_ties_keep_the_greedy_pick_not_the_smallest_ids(self):
+        # Both rows are worth 1.0 and only one fits. The greedy fill takes
+        # device 1, the denser, and seeds the incumbent; the walk prunes the
+        # subtree holding device 0 since its bound only equals that value.
+        rows = [(0, 1.0, 1.0, 2.0), (1, 1.0, 1.0, 1.0)]
+        assert solve_selection(rows, 2.0) == [1]
+        assert brute_force_selection(rows, 2.0) == [0]
 
     def test_single_item_instances_match_exactly(self):
         rng = np.random.default_rng(101)
         for _ in range(20):
             inst = random_selection_instance(rng, n=1)
-            assert solve_selection(inst) == brute_force_selection(inst)
+            assert solve_selection(*inst) == brute_force_selection(*inst)
 
     def test_bandwidth_monotonicity(self):
         rng = np.random.default_rng(102)
         for _ in range(50):
-            inst = random_selection_instance(rng, n=10)
-            bigger = SelectionInstance(inst.candidates, inst.bandwidth * 2, inst.kappa)
-            assert selection_objective(bigger, solve_selection(bigger)) >= (
-                selection_objective(inst, solve_selection(inst)) - 1e-12
+            rows, bandwidth, kappa = random_selection_instance(rng, n=10)
+            bigger = solve_selection(rows, bandwidth * 2, kappa)
+            assert selection_objective(rows, kappa, bigger) >= (
+                selection_objective(rows, kappa, solve_selection(rows, bandwidth, kappa)) - 1e-12
             )
 
     def test_kappa_zero_ignores_latency(self):
         rng = np.random.default_rng(103)
-        inst = random_selection_instance(rng, n=9, kappa=0.0)
-        shuffled_taus = list(rng.permutation([c.tau for c in inst.candidates]))
-        permuted = SelectionInstance(
-            [
-                Candidate(c.device_id, c.u, t, c.rate)
-                for c, t in zip(inst.candidates, shuffled_taus)
-            ],
-            inst.bandwidth,
-            0.0,
-        )
-        assert selection_objective(inst, solve_selection(inst)) == pytest.approx(
-            selection_objective(permuted, solve_selection(permuted)), abs=1e-12
-        )
+        rows, bandwidth, _ = random_selection_instance(rng, n=9, kappa=0.0)
+        shuffled_taus = rng.permutation([tau for _, _, tau, _ in rows]).tolist()
+        permuted = [(dev, u, t, rate) for (dev, u, _, rate), t in zip(rows, shuffled_taus)]
+        assert solve_selection(rows, bandwidth, 0.0) == solve_selection(permuted, bandwidth, 0.0)
+
+    @staticmethod
+    def limit_instance(n):
+        """n rows that survive the filter, on which the greedy fill misses the optimum.
+
+        Device 0 is the densest (value 1, rate 1), so the greedy fill takes it
+        first and then fits nothing else; device 1 alone (value 9.5, rate 10)
+        fills the cap and is the optimum. The other rows are worth 1e-3 each
+        at rate 9.5, so none fits beside device 0 or device 1.
+        """
+        rows = [(0, 1.0, 1.0, 1.0), (1, 9.5, 1.0, 10.0)]
+        rows += [(i, 1e-3, 1.0, 9.5) for i in range(2, n)]
+        return rows, 10.0
+
+    def test_exact_up_to_the_limit(self):
+        rows, cap = self.limit_instance(EXACT_SELECTION_LIMIT)
+        assert solve_selection(rows, cap) == [1] == brute_force_selection(rows[:20], cap)
+
+    def test_greedy_beyond_the_limit(self):
+        rows, cap = self.limit_instance(EXACT_SELECTION_LIMIT + 1)
+        assert solve_selection(rows, cap) == [0]
+
+    def test_dropped_rows_do_not_count_toward_the_limit(self):
+        rows, cap = self.limit_instance(EXACT_SELECTION_LIMIT)
+        n = len(rows)
+        rows += [(n, 0.0, 1.0, 1.0), (n + 1, -2.0, 1.0, 1.0), (n + 2, 5.0, 1.0, cap * 1.5)]
+        assert solve_selection(rows, cap) == [1]
 
     def test_large_instance_takes_the_greedy_path(self):
         rng = np.random.default_rng(105)
-        inst = random_selection_instance(rng, n=60)
-        items = _selection_items(inst)
+        rows, bandwidth, kappa = random_selection_instance(rng, n=60)
+        items = selection_items(rows, bandwidth, kappa)
         assert len(items) > EXACT_SELECTION_LIMIT
-        got = solve_selection(inst)
-        assert got == _knapsack_greedy(items, inst.bandwidth)
-        assert got != _knapsack_branch_and_bound(items, inst.bandwidth)
+        got = solve_selection(rows, bandwidth, kappa)
+        assert got == _knapsack_greedy(items, bandwidth)
+        assert got != _knapsack_branch_and_bound(items, bandwidth)
         assert 0 < len(got) < len(items)
-        assert selection_load(inst, got) <= inst.bandwidth
+        assert selection_load(rows, got) <= bandwidth
 
     def test_greedy_quality_report(self, capsys):
         rng = np.random.default_rng(104)
         ratios = []
         for _ in range(60):
-            inst = random_selection_instance(rng, n=14)
-            items = [(c.device_id, c.u * (1 / c.tau) ** inst.kappa, c.rate) for c in inst.candidates]
-            items = [it for it in items if it[1] > 0 and it[2] <= inst.bandwidth]
-            greedy = _knapsack_greedy(items, inst.bandwidth)
-            exact = selection_objective(inst, brute_force_selection(inst))
+            rows, bandwidth, kappa = random_selection_instance(rng, n=14)
+            greedy = _knapsack_greedy(selection_items(rows, bandwidth, kappa), bandwidth)
+            exact = selection_objective(rows, kappa, brute_force_selection(rows, bandwidth, kappa))
             if exact > 1e-9:
-                ratios.append(selection_objective(inst, greedy) / exact)
+                ratios.append(selection_objective(rows, kappa, greedy) / exact)
         ratios = np.array(ratios)
         print(
             f"\nselection greedy/exact ratio: min={ratios.min():.3f} "
@@ -546,7 +579,7 @@ class TestSolveAssociation:
             brute_force_association(inst)
         big = random_selection_instance(rng, n=21)
         with pytest.raises(InstanceTooLargeError):
-            brute_force_selection(big)
+            brute_force_selection(*big)
 
     def test_assignment_invariants_random(self):
         rng = np.random.default_rng(204)
