@@ -10,12 +10,15 @@ which counts towards no gateway's sums.
 
 Selection is solved exactly by branch and bound up to
 `EXACT_SELECTION_LIMIT` rows that survive its filter, and greedily beyond.
-Association is solved exactly by scoring every assignment when there are at
-most `EXACT_ASSOCIATION_LIMIT` of them (the product over devices of their
-link counts, a device with none counting 1), and by a greedy+local-search
-heuristic beyond. So the path follows the reachable choices: devices with no
-link do not change it. The plain exhaustive oracles that check the exact
-solvers live with the tests.
+Association takes the run's own tables as they are, and writes none of them:
+the [N, G] 0/1 link array, each device's utility, and each link's rate over
+its gateway's cap as nested lists. It lists each device's options once, its
+feasible gateways or [-1], and both paths read them. It is solved exactly by
+scoring every assignment when there are at most `EXACT_ASSOCIATION_LIMIT` of
+them (the product of the options' lengths, so a device with no link counts
+1), and by a greedy+local-search heuristic beyond. So the path follows the
+reachable choices: devices with no link do not change it. The plain
+exhaustive oracles that check the exact solvers live with the tests.
 
 The heuristic's local search moves one device at a time and accepts a move
 only if the objective, summed afresh over the two gateways it touches, beats
@@ -33,7 +36,6 @@ import bisect
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,27 +142,6 @@ def _knapsack_branch_and_bound(items, capacity) -> list[int]:
     return best_ids
 
 
-@dataclass(frozen=True, eq=False)
-class AssociationInstance:
-    feasible: np.ndarray  # [N, G] 0/1
-    u: np.ndarray  # [N]
-    rates: np.ndarray  # [N, G] bytes/s, used only where feasible
-    bandwidth: np.ndarray  # [G] bytes/s
-    phi: float = 0.0
-
-    def __post_init__(self):
-        n, g = self.feasible.shape
-        if self.u.shape != (n,) or self.rates.shape != (n, g) or self.bandwidth.shape != (g,):
-            raise ConfigurationError("association instance shapes are inconsistent")
-        if np.any(self.bandwidth <= 0) or self.phi < 0:
-            raise ConfigurationError("bandwidth must be > 0 and phi >= 0")
-
-
-def _tables(inst: AssociationInstance) -> tuple[list[float], list[list[float]]]:
-    """Each device's utility and its rate ratio on each gateway, `rates / bandwidth`, as lists."""
-    return inst.u.tolist(), (inst.rates / inst.bandwidth[None, :]).tolist()
-
-
 def _objective(assign, u: list[float], ratio: list[list[float]], phi: float, g: int) -> float:
     """Min over gateways of the assigned utility sum, minus phi times the max rate-ratio sum.
 
@@ -175,37 +156,30 @@ def _objective(assign, u: list[float], ratio: list[list[float]], phi: float, g: 
     return min(sums_u) - phi * max(sums_r)
 
 
-def association_objective(inst: AssociationInstance, assign: list[int]) -> float:
-    """The association objective of `assign`, as the solvers score it."""
-    u, ratio = _tables(inst)
-    return _objective(assign, u, ratio, inst.phi, inst.feasible.shape[1])
-
-
-def solve_association(inst: AssociationInstance) -> list[int]:
+def solve_association(
+    feasible: np.ndarray, u: list[float], ratio: list[list[float]], phi: float
+) -> list[int]:
     """Each device's gateway, maximizing min-utility minus phi * max-rate-ratio.
 
-    A device with no feasible gateway gets -1, as `gateway_of` holds it. With
-    at most `EXACT_ASSOCIATION_LIMIT` assignments every one is scored:
-    `product` yields them in lexicographic order and `max` keeps the first
-    best, so a tie goes to the lexicographically smallest list.
+    `feasible` is the [N, G] 0/1 link table, `u` each device's utility and
+    `ratio[i][j]` device i's rate on gateway j over j's cap; only linked pairs
+    are read, and none of the three is written. A device with no feasible
+    gateway gets -1, as `gateway_of` holds it. With at most
+    `EXACT_ASSOCIATION_LIMIT` assignments every one is scored: `product`
+    yields them in lexicographic order and `max` keeps the first best, so a
+    tie goes to the lexicographically smallest list.
     """
-    links = np.count_nonzero(inst.feasible, axis=1)
-    if math.prod(np.maximum(links, 1).tolist()) > EXACT_ASSOCIATION_LIMIT:
-        return _association_heuristic(inst)
-    u, ratio = _tables(inst)
-    g = inst.feasible.shape[1]
-    return list(
-        max(itertools.product(*_options(inst)), key=lambda a: _objective(a, u, ratio, inst.phi, g))
-    )
-
-
-def _options(inst: AssociationInstance) -> list[list[int]]:
-    """Each device's choices: its feasible gateways in order, or [-1] if it has none.
-
-    Read once from `inst.feasible.tolist()` and shared by a solver's passes:
-    indexing the array entry by entry makes a numpy scalar each time.
-    """
-    return [[j for j, f in enumerate(row) if f] or [-1] for row in inst.feasible.tolist()]
+    n, g = feasible.shape
+    if len(u) != n or len(ratio) != n or any(len(row) != g for row in ratio):
+        raise ConfigurationError("association instance shapes are inconsistent")
+    if phi < 0:
+        raise ConfigurationError("phi must be >= 0")
+    # Read once from `tolist()`: indexing the array entry by entry makes a
+    # numpy scalar each time.
+    options = [[j for j, f in enumerate(row) if f] or [-1] for row in feasible.tolist()]
+    if math.prod(len(o) for o in options) > EXACT_ASSOCIATION_LIMIT:
+        return _association_heuristic(options, u, ratio, phi, g)
+    return list(max(itertools.product(*options), key=lambda a: _objective(a, u, ratio, phi, g)))
 
 
 def _gateway_sums(
@@ -223,10 +197,11 @@ def _gateway_sums(
     return su, sr
 
 
-def _association_heuristic(inst: AssociationInstance) -> list[int]:
-    n, g = inst.feasible.shape
-    u, ratio = _tables(inst)
-    options = _options(inst)
+def _association_heuristic(
+    options: list[list[int]], u: list[float], ratio: list[list[float]], phi: float, g: int
+) -> list[int]:
+    """`solve_association` beyond the limit; `options[i]` is device i's gateways, or [-1]."""
+    n = len(options)
 
     # Construction: every device joins the feasible gateway with the lowest
     # bandwidth-normalized load (utility sum as tie-break), giving a
@@ -257,7 +232,7 @@ def _association_heuristic(inst: AssociationInstance) -> list[int]:
     # module docstring).
     lo = min(range(g), key=sums_u.__getitem__)
     hi = max(range(g), key=sums_r.__getitem__)
-    best = min(sums_u) - inst.phi * max(sums_r)
+    best = min(sums_u) - phi * max(sums_r)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
         for i in range(n):
@@ -273,7 +248,7 @@ def _association_heuristic(inst: AssociationInstance) -> list[int]:
                 joined = members[j].copy()
                 bisect.insort(joined, i)
                 cand_u[j], cand_r[j] = _gateway_sums(joined, j, u, ratio)
-                cand = min(cand_u) - inst.phi * max(cand_r)
+                cand = min(cand_u) - phi * max(cand_r)
                 if cand > best:
                     members[here], members[j] = left, joined
                     best, sums_u, sums_r = cand, cand_u, cand_r

@@ -91,8 +91,8 @@ configured mean from the start, replaced by the dispatch-to-upload latency of
 the device's first upload over it (`observed` holds the links that had one),
 then moved by an EMA with weight `alpha_ema` on each later one. Each upload
 updates it, and nothing else holds it. A link's rate is `model_bytes / tau`;
-the association divides the whole table at once, and a pair with no link,
-held at inf, rates 0.
+the association turns the whole table into rate-to-cap ratios at once,
+`model_bytes / tau / bandwidth`, and a pair with no link, held at inf, gets 0.
 
 Utilities. Under the utility selector the reported gradients live in one
 `[N, width]` matrix, `grads`, for the whole run; `has_grad` marks the devices
@@ -167,7 +167,6 @@ from .learning import (
 )
 from .network import FaultEvent, Topology, est_rate, sample_round_latency
 from .selection import (
-    AssociationInstance,
     fill_capacity,
     ordered_sum,
     solve_association,
@@ -704,14 +703,8 @@ class _Simulation:
             tau = np.array(self.latency)
             if not (tau > 0).all():  # as `est_rate` checks
                 raise ConfigurationError("round latency must be > 0")
-            inst = AssociationInstance(
-                feasible=self.feasible.copy(),
-                u=np.array(self.utilities),
-                rates=self.topo.model_bytes / tau,
-                bandwidth=self.topo.bandwidth.copy(),
-                phi=self.cfg.phi,
-            )
-            targets = solve_association(inst)
+            ratio = (self.topo.model_bytes / tau / self.topo.bandwidth).tolist()
+            targets = solve_association(self.feasible, self.utilities, ratio, self.cfg.phi)
         else:
             targets = self._random_association()
         self._set_gateways(targets)

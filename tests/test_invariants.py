@@ -70,8 +70,8 @@ class CheckedSimulation(_Simulation):
         self._associated(targets)
         return targets
 
-    def _solve_association(self, inst):
-        out = self._real_solve_association(inst)
+    def _solve_association(self, feasible, u, ratio, phi):
+        out = self._real_solve_association(feasible, u, ratio, phi)
         self._associated(out)
         return out
 

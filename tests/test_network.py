@@ -22,7 +22,7 @@ from hfedsim.network import (
     sample_round_latency,
     save_topology,
 )
-from hfedsim.selection import AssociationInstance, ordered_sum
+from hfedsim.selection import ordered_sum
 from hfedsim.simulator import _Simulation
 from hfedsim.utility import PcaModel
 from simtools import small_config, uniform_topology
@@ -246,8 +246,9 @@ class TestTopology:
             ([5.0, 6.0], (0, 0), r"^bandwidth must be a numpy array \(\[5\.0, 6\.0\]\)$"),
             (np.array([5.0, 6.0]), (1.0, 0), r"^link \(1\.0, 0\) endpoints must be integers$"),
             (np.array([5.0, 6.0]), (True, 0), r"^link \(True, 0\) endpoints must be integers$"),
+            (np.array([5.0, 0.0]), (0, 0), r"^bandwidth must be finite and positive per gateway$"),
         ],
-        ids=["bandwidth-list", "link-float", "link-bool"],
+        ids=["bandwidth-list", "link-float", "link-bool", "bandwidth-zero"],
     )
     def test_rejects_malformed_caller_input(self, bandwidth, link, message):
         # Unchecked, a list fails on `.shape`, a float endpoint fails inside
@@ -583,9 +584,8 @@ class TestGenTopology:
         lambda: uniform_topology(3, 2),
         lambda: Shard(np.zeros((2, 3)), np.zeros(2, dtype=int)),
         lambda: PcaModel(np.zeros(3), np.eye(3)),
-        lambda: AssociationInstance(np.ones((2, 1)), np.ones(2), np.ones((2, 1)), np.ones(1)),
     ],
-    ids=["Topology", "Shard", "PcaModel", "AssociationInstance"],
+    ids=["Topology", "Shard", "PcaModel"],
 )
 def test_records_with_array_fields_compare_by_identity(build):
     # A generated __eq__ would compare the arrays inside a tuple and raise

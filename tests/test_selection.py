@@ -1,4 +1,6 @@
+import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +10,6 @@ from hfedsim.network import TopologySpec, est_rate, gen_topology
 from hfedsim.selection import (
     EXACT_ASSOCIATION_LIMIT,
     EXACT_SELECTION_LIMIT,
-    AssociationInstance,
-    association_objective,
     fill_capacity,
     ordered_sum,
     solve_association,
@@ -19,7 +19,6 @@ from hfedsim.selection import (
     _association_heuristic,
     _knapsack_branch_and_bound,
     _knapsack_greedy,
-    _options,
 )
 
 BRUTE_SELECTION_LIMIT = 20
@@ -75,12 +74,43 @@ def random_selection_instance(rng, n=None, kappa=None):
     return rows, bandwidth, kappa
 
 
+def association_args(feasible, u, rates, bandwidth, phi):
+    """(feasible, u, ratio, phi), the arguments of `solve_association`: `ratio` is
+    each link's rate over its gateway's cap, as the simulator divides them."""
+    return feasible, np.asarray(u).tolist(), (rates / bandwidth[None, :]).tolist(), phi
+
+
+def association_options(feasible) -> list[list[int]]:
+    """Each device's feasible gateways in order, or [-1] if it has none."""
+    n, g = feasible.shape
+    return [[j for j in range(g) if feasible[i, j]] or [-1] for i in range(n)]
+
+
+def association_score(assign, u, ratio, phi: float, g: int) -> float:
+    """Min over gateways of the utility sum, minus phi times the max rate-ratio sum.
+
+    Each gateway's sums run in device order from 0.0; a device at -1 counts nowhere.
+    """
+    sums_u = [0.0] * g
+    sums_r = [0.0] * g
+    for i, j in enumerate(assign):
+        if j >= 0:
+            sums_u[j] += u[i]
+            sums_r[j] += ratio[i][j]
+    return min(sums_u) - phi * max(sums_r)
+
+
+def heuristic_association(feasible, u, ratio, phi) -> list[int]:
+    """`_association_heuristic` on an instance, whatever its assignment count."""
+    return _association_heuristic(association_options(feasible), u, ratio, phi, feasible.shape[1])
+
+
 def random_association_instance(rng, n=None, g=None):
     n = n if n is not None else int(rng.integers(1, 9))
     g = g if g is not None else int(rng.integers(1, 4))
     feasible = (rng.random((n, g)) < 0.75).astype(np.int8)
-    return AssociationInstance(
-        feasible=feasible,
+    return association_args(
+        feasible,
         u=rng.normal(0.5, 1.0, n),
         rates=rng.uniform(1.0, 20.0, (n, g)),
         bandwidth=rng.uniform(10.0, 60.0, g),
@@ -116,10 +146,13 @@ def brute_force_selection(rows, bandwidth: float, kappa: float = 1.0) -> list[in
     return best_ids
 
 
-def brute_force_association(inst: AssociationInstance) -> list[int]:
-    """Exhaustive optimum over every feasible assignment; refuses large instances."""
-    n, g = inst.feasible.shape
-    option_lists = _options(inst)
+def brute_force_association(feasible, u, ratio, phi) -> list[int]:
+    """Exhaustive optimum over every feasible assignment; refuses large instances.
+
+    Among assignments of equal value it returns the lexicographically smallest.
+    """
+    g = feasible.shape[1]
+    option_lists = association_options(feasible)
     total = 1
     for opts in option_lists:
         total *= len(opts)
@@ -127,41 +160,19 @@ def brute_force_association(inst: AssociationInstance) -> list[int]:
             raise InstanceTooLargeError(
                 f"assignment space exceeds brute-force limit {BRUTE_ASSOCIATION_LIMIT}"
             )
-    u = inst.u.tolist()
-    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
-    phi = inst.phi
     best_obj = -float("inf")
     best_combo = None
     for combo in itertools.product(*option_lists):
-        sums_u = [0.0] * g
-        sums_r = [0.0] * g
-        for i, j in enumerate(combo):
-            if j >= 0:
-                sums_u[j] += u[i]
-                sums_r[j] += ratio[i][j]
-        obj = min(sums_u) - phi * max(sums_r)
+        obj = association_score(combo, u, ratio, phi, g)
         if obj > best_obj or (obj == best_obj and combo < best_combo):
             best_obj, best_combo = obj, combo
     assert best_combo is not None
     return list(best_combo)
 
 
-def reference_association_heuristic(inst: AssociationInstance) -> list[int]:
+def reference_association_heuristic(feasible, u, ratio, phi) -> list[int]:
     """The heuristic as it was before per-gateway sums: every trial move re-sums all devices."""
-    n, g = inst.feasible.shape
-    u = inst.u.tolist()
-    ratio = (inst.rates / inst.bandwidth[None, :]).tolist()
-
-    def objective_of(assign) -> float:
-        # Fresh summation every time: a given assignment always evaluates to
-        # the same float, so strict-improvement search cannot cycle on drift.
-        sums_u = [0.0] * g
-        sums_r = [0.0] * g
-        for i, j in enumerate(assign):
-            if j >= 0:
-                sums_u[j] += u[i]
-                sums_r[j] += ratio[i][j]
-        return min(sums_u) - inst.phi * max(sums_r)
+    n, g = feasible.shape
 
     # Construction: every device joins the feasible gateway with the lowest
     # bandwidth-normalized load (utility sum as tie-break), giving a
@@ -171,16 +182,18 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int]:
     sums_u = [0.0] * g
     sums_r = [0.0] * g
     for i in sorted(range(n), key=lambda i: (-u[i], i)):
-        feas = [j for j in range(g) if inst.feasible[i, j]]
+        feas = [j for j in range(g) if feasible[i, j]]
         if feas:
             j = min(feas, key=lambda j: (sums_r[j] + ratio[i][j], sums_u[j], j))
             assign[i] = j
             sums_u[j] += u[i]
             sums_r[j] += ratio[i][j]
 
-    # Single-device reassignment until no move improves the objective.
-    options = [[j for j in range(g) if inst.feasible[i, j]] or [-1] for i in range(n)]
-    best = objective_of(assign)
+    # Single-device reassignment until no move improves the objective, summed
+    # afresh every time: a given assignment always evaluates to the same
+    # float, so strict-improvement search cannot cycle on drift.
+    options = association_options(feasible)
+    best = association_score(assign, u, ratio, phi, g)
     for _ in range(200):  # safety cap; strict improvement terminates long before
         improved = False
         for i in range(n):
@@ -189,7 +202,7 @@ def reference_association_heuristic(inst: AssociationInstance) -> list[int]:
                 if j == here:
                     continue
                 assign[i] = j
-                cand = objective_of(assign)
+                cand = association_score(assign, u, ratio, phi, g)
                 if cand > best:
                     best = cand
                     here = j
@@ -223,12 +236,8 @@ def oracle_association_instance(rng):
         u[repeats] = rng.choice(u, int(repeats.sum()))
         rates = rng.uniform(1.0, 20.0, (n, g))
         bandwidth = rng.uniform(10.0, 200.0, g)
-    return AssociationInstance(
-        feasible=feasible,
-        u=u,
-        rates=rates,
-        bandwidth=bandwidth,
-        phi=float(rng.choice([0.0, 0.1, 1.0, 10.0])),
+    return association_args(
+        feasible, u, rates, bandwidth, phi=float(rng.choice([0.0, 0.1, 1.0, 10.0]))
     )
 
 
@@ -260,7 +269,7 @@ def adversarial_association_instance(rng, case):
         u = 10.0 ** rng.uniform(-12, 12, n)
         if rng.random() < 0.5:
             u *= rng.choice([-1.0, 1.0], n)
-    return AssociationInstance(feasible=feasible, u=u, rates=rates, bandwidth=bandwidth, phi=phi)
+    return association_args(feasible, u, rates, bandwidth, phi)
 
 
 class TestInstanceValidation:
@@ -282,22 +291,23 @@ class TestInstanceValidation:
     @pytest.mark.parametrize(
         "change, message",
         [
-            (dict(u=np.ones(2)), "shapes are inconsistent"),
-            (dict(rates=np.ones((3, 1))), "shapes are inconsistent"),
-            (dict(bandwidth=np.ones(3)), "shapes are inconsistent"),
-            (dict(bandwidth=np.array([5.0, 0.0])), "bandwidth must be > 0 and phi >= 0"),
-            (dict(phi=-0.1), "bandwidth must be > 0 and phi >= 0"),
+            (dict(u=[1.0, 1.0]), "shapes are inconsistent"),
+            (dict(ratio=[[1.0]] * 3), "shapes are inconsistent"),
+            (dict(ratio=[[1.0] * 3] * 3), "shapes are inconsistent"),
+            (dict(ratio=[[1.0, 1.0]] * 2), "shapes are inconsistent"),
+            (dict(phi=-0.1), "phi must be >= 0"),
         ],
-        ids=["u", "rates", "bandwidth-shape", "bandwidth", "phi"],
+        ids=["u", "rates", "bandwidth-shape", "ratio-rows", "phi"],
     )
     def test_association_instance_rejects(self, change, message):
-        fields = dict(
-            feasible=np.ones((3, 2), dtype=np.int8), u=np.ones(3), rates=np.ones((3, 2)),
-            bandwidth=np.full(2, 5.0), phi=0.1,
+        # `ratio` is the rates over the caps: a rate table or a cap list of
+        # the wrong width gives rows of the wrong length.
+        args = dict(
+            feasible=np.ones((3, 2), dtype=np.int8), u=[1.0] * 3, ratio=[[0.2, 0.2]] * 3, phi=0.1
         )
-        AssociationInstance(**fields)
+        solve_association(**args)
         with pytest.raises(ConfigurationError, match=message):
-            AssociationInstance(**{**fields, **change})
+            solve_association(**{**args, **change})
 
 
 class TestSolveSelection:
@@ -433,40 +443,23 @@ def test_ordered_sum_adds_left_to_right():
 class TestSolveAssociation:
     def test_single_gateway_gets_everyone(self):
         rng = np.random.default_rng(200)
-        inst = AssociationInstance(
-            feasible=np.ones((5, 1), dtype=np.int8),
-            u=rng.uniform(0.1, 2.0, 5),
-            rates=rng.uniform(1.0, 5.0, (5, 1)),
-            bandwidth=np.array([100.0]),
-            phi=0.0,
-        )
-        out = solve_association(inst)
+        u = rng.uniform(0.1, 2.0, 5).tolist()
+        ratio = (rng.uniform(1.0, 5.0, (5, 1)) / 100.0).tolist()
+        out = solve_association(np.ones((5, 1), dtype=np.int8), u, ratio, 0.0)
         assert out == [0] * 5
-        assert association_objective(inst, out) == pytest.approx(inst.u.sum(), rel=1e-12)
+        assert association_score(out, u, ratio, 0.0, 1) == pytest.approx(sum(u), rel=1e-12)
 
     def test_two_gateway_tie_breaks_to_gateway_zero(self):
-        inst = AssociationInstance(
-            feasible=np.ones((1, 2), dtype=np.int8),
-            u=np.array([1.5]),
-            rates=np.full((1, 2), 3.0),
-            bandwidth=np.array([10.0, 10.0]),
-            phi=0.0,
-        )
-        out = solve_association(inst)
+        inst = np.ones((1, 2), dtype=np.int8), [1.5], [[0.3, 0.3]], 0.0
+        out = solve_association(*inst)
         assert out == [0]
-        assert association_objective(inst, out) == 0.0  # the empty gateway pins the min at zero
-        assert brute_force_association(inst) == [0]
+        # The empty gateway pins the min at zero.
+        assert association_score(out, *inst[1:], 2) == 0.0
+        assert brute_force_association(*inst) == [0]
 
     def test_infeasible_device_left_unassigned(self):
         feasible = np.array([[1, 1], [0, 0], [1, 0]], dtype=np.int8)
-        inst = AssociationInstance(
-            feasible=feasible,
-            u=np.array([1.0, 5.0, 1.0]),
-            rates=np.full((3, 2), 2.0),
-            bandwidth=np.array([10.0, 10.0]),
-            phi=0.1,
-        )
-        out = solve_association(inst)
+        out = solve_association(feasible, [1.0, 5.0, 1.0], [[0.2, 0.2]] * 3, 0.1)
         assert out[1] == -1
         assert_within_feasibility(out, feasible)
 
@@ -474,17 +467,14 @@ class TestSolveAssociation:
         rng = np.random.default_rng(201)
         for _ in range(100):
             inst = random_association_instance(rng)
-            got = solve_association(inst)
-            assert got == brute_force_association(inst)
-            assert_within_feasibility(got, inst.feasible)
+            got = solve_association(*inst)
+            assert got == brute_force_association(*inst)
+            assert_within_feasibility(got, inst[0])
 
     @staticmethod
     def fully_linked_instance(rng, n, g):
-        inst = random_association_instance(rng, n=n, g=g)
-        return AssociationInstance(
-            feasible=np.ones((n, g), dtype=np.int8), u=inst.u, rates=inst.rates,
-            bandwidth=inst.bandwidth, phi=inst.phi,
-        )
+        _, u, ratio, phi = random_association_instance(rng, n=n, g=g)
+        return np.ones((n, g), dtype=np.int8), u, ratio, phi
 
     def test_exact_path_scores_each_assignment_afresh(self):
         # In real numbers `want` ties with [0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0]:
@@ -492,10 +482,8 @@ class TestSolveAssociation:
         # floats give `want` the smaller maximum by one bit. A branch and bound
         # that pruned on running sums (`+=` then `-=` along its path) cut
         # `want` off and returned the other list.
-        inst = AssociationInstance(
-            feasible=np.array(
-                [[1, 1]] * 4 + [[0, 1]] + [[1, 1]] * 5 + [[0, 1], [1, 0]], dtype=np.int8
-            ),
+        inst = association_args(
+            np.array([[1, 1]] * 4 + [[0, 1]] + [[1, 1]] * 5 + [[0, 1], [1, 0]], dtype=np.int8),
             u=np.zeros(12),
             rates=np.array([
                 [1.0, 2.0], [3.0, 1.0], [2.0, 1.0], [3.0, 2.0], [3.0, 1.0], [1.0, 3.0],
@@ -505,29 +493,44 @@ class TestSolveAssociation:
             phi=0.1,
         )
         want = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 1, 0]
-        assert brute_force_association(inst) == want
-        assert solve_association(inst) == want
+        assert brute_force_association(*inst) == want
+        assert solve_association(*inst) == want
 
     # On both instances the heuristic misses the optimum, so each test tells
     # the two paths apart.
     def test_exact_up_to_the_limit(self):
         inst = self.fully_linked_instance(np.random.default_rng(208), 15, 2)
         assert 2**15 == EXACT_ASSOCIATION_LIMIT
-        want = brute_force_association(inst)
-        assert solve_association(inst) == want != _association_heuristic(inst)
+        want = brute_force_association(*inst)
+        assert solve_association(*inst) == want != heuristic_association(*inst)
 
     def test_heuristic_beyond_the_limit(self):
         inst = self.fully_linked_instance(np.random.default_rng(209), 16, 2)
-        want = _association_heuristic(inst)
-        assert solve_association(inst) == want != brute_force_association(inst)
+        want = heuristic_association(*inst)
+        assert solve_association(*inst) == want != brute_force_association(*inst)
+
+    @pytest.mark.parametrize("n, exact", [(15, True), (18, False)], ids=["exact", "heuristic"])
+    def test_solver_writes_none_of_its_inputs(self, n, exact):
+        # The simulator hands over its own link table and utilities, uncopied.
+        feasible, u, ratio, phi = self.fully_linked_instance(np.random.default_rng(210), n, 2)
+        feasible[3] = 0
+        feasible[5, 1] = 0
+        feasible.flags.writeable = False
+        count = math.prod(len(o) for o in association_options(feasible))
+        assert (count <= EXACT_ASSOCIATION_LIMIT) == exact
+        u_before, ratio_before = copy.deepcopy(u), copy.deepcopy(ratio)
+        out = solve_association(feasible, u, ratio, phi)
+        assert out[3] == -1
+        assert u == u_before and ratio == ratio_before
 
     def test_heuristic_quality_report(self, capsys):
         rng = np.random.default_rng(202)
         ratios, gaps = [], []
         for _ in range(40):
             inst = random_association_instance(rng, n=7, g=3)
-            exact = association_objective(inst, brute_force_association(inst))
-            heur = association_objective(inst, _association_heuristic(inst))
+            g = inst[0].shape[1]
+            exact = association_score(brute_force_association(*inst), *inst[1:], g)
+            heur = association_score(heuristic_association(*inst), *inst[1:], g)
             if abs(exact) > 1e-9:
                 if exact > 0:
                     ratios.append(heur / exact)
@@ -544,7 +547,7 @@ class TestSolveAssociation:
         rng = np.random.default_rng(205)
         for _ in range(320):
             inst = oracle_association_instance(rng)
-            assert _association_heuristic(inst) == reference_association_heuristic(inst)
+            assert heuristic_association(*inst) == reference_association_heuristic(*inst)
 
     @pytest.mark.parametrize(
         "case", ["exact-ties", "phi-extremes", "wide-range", "two-gateways"]
@@ -556,27 +559,27 @@ class TestSolveAssociation:
         rng = np.random.default_rng(206)
         for _ in range(150):
             inst = adversarial_association_instance(rng, case)
-            assert _association_heuristic(inst) == reference_association_heuristic(inst)
+            assert heuristic_association(*inst) == reference_association_heuristic(*inst)
 
     def test_heuristic_matches_reference_on_generated_topology(self):
         topo = gen_topology(TopologySpec(1000, 20, model_bytes=8000), seed=11)
         rates = np.zeros((1000, 20))
         for (i, j), params in topo.link_params.items():
             rates[i, j] = est_rate(topo.model_bytes, params.mean_total)
-        inst = AssociationInstance(
-            feasible=topo.feasible,
+        inst = association_args(
+            topo.feasible,
             u=np.random.default_rng(12).normal(0.02, 0.01, 1000),
             rates=rates,
             bandwidth=topo.bandwidth,
             phi=0.1,
         )
-        assert _association_heuristic(inst) == reference_association_heuristic(inst)
+        assert heuristic_association(*inst) == reference_association_heuristic(*inst)
 
     def test_brute_force_refuses_large(self):
         rng = np.random.default_rng(203)
         inst = random_association_instance(rng, n=30, g=3)
         with pytest.raises(InstanceTooLargeError):
-            brute_force_association(inst)
+            brute_force_association(*inst)
         big = random_selection_instance(rng, n=21)
         with pytest.raises(InstanceTooLargeError):
             brute_force_selection(*big)
@@ -585,8 +588,8 @@ class TestSolveAssociation:
         rng = np.random.default_rng(204)
         for _ in range(30):
             inst = random_association_instance(rng)
-            out = solve_association(inst)
-            assert_within_feasibility(out, inst.feasible)
+            out = solve_association(*inst)
+            assert_within_feasibility(out, inst[0])
 
 
 class TestUnreachableDevices:
@@ -598,12 +601,9 @@ class TestUnreachableDevices:
 
     @staticmethod
     def instance_with_unreachable_rows(rng, n, g):
-        inst = random_association_instance(rng, n=n, g=g)
-        feasible = inst.feasible.copy()
+        feasible, u, ratio, phi = random_association_instance(rng, n=n, g=g)
         feasible[rng.permutation(n)[: int(rng.integers(1, n // 2 + 1))]] = 0
-        return AssociationInstance(
-            feasible=feasible, u=inst.u, rates=inst.rates, bandwidth=inst.bandwidth, phi=inst.phi
-        )
+        return feasible, u, ratio, phi
 
     @pytest.mark.parametrize(
         "n, g",
@@ -616,33 +616,32 @@ class TestUnreachableDevices:
         # 30 of the 40 draws at 12x4 are exact, the other 10 heuristic.
         rng = np.random.default_rng(207 + n)
         for _ in range(40):
-            inst = self.instance_with_unreachable_rows(rng, n, g)
-            out = solve_association(inst)
-            reach = inst.feasible.any(axis=1)
+            feasible, u, ratio, phi = self.instance_with_unreachable_rows(rng, n, g)
+            out = solve_association(feasible, u, ratio, phi)
+            reach = feasible.any(axis=1)
             assert [j for j, r in zip(out, reach) if not r] == [-1] * int((~reach).sum())
-            assert_within_feasibility(out, inst.feasible)
+            assert_within_feasibility(out, feasible)
             # The same instance without the unreachable rows gives the same
             # gateways to the other devices, and the same objective, float for float.
-            reduced = AssociationInstance(
-                feasible=inst.feasible[reach], u=inst.u[reach], rates=inst.rates[reach],
-                bandwidth=inst.bandwidth, phi=inst.phi,
-            )
-            want = solve_association(reduced)
+            kept = np.flatnonzero(reach).tolist()
+            reduced = feasible[reach], [u[i] for i in kept], [ratio[i] for i in kept], phi
+            want = solve_association(*reduced)
             assert [j for j, r in zip(out, reach) if r] == want
-            assert association_objective(inst, out) == association_objective(reduced, want)
+            assert association_score(out, u, ratio, phi, g) == association_score(
+                want, *reduced[1:], g
+            )
 
     def test_unreachable_device_on_the_last_gateway_would_change_the_choice(self):
         # Device 1 reaches nothing; counted on gateway 1, its rate ratio of
         # 100 would outweigh everything, and both solvers would put devices 0
         # and 2 together on gateway 0.
-        inst = AssociationInstance(
-            feasible=np.array([[1, 1], [0, 0], [1, 1]], dtype=np.int8),
-            u=np.array([1.0, 5.0, 1.0]),
-            rates=np.array([[1.0, 1.0], [1000.0, 1000.0], [1.0, 1.0]]),
-            bandwidth=np.array([10.0, 10.0]),
-            phi=1.0,
+        inst = (
+            np.array([[1, 1], [0, 0], [1, 1]], dtype=np.int8),
+            [1.0, 5.0, 1.0],
+            [[0.1, 0.1], [100.0, 100.0], [0.1, 0.1]],
+            1.0,
         )
-        assert solve_association(inst) == [0, -1, 1]
-        assert _association_heuristic(inst) == [0, -1, 1]
-        assert brute_force_association(inst) == [0, -1, 1]
-        assert association_objective(inst, [0, -1, 1]) == 1.0 - 0.1
+        assert solve_association(*inst) == [0, -1, 1]
+        assert heuristic_association(*inst) == [0, -1, 1]
+        assert brute_force_association(*inst) == [0, -1, 1]
+        assert association_score([0, -1, 1], *inst[1:], 2) == 1.0 - 0.1
