@@ -112,16 +112,18 @@ def gen_synthetic(spec: DataSpec, seed: int) -> FederatedDataset:
 
 
 def refresh_shard(
-    shard: Shard, spread: float, round_seed: int, centroids: np.ndarray | None
+    shard: Shard, spread: float, rng: np.random.Generator, centroids: np.ndarray | None
 ) -> Shard:
-    """`shard` with fresh features drawn around the centroids of its labels.
+    """`shard` with fresh features drawn from `rng` around the centroids of its labels.
 
     The new shard keeps `shard`'s labels array. The caller decides when a
-    shard refreshes; `DataSpec.refresh` is not read here.
+    shard refreshes, and seeds `rng`: the simulator sets it to the device
+    round's refresh stream (`streams.RoundStreams`). `DataSpec.refresh` is
+    not read here.
     """
     if centroids is None:
         raise ConfigurationError("refresh requires generator centroids (synthetic data)")
-    return _draw_samples(np.random.default_rng(round_seed), shard.labels, spread, centroids)
+    return _draw_samples(rng, shard.labels, spread, centroids)
 
 
 def save_dataset(ds: FederatedDataset, path: str | Path) -> None:

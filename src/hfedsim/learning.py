@@ -1,16 +1,18 @@
 """Small trainable models, the regularized local objective, local SGD, evaluation.
 
 Model parameters are flat float64 vectors of length ``arch.param_count``;
-every function here is pure and deterministic given its inputs and seed.
+every function here is deterministic given its inputs. `init_params` draws
+from its seed, and `local_train` draws each device's batch orders from a
+generator it is passed and advances, the one input a function here changes.
 
 There is one SGD entry point, `local_train`. It trains K devices in lockstep,
 holding their parameters as one [K, param_count] array: row k has its own start
 (given as a [K, param_count] stack), which is also its proximal anchor, so one
 block can mix devices sent different models. Each step takes a [K, b, d] stack
-of batches, every device in its own seeded order, and runs the forward and
-backward passes as stacked matmuls. np.matmul runs one gemm per slice and
-every other operation acts on each slice alone, so each row is bit-identical to
-training that device by itself. One device alone is the K = 1 call, with
+of batches, every device in the order its own generator drew, and runs the
+forward and backward passes as stacked matmuls. np.matmul runs one gemm per
+slice and every other operation acts on each slice alone, so each row is
+bit-identical to training that device by itself. One device alone is the K = 1 call, with
 ``start[None]``; `raise_if_diverged` checks a trained row (and the simulator's
 aggregates). `grad_regularized` is stacked the same way: for a block of
 trained rows it gives the full-shard gradient each device reports, anchored at
@@ -269,16 +271,19 @@ def local_train(
     arch: ModelArch,
     shards: list[Shard],
     cfg: TrainConfig,
-    seeds: list[int],
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
     """Run ``cfg.epochs`` of mini-batch SGD for K devices in lockstep.
 
     ``start`` is [K, P]: row k starts from ``start[k]``, is anchored there
     (the proximal term pulls it back toward its own start), trains on
-    ``shards[k]`` and draws its batch order from ``seeds[k]``. All shards hold
+    ``shards[k]`` and draws its batch order from ``rngs[k]``. All shards hold
     the same number of samples, so every step moves all K rows at once.
     Returns the final parameters [K, P], a new array; row k is bit-identical to
-    training device k alone, i.e. to the K = 1 call on ``start[k][None]``.
+    training device k alone, i.e. to the K = 1 call on ``start[k][None]`` with
+    ``[rngs[k]]``, and leaves ``rngs[k]`` in the state that call leaves it. The
+    simulator sets each generator to its device round's stream
+    (`streams.RoundStreams`) just before the call.
 
     Each epoch draws a permutation per device and sorts it within each batch
     of ``cfg.batch_size`` consecutive entries, with one sort for the whole
@@ -301,8 +306,8 @@ def local_train(
     that device diverged at any step.
     """
     k = len(shards)
-    if not shards or k != len(seeds):
-        raise ConfigurationError("need one seed per shard and at least one shard")
+    if not shards or k != len(rngs):
+        raise ConfigurationError("need one generator per shard and at least one shard")
     if start.shape != (k, arch.param_count):
         raise ConfigurationError(f"start must be [{k}, {arch.param_count}]")
     features, labels = _stack_shards(arch, shards)
@@ -315,7 +320,6 @@ def local_train(
     to_rows = np.arange(k)[:, None] * n - batch_keys
     order = np.empty((k, n), dtype=samples.dtype)
     eye = np.eye(arch.num_classes)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
     params = start.copy()
     grad, step = np.empty_like(params), np.empty_like(params)
     # Views: they follow the in-place updates of params and grad.

@@ -2,8 +2,9 @@
 
 One simulation owns a cloud model, per-gateway models, and per-device state,
 and advances a (time, seq)-ordered event heap. Everything stochastic draws
-from a single seeded generator inside the event loop, so a (config, seed)
-pair fully determines the trace.
+from the event loop's seeded generator or from a device round's stream, seeded
+from the same seed (see "Streams"), so a (config, seed) pair fully determines
+the trace.
 
 An event is a call to one of the simulation's own methods, due at a time:
 `schedule(delay, self.on_fault_timer, fault)` pushes (time, seq, function,
@@ -33,9 +34,9 @@ device events carry the `Flight` itself, so an event whose flight is no longer
 the device's entry in `flights` belongs to a voided round and does nothing.
 
 Local training is lazy. A flight trains on its device's shard, from the
-gateway model it was sent, which is also its proximal anchor, with a seed drawn
-from the device's round count. All three are fixed while the flight is in the
-air: the model and seed at dispatch, and the shard because it refreshes only
+gateway model it was sent, which is also its proximal anchor, with the random
+stream of the device's round. All three are fixed while the flight is in the
+air: the model and stream at dispatch, and the shard because it refreshes only
 after its own upload has removed the flight. When an upload lands before its
 flight has trained, that flight trains in one lockstep block (`local_train`)
 with the `COHORT_BLOCK - 1` untrained flights of its shard size that land
@@ -57,6 +58,16 @@ its upload: each row of both calls is bit-identical to its own one-row call.
 A divergence raises at the device's upload, so only a live flight raises; the
 gradient pass over a diverged row warns of nothing, and a voided flight is
 dropped with whatever it holds.
+
+Streams. Round r of device i, its `rounds_started` at dispatch, trains with
+the PCG64 generator that numpy's seeding chain (see `streams`) gives
+`(cfg.seed, i, r)`, and the refresh after its upload draws from the one it
+gives `(cfg.seed, i, REFRESH_ROUND + rounds_done)`. Two `streams.RoundStreams`
+tables give those states without hashing per round. A flight keeps its state,
+and each use sets a state on one of the generators the simulation owns:
+`COHORT_BLOCK` for training blocks and one for refreshes. `local_train` and
+`refresh_shard` draw from the generators they are passed and return, so
+reusing them is safe.
 
 Evaluation. The evaluation timer records a trace row every `eval_every`
 seconds, and most rows see the cloud model of the row before: a barrier cloud
@@ -172,6 +183,7 @@ from .selection import (
     solve_association,
     solve_selection,
 )
+from .streams import RoundStreams
 from .utility import (
     learning_utility,
     pca_bytes,
@@ -222,6 +234,9 @@ MODES: dict[str, Policy] = {
 # 3356 -> 3330 rounds/s (32 faster in 2 of 4 pairs) and 44.8 -> 46.6 MB (+4.0%,
 # 4 of 4); sched-scale 2528 -> 2653 rounds/s (+4.9%, 4 of 4) and 65.06 -> 65.28 MB.
 COHORT_BLOCK = 16
+# A refresh's stream is round REFRESH_ROUND + rounds_done of its device, apart
+# from the training rounds.
+REFRESH_ROUND = 10_000_019
 
 
 def staleness(q: float, delta: int) -> float:
@@ -417,7 +432,7 @@ class Flight:
     stamp: int  # the gateway's version at dispatch
     rate: float  # admitted rate, counted against the gateway's bandwidth
     anchor: np.ndarray | None  # the gateway model sent; dropped once trained
-    seed: int
+    stream: dict  # the PCG64 state its training draws from
     observed_tau: float  # dispatch-to-upload latency
     order: int  # dispatches before this one in the run; keys its `untrained` entry
     params: np.ndarray | None = None  # trained parameters, once trained
@@ -439,6 +454,11 @@ class _Simulation:
         self.slowdown = [1.0] * n
         self.arch = cfg.arch
         self.rng = np.random.default_rng(cfg.seed)
+        # Device rounds' streams, and the generators each use sets one on.
+        self.train_streams = RoundStreams(cfg.seed, n, 0)
+        self.refresh_streams = RoundStreams(cfg.seed, n, REFRESH_ROUND)
+        self.train_rngs = [np.random.Generator(np.random.PCG64()) for _ in range(COHORT_BLOCK)]
+        self.refresh_rng = np.random.Generator(np.random.PCG64())
         self.now = 0.0
         self._seq = itertools.count()
         self._heap: list[tuple[float, int, Callable, tuple]] = []
@@ -504,10 +524,6 @@ class _Simulation:
         self.transfers.append(Transfer(self.now, kind, src, dst, size, overhead))
         self.bytes_total += size
         self.bytes_overhead += overhead
-
-    def _train_seed(self, device: int, round_idx: int) -> int:
-        ss = np.random.SeedSequence((self.cfg.seed, device, round_idx))
-        return int(ss.generate_state(1)[0])
 
     # ---- utilities and rates ----------------------------------------------
 
@@ -606,8 +622,10 @@ class _Simulation:
                 ids.append(i)
         block = [self.flights[i] for i in ids]
         starts = np.stack([f.anchor for f in block])
-        shards, seeds = [self.devices[i].shard for i in ids], [f.seed for f in block]
-        rows = local_train(starts, self.arch, shards, self.cfg.train, seeds)
+        shards, rngs = [self.devices[i].shard for i in ids], self.train_rngs[: len(block)]
+        for rng, f in zip(rngs, block):
+            rng.bit_generator.state = f.stream
+        rows = local_train(starts, self.arch, shards, self.cfg.train, rngs)
         for f, row in zip(block, rows):
             # One copy per flight: a row view would keep its whole block
             # alive until the block's last flight lands, and raise peak memory.
@@ -622,7 +640,7 @@ class _Simulation:
         """Send the gateway model, stamped with its version, to each device.
 
         Nothing trains here. Each flight records the gateway model (its start
-        and anchor) and its seed (from `rounds_started`), and enters its shard
+        and anchor) and its stream (round `rounds_started`), and enters its shard
         size's `untrained` heap under its landing time. It trains on its
         device's shard, which refreshes only after this flight's upload, so
         the flight can train any time before its upload lands.
@@ -635,9 +653,9 @@ class _Simulation:
             down, comp, up, total = sample_round_latency(
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
-            seed = self._train_seed(i, dev.rounds_started)
+            stream = self.train_streams.state(i, dev.rounds_started)
             order = next(self._dispatches)
-            flight = Flight(gw.id, gw.version, rate, gw.params, seed, total, order)
+            flight = Flight(gw.id, gw.version, rate, gw.params, stream, total, order)
             self.flights[i] = self.gateway_flights[gw.id][i] = flight
             # The upload's own event time: `now + down`, then `+ (comp + up)`.
             landing = (self.now + down) + (comp + up)
@@ -876,9 +894,10 @@ class _Simulation:
         )
 
         if self.cfg.data_spec is not None and self.cfg.data_spec.refresh:
-            rs = self._train_seed(i, 10_000_019 + dev.rounds_done)
+            self.refresh_rng.bit_generator.state = self.refresh_streams.state(i, dev.rounds_done)
             dev.shard = refresh_shard(
-                dev.shard, self.cfg.data_spec.cluster_spread, rs, self.cfg.dataset.centroids
+                dev.shard, self.cfg.data_spec.cluster_spread, self.refresh_rng,
+                self.cfg.dataset.centroids,
             )
 
         if self.policy.gateway == "async":

@@ -1,5 +1,5 @@
 """Shared builders for simulator tests: small deterministic scenarios, the run digest,
-and the landing times of the flights in the air."""
+the landing times of the flights in the air, and numpy's own seeding of a device round."""
 
 import hashlib
 
@@ -97,3 +97,13 @@ def landing_times(sim) -> dict[int, float]:
         elif handler.__name__ == "on_device_upload_arrives":
             landing[id(args[1])] = t
     return landing
+
+
+def round_stream(seed, device, r):
+    """The `bit_generator.state` numpy's own chain gives round `r` of `device`.
+
+    The oracle for `streams.RoundStreams`: a SeedSequence of (seed, device, r)
+    hashed to one word, and `default_rng` of that word.
+    """
+    word = int(np.random.SeedSequence((seed, device, r)).generate_state(1)[0])
+    return np.random.default_rng(word).bit_generator.state

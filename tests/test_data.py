@@ -175,7 +175,8 @@ class TestRefreshShard:
     def test_preserves_size_and_labels(self):
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
-        out = refresh_shard(ds.shards[0], s.cluster_spread, 99, ds.centroids)
+        rng = np.random.default_rng(99)
+        out = refresh_shard(ds.shards[0], s.cluster_spread, rng, ds.centroids)
         assert out is not ds.shards[0]
         assert out.labels is ds.shards[0].labels
         assert not np.array_equal(out.features, ds.shards[0].features)
@@ -183,7 +184,8 @@ class TestRefreshShard:
     def test_mean_tracks_centroid_mixture(self):
         s = spec(refresh=True, samples_per_device=4000, cluster_spread=0.5)
         ds = gen_synthetic(s, seed=8)
-        out = refresh_shard(ds.shards[0], s.cluster_spread, 123, ds.centroids)
+        rng = np.random.default_rng(123)
+        out = refresh_shard(ds.shards[0], s.cluster_spread, rng, ds.centroids)
         mixture_mean = ds.centroids[label_runs(ds.shards[0])[0]].mean(axis=0)
         tol = 3 * 0.5 / np.sqrt(out.n)
         assert np.all(np.abs(out.features.mean(axis=0) - mixture_mean) < tol * 3)
@@ -195,7 +197,9 @@ class TestRefreshShard:
         base, extra = divmod(samples, classes)
         counts = [base + (k < extra) for k in range(classes)]
         for i, shard in enumerate(ds.shards):
-            out = refresh_shard(shard, s.cluster_spread, 1000 + i, ds.centroids)
+            out = refresh_shard(
+                shard, s.cluster_spread, np.random.default_rng(1000 + i), ds.centroids
+            )
             rng = np.random.default_rng(1000 + i)
             feats, labels = per_class_draw(rng, label_runs(shard)[0], counts, s, ds.centroids)
             assert np.array_equal(out.features, feats)
@@ -205,7 +209,7 @@ class TestRefreshShard:
         s = spec(refresh=True)
         ds = gen_synthetic(s, seed=1)
         with pytest.raises(ConfigurationError):
-            refresh_shard(ds.shards[0], s.cluster_spread, 0, None)
+            refresh_shard(ds.shards[0], s.cluster_spread, np.random.default_rng(0), None)
 
 
 class TestRoundTrip:

@@ -241,7 +241,7 @@ class TestLocalTrain:
     def test_zero_lr_is_identity(self):
         arch, shard, start = self._setup()
         cfg = TrainConfig(gamma=0.0, rho=0.1, epochs=3, batch_size=4)
-        final = local_train(start[None], arch, [shard], cfg, [1])[0]
+        final = local_train(start[None], arch, [shard], cfg, _rngs([1]))[0]
         np.testing.assert_array_equal(final, start)
 
     def test_two_full_batch_steps(self):
@@ -249,7 +249,7 @@ class TestLocalTrain:
         # the second step.
         arch, shard, start = self._setup(seed=2)
         cfg = TrainConfig(gamma=0.05, rho=0.2, epochs=2, batch_size=shard.n)
-        final = local_train(start[None], arch, [shard], cfg, [9])[0]
+        final = local_train(start[None], arch, [shard], cfg, _rngs([9]))[0]
         first = start - 0.05 * grad_regularized(start[None], start[None], arch, [shard], 0.2)[0]
         assert not np.array_equal(first, start)
         expected = first - 0.05 * grad_regularized(first[None], start[None], arch, [shard], 0.2)[0]
@@ -264,14 +264,14 @@ class TestLocalTrain:
         shard = Shard(centers + rng.normal(0, 0.3, (n, 2)), labels)
         start = init_params(arch, 1)
         cfg = TrainConfig(gamma=0.2, rho=0.0, epochs=5, batch_size=8)
-        final = local_train(start[None], arch, [shard], cfg, [3])[0]
+        final = local_train(start[None], arch, [shard], cfg, _rngs([3]))[0]
         assert mean_loss(final, arch, shard) < mean_loss(start, arch, shard)
 
     def test_deterministic(self):
         arch, shard, start = self._setup(seed=4)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=2, batch_size=5)
-        a = local_train(start[None], arch, [shard], cfg, [5])[0]
-        b = local_train(start[None], arch, [shard], cfg, [5])[0]
+        a = local_train(start[None], arch, [shard], cfg, _rngs([5]))[0]
+        b = local_train(start[None], arch, [shard], cfg, _rngs([5]))[0]
         assert np.array_equal(a, b)
         reported = grad_regularized(a[None], start[None], arch, [shard], cfg.rho)
         again = grad_regularized(b[None], start[None], arch, [shard], cfg.rho)
@@ -280,7 +280,7 @@ class TestLocalTrain:
     def test_divergence_names_device(self):
         arch, shard, start = self._setup(seed=6)
         cfg = TrainConfig(gamma=1e12, rho=1.0, epochs=30, batch_size=4)
-        final = local_train(start[None], arch, [shard], cfg, [0])[0]
+        final = local_train(start[None], arch, [shard], cfg, _rngs([0]))[0]
         with pytest.raises(NumericDivergenceError, match="device 17"):
             raise_if_diverged(final, "while training device 17")
 
@@ -447,10 +447,10 @@ class TestLocalTrainCohort:
 
     @staticmethod
     def _assert_rows_match_sequential(start, arch, shards, cfg, seeds):
-        rows = local_train(_rows(start, len(shards)), arch, shards, cfg, seeds)
+        rows = local_train(_rows(start, len(shards)), arch, shards, cfg, _rngs(seeds))
         assert rows.shape == (len(shards), arch.param_count)
         for row, shard, seed in zip(rows, shards, seeds):
-            alone = local_train(start[None], arch, [shard], cfg, [seed])[0]
+            alone = local_train(start[None], arch, [shard], cfg, _rngs([seed]))[0]
             assert np.array_equal(row, alone)
             assert np.array_equal(row, reference_sgd(start, start, arch, shard, cfg, seed))
 
@@ -459,24 +459,36 @@ class TestLocalTrainCohort:
         bad = 2
         shards[bad] = Shard(shards[bad].features * 1e200, shards[bad].labels)
         cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
-        rows = local_train(_rows(start, 5), arch, shards, cfg, seeds)
+        rows = local_train(_rows(start, 5), arch, shards, cfg, _rngs(seeds))
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(rows[bad], "while training device 42")
-        alone = local_train(start[None], arch, [shards[bad]], cfg, [seeds[bad]])[0]
+        alone = local_train(start[None], arch, [shards[bad]], cfg, _rngs([seeds[bad]]))[0]
         with pytest.raises(NumericDivergenceError, match="device 42"):
             raise_if_diverged(alone, "while training device 42")
         for k in range(5):
             if k != bad:
                 raise_if_diverged(rows[k], f"while training device {k}")
-                alone = local_train(start[None], arch, [shards[k]], cfg, [seeds[k]])[0]
+                alone = local_train(start[None], arch, [shards[k]], cfg, _rngs([seeds[k]]))[0]
                 assert np.array_equal(rows[k], alone)
+
+    def test_each_generator_ends_where_its_row_alone_leaves_it(self):
+        # So the stream a row draws from does not depend on the block it trains in.
+        arch, shards, seeds, start = self._cohort("mlp", 5, 13, seed=7)
+        cfg = TrainConfig(gamma=0.1, rho=0.1, epochs=3, batch_size=4)
+        rngs = _rngs(seeds)
+        local_train(_rows(start, 5), arch, shards, cfg, rngs)
+        for rng, shard, seed in zip(rngs, shards, seeds):
+            alone = np.random.default_rng(seed)
+            local_train(start[None], arch, [shard], cfg, [alone])
+            assert rng.bit_generator.state == alone.bit_generator.state
+            assert rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
 
     def test_unequal_shard_sizes_rejected(self):
         arch, shards, seeds, start = self._cohort("logistic", 2, 6)
         shards[1] = Shard(shards[1].features[:5], shards[1].labels[:5])
         cfg = TrainConfig(gamma=0.1, rho=0.0, epochs=1, batch_size=2)
         with pytest.raises(ConfigurationError, match="same number of samples"):
-            local_train(_rows(start, 2), arch, shards, cfg, seeds)
+            local_train(_rows(start, 2), arch, shards, cfg, _rngs(seeds))
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     @pytest.mark.parametrize("k", [1, 2, 8, 9])
@@ -486,10 +498,10 @@ class TestLocalTrainCohort:
         arch, shards, seeds, _ = self._cohort(kind, k, 13, seed=100 + k)
         starts = np.stack([init_params(arch, 200 + r) for r in range(k)])
         cfg = TrainConfig(gamma=0.1, rho=0.4, epochs=2, batch_size=5)
-        rows = local_train(starts, arch, shards, cfg, seeds)
+        rows = local_train(starts, arch, shards, cfg, _rngs(seeds))
         assert len({r.tobytes() for r in starts}) == k
         for r in range(k):
-            alone = local_train(starts[r][None], arch, [shards[r]], cfg, [seeds[r]])[0]
+            alone = local_train(starts[r][None], arch, [shards[r]], cfg, _rngs([seeds[r]]))[0]
             assert np.array_equal(rows[r], alone)
             expected = reference_sgd(starts[r], starts[r], arch, shards[r], cfg, seeds[r])
             assert np.array_equal(rows[r], expected)
@@ -502,9 +514,14 @@ class TestLocalTrainCohort:
             start[None],  # one row for three shards
         ]:
             with pytest.raises(ConfigurationError, match=r"must be \[3, "):
-                local_train(bad_start, arch, shards, cfg, seeds)
+                local_train(bad_start, arch, shards, cfg, _rngs(seeds))
 
 
 def _rows(v, k):
     """k copies of one parameter vector as a [k, P] stack."""
     return np.repeat(v[None], k, axis=0)
+
+
+def _rngs(seeds):
+    """One generator per seed, as `default_rng` seeds it."""
+    return [np.random.default_rng(seed) for seed in seeds]

@@ -31,7 +31,7 @@ from hfedsim.simulator import (
     staleness,
 )
 from hfedsim.utility import learning_utility, pca_fit, pca_project
-from simtools import landing_times, small_config, uniform_topology
+from simtools import landing_times, round_stream, small_config, uniform_topology
 
 
 class TestStaleness:
@@ -690,13 +690,23 @@ def _refresh_with_faults(mode="sync-random", extra_faults=()):
     return cfg
 
 
+def _states(rngs):
+    """Each generator's 128-bit PCG64 state."""
+    return [rng.bit_generator.state["state"]["state"] for rng in rngs]
+
+
+def _round_key(sim, device, r):
+    """The 128-bit state a generator holds on entry to training round `r` of `device`."""
+    return round_stream(sim.cfg.seed, device, r)["state"]["state"]
+
+
 def _spy_non_finite_rows(monkeypatch) -> tuple[list[bool], list[bool]]:
     """For every row the run trains, and every row it computes a reported gradient
     at, whether that row is non-finite."""
     train_rows, grad_rows = [], []
 
-    def train_spy(start, arch, shards, train, seeds):
-        rows = local_train(start, arch, shards, train, seeds)
+    def train_spy(start, arch, shards, train, rngs):
+        rows = local_train(start, arch, shards, train, rngs)
         train_rows.extend(not np.isfinite(row).all() for row in rows)
         return rows
 
@@ -750,9 +760,9 @@ class TestCohortTraining:
     ):
         sizes = []
 
-        def spy(start, arch, shards, cfg, seeds):
+        def spy(start, arch, shards, cfg, rngs):
             sizes.append(len(shards))
-            return local_train(start, arch, shards, cfg, seeds)
+            return local_train(start, arch, shards, cfg, rngs)
 
         monkeypatch.setattr(simulator, "local_train", spy)
         batched = _outputs(make_cfg())
@@ -771,11 +781,11 @@ class TestCohortTraining:
     ):
         monkeypatch.setattr(simulator, "COHORT_BLOCK", 3)
         sim = simulator._Simulation(make_cfg())
-        calls = []  # (transfers logged before the call, seeds)
+        calls = []  # (transfers logged before the call, each generator's state on entry)
 
-        def spy(start, arch, shards, train, seeds):
-            calls.append((len(sim.transfers), list(seeds)))
-            return local_train(start, arch, shards, train, seeds)
+        def spy(start, arch, shards, train, rngs):
+            calls.append((len(sim.transfers), _states(rngs)))
+            return local_train(start, arch, shards, train, rngs)
 
         monkeypatch.setattr(simulator, "local_train", spy)
         result = sim.run()
@@ -797,11 +807,11 @@ class TestCohortTraining:
             landed[i, rounds[i]] = (len(result.transfers), in_air[id(f)])
         assert landed.keys() == dispatched.keys()
 
-        round_of = {sim._train_seed(i, r): (i, r) for i, r in dispatched}
+        round_of = {_round_key(sim, i, r): (i, r) for i, r in dispatched}
         size = [shard.n for shard in sim.cfg.dataset.shards]  # no refresh
         trained, fuller = set(), 0
-        for at, seeds in calls:
-            trigger, *rest = [round_of[s] for s in seeds]
+        for at, states in calls:
+            trigger, *rest = [round_of[s] for s in states]
             assert landed[trigger][0] == at, "the block's first flight uploads next"
             waiting = sorted(
                 (landed[f][1], k, f) for f, k in dispatched.items()
@@ -820,9 +830,9 @@ class TestCohortTraining:
         monkeypatch.setattr(simulator, "COHORT_BLOCK", 3)
         rows = []
 
-        def spy(start, arch, shards, train, seeds):
-            rows.extend(seeds)
-            return local_train(start, arch, shards, train, seeds)
+        def spy(start, arch, shards, train, rngs):
+            rows.extend(rngs)
+            return local_train(start, arch, shards, train, rngs)
 
         monkeypatch.setattr(simulator, "local_train", spy)
         for seed in (1, 2, 3):
@@ -901,11 +911,11 @@ class TestCohortTraining:
             "async-random", [FaultEvent(12.0, 6, "drop"), FaultEvent(40.0, 6, "restore")]
         )
         sim = simulator._Simulation(cfg)
-        seeds_trained = []
+        states_trained = []
 
-        def spy(start, arch, shards, train, seeds):
-            seeds_trained.extend(seeds)
-            return local_train(start, arch, shards, train, seeds)
+        def spy(start, arch, shards, train, rngs):
+            states_trained.extend(_states(rngs))
+            return local_train(start, arch, shards, train, rngs)
 
         drops = []
         on_fault = simulator._Simulation.on_fault_timer
@@ -928,10 +938,10 @@ class TestCohortTraining:
 
         # Round r of a device is its r-th dispatch, counted from 0.
         round_of = {
-            sim._train_seed(i, r): (i, r)
+            _round_key(sim, i, r): (i, r)
             for i, d in enumerate(sim.devices) for r in range(d.rounds_started)
         }
-        trained = [round_of[s] for s in seeds_trained]
+        trained = [round_of[s] for s in states_trained]
         dispatched, uploaded, last_round = [], set(), {}
         last_dispatch, last_upload = {}, {}
         for k, t in enumerate(result.transfers):
@@ -963,7 +973,7 @@ class TestCohortTraining:
         # Flights are kept in dispatch order, and each holds its device's last round.
         assert list(sim.flights) == sorted(sim.flights, key=last_dispatch.get)
         for i, flight in sim.flights.items():
-            assert flight.seed == sim._train_seed(i, sim.devices[i].rounds_started - 1)
+            assert flight.stream == round_stream(sim.cfg.seed, i, sim.devices[i].rounds_started - 1)
             assert f"gw{flight.gateway}" == result.transfers[last_dispatch[i]].src
 
 
