@@ -116,10 +116,12 @@ def refresh_shard(
 ) -> Shard:
     """`shard` with fresh features drawn from `rng` around the centroids of its labels.
 
-    The new shard keeps `shard`'s labels array. The caller decides when a
-    shard refreshes, and seeds `rng`: the simulator sets it to the device
-    round's refresh stream (`streams.RoundStreams`). `DataSpec.refresh` is
-    not read here.
+    The new shard keeps `shard`'s labels array, so its size and labels are
+    known before the refresh is drawn. The caller decides when a shard
+    refreshes, and seeds `rng`: the simulator marks a device's refresh due at
+    its upload and draws it, from the device's refresh stream for that upload
+    (`streams.RoundStreams`), just before the block that trains the device's
+    next round. `DataSpec.refresh` is not read here.
     """
     if centroids is None:
         raise ConfigurationError("refresh requires generator centroids (synthetic data)")

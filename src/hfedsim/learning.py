@@ -20,11 +20,12 @@ the start it trained from, each row bit-identical to its own K = 1 call.
 
 Four things keep a step lean without changing a bit of it. Each epoch sorts
 its shuffled order within every batch with one sort, and a step gathers its
-batch with flat `take`s from the block's [K·n, d] features and [K·n] labels,
-stacked once per call: the batch holds the same values in the same [b, d]
-layout as a batch gathered alone, so every gemm sees the same operands. The
-softmax takes its max over classes from a class-major copy of the logits, one
-pass per class across every row; a max is exact in any order. The softmax
+batch with one flat `take` each from the block's [K·n, d] features and its
+[K·n, C] one-hot labels, both stacked once per call: the batch holds the same
+values in the same [b, d] layout as a batch gathered alone, so every gemm
+sees the same operands. The softmax takes its max over classes from a
+class-major copy of the logits, one pass per class across every row; a max is
+exact in any order. The softmax
 gradient subtracts the gathered one-hot instead of subtracting 1.0 at each
 label: x - 0.0 is x, so only the label's entry moves, by the same 1.0. And
 the gradient is written through `unpack` views into one [K, P] buffer that
@@ -290,9 +291,11 @@ def local_train(
     epoch. Sorting inside a batch keeps summation order independent of the
     shuffle, so a full-batch step is bit-identical to an unshuffled gradient
     step. The sorted order, offset by k·n in row k, indexes the block's
-    stacked rows: a step gathers its batch's features with one flat `take`
-    and its one-hot labels with two, the same values in the same [b, d]
-    layout as a batch gathered alone, so each gemm sees the same operands.
+    stacked rows: a step gathers its batch's features with one flat `take`,
+    and its one-hot labels with one more from a [K·n, C] table of every
+    stacked row's one-hot label, built once per call. These are the same
+    values in the same [b, d] layout as a batch gathered alone, so each gemm
+    sees the same operands.
     (A gather of the whole epoch at once is a fresh [K, n, d] block each
     epoch, whose new pages cost more than the step's small takes.) The step
     subtracts the one-hot where it used to subtract 1.0 at each label; x - 0.0
@@ -319,7 +322,7 @@ def local_train(
     batch_keys = samples // b * n
     to_rows = np.arange(k)[:, None] * n - batch_keys
     order = np.empty((k, n), dtype=samples.dtype)
-    eye = np.eye(arch.num_classes)
+    onehots = np.eye(arch.num_classes).take(labels, axis=0)  # stacked row r's one-hot label
     params = start.copy()
     grad, step = np.empty_like(params), np.empty_like(params)
     # Views: they follow the in-place updates of params and grad.
@@ -335,7 +338,7 @@ def local_train(
             order += to_rows
             for s in range(0, n, b):
                 rows = order[:, s : s + b]
-                onehot = eye.take(labels.take(rows), axis=0)  # eye's row c is c's one-hot
+                onehot = onehots.take(rows, axis=0)
                 _grad_stacked(layers, arch, features.take(rows, axis=0), onehot, grad_layers)
                 if cfg.rho != 0.0:
                     np.subtract(params, start, out=step)

@@ -72,12 +72,16 @@ class DelayParams:
 def sample_round_latency(
     params: DelayParams, rng: np.random.Generator
 ) -> tuple[float, float, float, float]:
-    """Sample (down, comp, up, total) seconds; multipliers are unit-mean log-normals."""
+    """Sample (down, comp, up, total) seconds; multipliers are unit-mean log-normals.
+
+    The three multipliers come from one `rng.lognormal(mu, s, 3)` call: the
+    floats of three scalar draws in order, and the generator ends where those
+    leave it.
+    """
     s = params.sigma
     mu = -0.5 * s * s
-    down = params.mean_down * float(rng.lognormal(mu, s))
-    comp = params.mean_comp * float(rng.lognormal(mu, s))
-    up = params.mean_up * float(rng.lognormal(mu, s))
+    k_down, k_comp, k_up = rng.lognormal(mu, s, 3).tolist()
+    down, comp, up = params.mean_down * k_down, params.mean_comp * k_comp, params.mean_up * k_up
     return down, comp, up, down + comp + up
 
 

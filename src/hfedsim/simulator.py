@@ -33,41 +33,53 @@ dispatch order, never a running total, which would round differently. The
 device events carry the `Flight` itself, so an event whose flight is no longer
 the device's entry in `flights` belongs to a voided round and does nothing.
 
-Local training is lazy. A flight trains on its device's shard, from the
-gateway model it was sent, which is also its proximal anchor, with the random
-stream of the device's round. All three are fixed while the flight is in the
-air: the model and stream at dispatch, and the shard because it refreshes only
-after its own upload has removed the flight. When an upload lands before its
-flight has trained, that flight trains in one lockstep block (`local_train`)
-with the `COHORT_BLOCK - 1` untrained flights of its shard size that land
-first, and each keeps its row until its own upload. So a flight still in the
-air when the run ends, or voided by a drop, mostly never trains. A flight's
-landing time is known at dispatch: its upload is due at
-`(now + down) + (comp + up)`. `untrained` keeps one heap per shard size of
-(landing time, dispatch order, device), pushed at dispatch, and a trigger pops
-it, skipping each entry whose flight has trained, landed or been voided
-(`Flight.order` tells a device's flights apart). An entry holds no model, so a
-stale one pins nothing, and no trigger scans the flights in the air. Under the
-utility selector the block also computes the gradient each device reports
-(`grad_regularized`, on the same rows, anchors and shards), and each flight
-keeps its row of that too; a flight drops its anchor once trained. An async
-gateway sends to about one device at a time, so this fills blocks that
-dispatch-time training would run one row at a time, and the trace is the same
-as if each device had trained alone on arrival and computed its gradient at
-its upload: each row of both calls is bit-identical to its own one-row call.
-A divergence raises at the device's upload, so only a live flight raises; the
-gradient pass over a diverged row warns of nothing, and a voided flight is
-dropped with whatever it holds.
+Local training is lazy, and so is the shard refresh. A flight trains on its
+device's shard, from the gateway model it was sent, which is also its proximal
+anchor, with the random stream of the device's round. All three are fixed
+while the flight is in the air: the model and stream at dispatch, and the
+shard because only an upload makes a refresh due, and the device's own upload
+removes the flight. An upload under `DataSpec.refresh` only sets its device's
+`refresh_due`; the block that trains the device's next round draws that
+refresh first (`_train_flights`), so a refresh that no round reads (after a
+device's last upload, or when no later flight of the device trains) is never
+drawn. A refresh keeps the shard's labels, so its `n` and labels, which
+`dispatch` and the barrier weights read, are valid while it is pending. When
+an upload lands before its flight has trained, that flight trains in one
+lockstep block (`local_train`) with the `COHORT_BLOCK - 1` untrained flights
+of its shard size that land first, and each keeps its row until its own
+upload. So a flight still in the air when the run ends, or voided by a drop,
+mostly never trains. A flight's landing time is known at dispatch: its upload
+is due at `(now + down) + (comp + up)`. `untrained` keeps one heap per shard
+size of (landing time, dispatch order, device), pushed at dispatch, and a
+trigger pops it, skipping each entry whose flight has trained, landed or been
+voided (`Flight.order` tells a device's flights apart). An entry holds no
+model, so a stale one pins nothing, and no trigger scans the flights in the
+air. Under the utility selector the block also computes the gradient each
+device reports (`grad_regularized`, on the same rows, anchors and shards), and
+each flight keeps its row of that too; a flight drops its anchor once trained.
+An async gateway sends to about one device at a time, so this fills blocks
+that dispatch-time training would run one row at a time, and the trace is the
+same as if each device had trained alone on arrival and computed its gradient
+at its upload: each row of both calls is bit-identical to its own one-row
+call. A divergence raises at the device's upload, so only a live flight
+raises: the block checks its rows' finiteness with one call, and each flight
+keeps its row's flag (`Flight.finite`) for its upload to read. The gradient
+pass over a diverged row warns of nothing, and a voided flight is dropped with
+whatever it holds.
 
 Streams. Round r of device i, its `rounds_started` at dispatch, trains with
 the PCG64 generator that numpy's seeding chain (see `streams`) gives
-`(cfg.seed, i, r)`, and the refresh after its upload draws from the one it
-gives `(cfg.seed, i, REFRESH_ROUND + rounds_done)`. Two `streams.RoundStreams`
-tables give those states without hashing per round. A flight keeps its state,
-and each use sets a state on one of the generators the simulation owns:
-`COHORT_BLOCK` for training blocks and one for refreshes. `local_train` and
-`refresh_shard` draw from the generators they are passed and return, so
-reusing them is safe.
+`(cfg.seed, i, r)`. The refresh that an upload makes due draws from the one
+it gives `(cfg.seed, i, REFRESH_ROUND + rounds_done)`, `rounds_done` counting
+that upload; it is drawn in the training block of the device's next round,
+and no upload comes between, so `rounds_done` is still that count there and
+the shard is the one an eager refresh at the upload would have made. Two
+`streams.RoundStreams` tables give those states without hashing per round;
+each device asks each table for its rounds in order, skipping only the
+refreshes never drawn. A flight keeps its state, and each use sets a state on
+one of the generators the simulation owns: `COHORT_BLOCK` for training blocks
+and one for refreshes. `local_train` and `refresh_shard` draw from the
+generators they are passed and return, so reusing them is safe.
 
 Evaluation. The evaluation timer records a trace row every `eval_every`
 seconds, and most rows see the cloud model of the row before: a barrier cloud
@@ -165,7 +177,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DataSpec, FederatedDataset, refresh_shard
-from .errors import ConfigurationError, check_count
+from .errors import ConfigurationError, NumericDivergenceError, check_count
 from .learning import (
     ModelArch,
     Shard,
@@ -408,6 +420,7 @@ class DeviceState:
     shard: Shard
     rounds_started: int = 0
     rounds_done: int = 0
+    refresh_due: bool = False  # the shard's refresh for round `rounds_done` is not drawn yet
     last_loss: float = float("inf")  # unseen devices sort first for high-loss selection
 
 
@@ -436,6 +449,7 @@ class Flight:
     observed_tau: float  # dispatch-to-upload latency
     order: int  # dispatches before this one in the run; keys its `untrained` entry
     params: np.ndarray | None = None  # trained parameters, once trained
+    finite: bool = True  # whether every trained parameter is finite
     grad: np.ndarray | None = None  # the reported gradient, once trained (utility selector)
 
 
@@ -598,7 +612,7 @@ class _Simulation:
         if self.policy.selector == "loss":
             order = sorted(ids, key=lambda i: (-self.devices[i].last_loss, i))
         else:  # random fill
-            order = [ids[k] for k in self.rng.permutation(len(ids))]
+            order = [ids[k] for k in self.rng.permutation(len(ids)).tolist()]
         return fill_capacity([(i, self.rate_estimate(i, gw.id)) for i in order], cap)
 
     def _train_flights(self, trigger: int) -> None:
@@ -608,6 +622,7 @@ class _Simulation:
         others in landing order, ties in dispatch order. Stale entries are
         popped until the heap's first entry is live, so none that lands
         before `now` outlives the call, and none pins a model in any case.
+        A block device whose shard refresh is due draws it before the block trains.
         """
         heap = self.untrained[self.devices[trigger].shard.n]
         ids = [trigger]
@@ -620,16 +635,26 @@ class _Simulation:
             heapq.heappop(heap)
             if live and i != trigger:
                 ids.append(i)
+        for i in ids:
+            dev = self.devices[i]
+            if dev.refresh_due:  # from the stream of the upload that made it due
+                rng = self.refresh_rng
+                rng.bit_generator.state = self.refresh_streams.state(i, dev.rounds_done)
+                dev.shard = refresh_shard(
+                    dev.shard, self.cfg.data_spec.cluster_spread, rng, self.cfg.dataset.centroids
+                )
+                dev.refresh_due = False
         block = [self.flights[i] for i in ids]
         starts = np.stack([f.anchor for f in block])
         shards, rngs = [self.devices[i].shard for i in ids], self.train_rngs[: len(block)]
         for rng, f in zip(rngs, block):
             rng.bit_generator.state = f.stream
         rows = local_train(starts, self.arch, shards, self.cfg.train, rngs)
-        for f, row in zip(block, rows):
+        for f, row, finite in zip(block, rows, np.isfinite(rows).all(axis=1).tolist()):
             # One copy per flight: a row view would keep its whole block
             # alive until the block's last flight lands, and raise peak memory.
             f.params = row.copy()
+            f.finite = finite
             f.anchor = None
         if self.policy.selector == "utility":
             grads = grad_regularized(rows, starts, self.arch, shards, self.cfg.train.rho)
@@ -642,8 +667,9 @@ class _Simulation:
         Nothing trains here. Each flight records the gateway model (its start
         and anchor) and its stream (round `rounds_started`), and enters its shard
         size's `untrained` heap under its landing time. It trains on its
-        device's shard, which refreshes only after this flight's upload, so
-        the flight can train any time before its upload lands.
+        device's shard, with any refresh that is due drawn first, and no new
+        one falls due before this flight's upload, so the flight can train any
+        time before its upload lands.
         """
         for i in device_ids:
             dev = self.devices[i]
@@ -710,9 +736,10 @@ class _Simulation:
     def _random_association(self) -> list[int]:
         """A uniformly drawn feasible gateway per device, or -1 where none is feasible."""
         targets = []
-        for row in self.feasible:
-            feas = np.flatnonzero(row)
-            targets.append(int(self.rng.choice(feas)) if len(feas) else -1)
+        for row in self.feasible.tolist():
+            feas = [j for j, linked in enumerate(row) if linked]
+            # The index `rng.choice(feas)` draws, without its array checks.
+            targets.append(feas[self.rng.integers(len(feas))] if feas else -1)
         return targets
 
     def run_association(self) -> None:
@@ -872,7 +899,8 @@ class _Simulation:
         if flight.params is None:
             self._train_flights(i)
         params = flight.params
-        raise_if_diverged(params, f"while training device {i}")
+        if not flight.finite:
+            raise NumericDivergenceError(f"non-finite parameters while training device {i}")
         self._remove_flight(i)
         dev = self.devices[i]
         gw = self.gateways[flight.gateway]
@@ -894,11 +922,7 @@ class _Simulation:
         )
 
         if self.cfg.data_spec is not None and self.cfg.data_spec.refresh:
-            self.refresh_rng.bit_generator.state = self.refresh_streams.state(i, dev.rounds_done)
-            dev.shard = refresh_shard(
-                dev.shard, self.cfg.data_spec.cluster_spread, self.refresh_rng,
-                self.cfg.dataset.centroids,
-            )
+            dev.refresh_due = True  # drawn by the block that trains its next round
 
         if self.policy.gateway == "async":
             gw.version += 1

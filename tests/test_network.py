@@ -54,6 +54,18 @@ class TestSampleRoundLatency:
         b = sample_round_latency(params, np.random.default_rng(9))
         assert a == b
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0, 2.0])
+    def test_one_draw_gives_the_floats_of_three_scalar_draws(self, sigma):
+        params = DelayParams(mean_down=2.0, mean_comp=7.0, mean_up=4.0, sigma=sigma)
+        mu = -0.5 * sigma * sigma
+        for seed in range(200):
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_round_latency(params, rng)
+            down, comp, up = (m * float(oracle.lognormal(mu, sigma)) for m in (2.0, 7.0, 4.0))
+            assert got == (down, comp, up, down + comp + up)
+            assert all(type(x) is float for x in got)
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
 
 def _observe(sim, i, g, tau):
     """Land one upload of device i at gateway g whose round took tau."""

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hfedsim.data import DataSpec, gen_synthetic, load_shards, save_dataset
+from hfedsim.data import DataSpec, gen_synthetic, load_shards, refresh_shard, save_dataset
 from hfedsim import simulator
 from hfedsim.errors import ConfigurationError, NumericDivergenceError
 from hfedsim.learning import (
@@ -32,6 +32,7 @@ from hfedsim.simulator import (
 )
 from hfedsim.utility import learning_utility, pca_fit, pca_project
 from simtools import landing_times, round_stream, small_config, uniform_topology
+from test_golden import SCENARIOS
 
 
 class TestStaleness:
@@ -975,6 +976,97 @@ class TestCohortTraining:
         for i, flight in sim.flights.items():
             assert flight.stream == round_stream(sim.cfg.seed, i, sim.devices[i].rounds_started - 1)
             assert f"gw{flight.gateway}" == result.transfers[last_dispatch[i]].src
+
+
+class TestLazyRefresh:
+    """An upload only marks its device's shard due for refresh; the block that
+    trains the device's next round draws it. Each row trains on the shard an
+    eager refresh at every upload would have left."""
+
+    @pytest.mark.parametrize(
+        "make_cfg, reread",
+        [*((SCENARIOS[f"{mode}/faults-refresh"], False) for mode in MODES), (
+            lambda: _refresh_with_faults(
+                "async-random", [FaultEvent(35.0, 6, "drop"), FaultEvent(65.0, 6, "restore")]
+            ),
+            True,
+        )],
+        # In the last, device 6's flight trains on a refreshed shard and is
+        # voided at 35 s; its next flight trains on that same refresh.
+        ids=[*MODES, "trained-flight-voided"],
+    )
+    def test_each_row_trains_on_the_shard_an_eager_refresh_gives(
+        self, monkeypatch, make_cfg, reread
+    ):
+        cfg = make_cfg()
+        originals, seed = list(cfg.dataset.shards), cfg.seed
+        sim = simulator._Simulation(cfg)
+        rows, refreshes = [], []  # (transfers logged before, state, shard); refresh states
+
+        def train_spy(start, arch, shards, train, rngs):
+            rows.extend(zip([len(sim.transfers)] * len(shards), _states(rngs), shards))
+            return local_train(start, arch, shards, train, rngs)
+
+        def refresh_spy(shard, spread, rng, centroids):
+            refreshes.append(rng.bit_generator.state["state"]["state"])
+            return refresh_shard(shard, spread, rng, centroids)
+
+        monkeypatch.setattr(simulator, "local_train", train_spy)
+        monkeypatch.setattr(simulator, "refresh_shard", refresh_spy)
+        result = sim.run()
+        assert result.stop_reason == "done"
+
+        round_of = {
+            _round_key(sim, i, r): (i, r)
+            for i, d in enumerate(sim.devices) for r in range(d.rounds_started)
+        }
+        refresh_of = {
+            round_stream(seed, i, simulator.REFRESH_ROUND + r)["state"]["state"]: (i, r)
+            for i, d in enumerate(sim.devices) for r in range(1, d.rounds_done + 1)
+        }
+        uploads = [t.src for t in result.transfers if t.kind == "device_upload"]
+        read = []  # (device, refresh round) of each row that reads a refreshed shard
+        for at, state, shard in rows:
+            i, _ = round_of[state]
+            # An eager refresh at each upload draws round `uploads so far` of its stream.
+            done = sum(t.kind == "device_upload" and t.src == f"dev{i}"
+                       for t in result.transfers[:at])
+            if done == 0:
+                assert shard is originals[i]
+                continue
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = round_stream(seed, i, simulator.REFRESH_ROUND + done)
+            spread = cfg.data_spec.cluster_spread
+            eager = refresh_shard(originals[i], spread, rng, cfg.dataset.centroids)
+            assert shard.features.tobytes() == eager.features.tobytes()
+            assert shard.labels is originals[i].labels
+            read.append((i, done))
+        # One draw per refresh that a row reads (a voided flight's row reads
+        # it too, and the flight that retrains that round reuses it), none else.
+        drawn = [refresh_of[state] for state in refreshes]
+        assert sorted(drawn) == sorted(set(read))
+        assert read and len(drawn) < len(uploads)
+        assert (len(set(read)) < len(read)) == reread
+
+
+class TestRandomAssociation:
+    def test_draws_what_a_choice_per_row_draws(self):
+        # Drawn link tables, rows with no link among them; the oracle is one
+        # `rng.choice` over each row's linked gateways.
+        tables = np.random.default_rng(11)
+        for seed in range(40):
+            n, g = int(tables.integers(1, 25)), int(tables.integers(1, 8))
+            sim = simulator._Simulation(small_config(n=n, g=g, seed=seed))
+            sim.feasible = (tables.random((n, g)) < 0.4).astype(np.int8)
+            sim.feasible[tables.integers(n)] = 0
+            oracle = copy.deepcopy(sim.rng)
+            expected = [
+                int(oracle.choice(np.flatnonzero(row))) if row.any() else -1
+                for row in sim.feasible
+            ]
+            targets = sim._random_association()
+            assert targets == expected and all(type(j) is int for j in targets)
+            assert sim.rng.bit_generator.state == oracle.bit_generator.state
 
 
 class TestEvaluationCache:
