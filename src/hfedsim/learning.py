@@ -62,6 +62,9 @@ class ModelArch:
         check_count(self.input_dim, "input_dim")
         check_count(self.num_classes, "num_classes", 2)
         check_count(self.hidden_dim, "hidden_dim", 1 if self.kind == "mlp" else 0)
+        if self.kind == "logistic" and self.hidden_dim:
+            # A logistic model has no hidden layer, so the value would go unused.
+            raise ConfigurationError(f"a logistic model needs hidden_dim 0 ({self.hidden_dim!r})")
 
     @property
     def layers(self) -> list[tuple[int, int]]:

@@ -9,7 +9,8 @@ the trace.
 An event is a call to one of the simulation's own methods, due at a time:
 `schedule(delay, self.on_fault_timer, fault)` pushes (time, seq, function,
 args), and the loop calls `function(self, *args)`. `seq` counts up with every
-schedule call, so events due together run in the order they were scheduled.
+schedule call, so events due together run in the order they were scheduled;
+each dispatch takes a number from the same counter as its flight's `order`.
 The heap holds the plain function, not the bound method: a bound method would
 hold the simulation, and the events still queued when a run ends would then
 keep it in a reference cycle that only the cyclic collector frees.
@@ -125,9 +126,10 @@ the whole run if none is fitted). The fit centres the reported rows in place,
 in the matrix it is about to replace, so it copies no `[m, d]` stack; the
 `[N, p]` projections of those rows replace the matrix, and each later gradient
 is stored projected.
-`utilities` holds a learning utility per device, recomputed from the reported
-rows on the first read after one came in. A device with none reported holds
-the cold-start value: the largest reported utility, or 1.0 before any.
+The utilities are not stored: `_utilities` computes a learning utility per
+device from the reported rows each time a selection or association reads them.
+A device with none reported takes the cold-start value: the largest reported
+utility, or 1.0 for every device while fewer than two have reported.
 
 Run end. The run is done once the cloud has aggregated `cloud_epochs` times
 (`h >= cloud_epochs`): that aggregation sends no model, no more events run,
@@ -447,7 +449,7 @@ class Flight:
     anchor: np.ndarray | None  # the gateway model sent; dropped once trained
     stream: dict  # the PCG64 state its training draws from
     observed_tau: float  # dispatch-to-upload latency
-    order: int  # dispatches before this one in the run; keys its `untrained` entry
+    order: int  # `_seq` at dispatch, so it grows in dispatch order; keys its `untrained` entry
     params: np.ndarray | None = None  # trained parameters, once trained
     finite: bool = True  # whether every trained parameter is finite
     grad: np.ndarray | None = None  # the reported gradient, once trained (utility selector)
@@ -495,9 +497,6 @@ class _Simulation:
         utility = self.policy.selector == "utility"
         self.grads = np.zeros((n, cfg.arch.param_count)) if utility else None
         self.has_grad = np.zeros(n, dtype=bool)
-        # Per device, with the cold-start value for one that has reported none.
-        self.utilities = [1.0] * n
-        self._utilities_dirty = False
         self.pca_model = None
         # Every flight in the air, by device, in dispatch order; and each
         # gateway's, by the gateway it was sent from.
@@ -508,7 +507,6 @@ class _Simulation:
         # Per shard size, a heap of (landing time, dispatch order, device): one
         # entry per dispatch, stale once its flight trains, lands or is voided.
         self.untrained: dict[int, list[tuple[float, int, int]]] = {}
-        self._dispatches = itertools.count()
 
         self.warmup_done = self.policy.selector == "random"
 
@@ -541,21 +539,18 @@ class _Simulation:
 
     # ---- utilities and rates ----------------------------------------------
 
-    def _refresh_utilities(self) -> None:
-        """Recompute `utilities` if a gradient came in since the last refresh."""
-        if not self._utilities_dirty:
-            return
-        self._utilities_dirty = False
+    def _utilities(self) -> list[float]:
+        """A learning utility per device, from the reported rows, with the cold-start value."""
         ids = np.flatnonzero(self.has_grad)
         if len(ids) < 2:
-            return
+            return [1.0] * self.topo.num_devices
         u = learning_utility(self._reported_rows(ids))[0]
         if len(ids) < self.topo.num_devices:
             # Cold start: unseen devices look as attractive as the current best.
             dense = np.full(self.topo.num_devices, max(u.tolist()))
             dense[ids] = u
             u = dense
-        self.utilities = u.tolist()
+        return u.tolist()
 
     def _reported_rows(self, ids: np.ndarray) -> np.ndarray:
         """The rows of `grads` at `ids`, the reporting devices; `grads` itself, uncopied, if all."""
@@ -596,7 +591,7 @@ class _Simulation:
         if self.policy.selector == "utility":
             # The knapsack drops a candidate whose rate exceeds the cap, so
             # rate them first: a selection that can dispatch no one returns
-            # before it refreshes utilities it would not read.
+            # before it computes utilities it would not read.
             fits = []
             for i in ids:
                 tau = self.latency[i][gw.id]
@@ -605,8 +600,7 @@ class _Simulation:
                     fits.append((i, tau, rate))
             if not fits:
                 return []
-            self._refresh_utilities()
-            u = self.utilities
+            u = self._utilities()
             rows = [(i, u[i], tau, rate) for i, tau, rate in fits]
             return solve_selection(rows, cap, self.cfg.kappa)
         if self.policy.selector == "loss":
@@ -680,7 +674,7 @@ class _Simulation:
                 self.topo.link_params[(i, gw.id)].slowed(self.slowdown[i]), self.rng
             )
             stream = self.train_streams.state(i, dev.rounds_started)
-            order = next(self._dispatches)
+            order = next(self._seq)
             flight = Flight(gw.id, gw.version, rate, gw.params, stream, total, order)
             self.flights[i] = self.gateway_flights[gw.id][i] = flight
             # The upload's own event time: `now + down`, then `+ (comp + up)`.
@@ -714,7 +708,6 @@ class _Simulation:
             coords = np.zeros((self.topo.num_devices, p))
             coords[ids] = [self.pca_model.components @ row for row in rows]
             self.grads = coords
-            self._utilities_dirty = True
         for gw in self.gateways:
             self._start_round(gw)
 
@@ -726,7 +719,6 @@ class _Simulation:
         at the trained parameters. Here it becomes the device's row of `grads`,
         projected if `pca_model` is fitted, and `has_grad` marks it.
         """
-        self._utilities_dirty = True
         self.grads[device] = grad if self.pca_model is None else pca_project(self.pca_model, grad)
         self.has_grad[device] = True
         return 8 * self.grads.shape[1]
@@ -744,12 +736,11 @@ class _Simulation:
 
     def run_association(self) -> None:
         if self.policy.selector == "utility":
-            self._refresh_utilities()
             tau = np.array(self.latency)
             if not (tau > 0).all():  # as `est_rate` checks
                 raise ConfigurationError("round latency must be > 0")
             ratio = (self.topo.model_bytes / tau / self.topo.bandwidth).tolist()
-            targets = solve_association(self.feasible, self.utilities, ratio, self.cfg.phi)
+            targets = solve_association(self.feasible, self._utilities(), ratio, self.cfg.phi)
         else:
             targets = self._random_association()
         self._set_gateways(targets)

@@ -19,8 +19,9 @@ exits 1 if there is any.
 
 `tests/harness_digests_seed1.json` holds the `--seeds 1` output (12 runs, numpy
 2.4.6), and `tests/harness_digests_seed2.json` the `--seeds 2` output, a second
-set of fault and refresh interleavings. CI compares against both, so a change
-to the bits of any of those runs fails there:
+set of fault and refresh interleavings. `tests/test_harness_digests.py` runs
+the first comparison with the tier-1 tests, and CI runs the second, so a change
+to the bits of any of those runs fails:
 
     python tests/harness_digests.py --seeds 1 --against tests/harness_digests_seed1.json
     python tests/harness_digests.py --seeds 2 --against tests/harness_digests_seed2.json

@@ -18,12 +18,9 @@ from hfedsim.learning import (
 def random_instance(rng, kind=None):
     """Random (arch, params, shard) triple with small dimensions."""
     kind = kind or rng.choice(["logistic", "mlp"])
-    arch = ModelArch(
-        kind=kind,
-        input_dim=int(rng.integers(2, 6)),
-        num_classes=int(rng.integers(2, 5)),
-        hidden_dim=int(rng.integers(2, 5)),
-    )
+    input_dim, num_classes = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+    hidden_dim = int(rng.integers(2, 5))  # drawn for both kinds, so the stream is the same
+    arch = ModelArch(kind, input_dim, num_classes, hidden_dim if kind == "mlp" else 0)
     params = rng.normal(0, 0.8, arch.param_count)
     n = int(rng.integers(1, 8))
     shard = Shard(
@@ -66,9 +63,10 @@ def assert_grad_close(analytic, numeric, rel=1e-4):
         (lambda: ModelArch("mlp", 3.5, 4, 2), r"^input_dim must be an integer >= 1 \(3\.5\)$"),
         (lambda: ModelArch("logistic", 3, 4.0), r"^num_classes must be an integer >= 2 \(4\.0\)$"),
         (lambda: ModelArch("mlp", 3, 4, 2.5), r"^hidden_dim must be an integer >= 1 \(2\.5\)$"),
+        (lambda: ModelArch("logistic", 3, 4, 5), r"^a logistic model needs hidden_dim 0 \(5\)$"),
     ],
     ids=["epochs-fraction", "batch_size-bool", "input_dim-fraction", "num_classes-float",
-         "hidden_dim-fraction"],
+         "hidden_dim-fraction", "logistic-hidden_dim"],
 )
 def test_records_refuse_a_count_that_is_not_an_integer(build, message):
     with pytest.raises(ConfigurationError, match=message):
@@ -197,7 +195,7 @@ class TestGradRegularized:
         # of flights sent different gateway models. Each equals the K = 1 call
         # on its own row, which equals the reference gradient plus the proximal pull.
         rng = np.random.default_rng(300 + k)
-        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5)
+        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5 if kind == "mlp" else 0)
         n = 13
         shards = [Shard(rng.normal(0, 1, (n, 4)), rng.integers(0, 3, n)) for _ in range(k)]
         params = rng.normal(0, 0.8, (k, arch.param_count))
@@ -406,7 +404,7 @@ class TestLocalTrainCohort:
 
     def _cohort(self, kind, k, n, seed=0):
         rng = np.random.default_rng(seed)
-        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5)
+        arch = ModelArch(kind, input_dim=4, num_classes=3, hidden_dim=5 if kind == "mlp" else 0)
         shards = [
             Shard(rng.normal(0, 1, (n, 4)), rng.integers(0, 3, n)) for _ in range(k)
         ]

@@ -21,6 +21,7 @@ from hfedsim.learning import (
     local_train,
 )
 from hfedsim.network import FaultEvent, TopologySpec, est_rate, gen_topology
+from hfedsim.selection import solve_association, solve_selection
 from hfedsim.simulator import (
     MODES,
     MetricTrace,
@@ -599,16 +600,15 @@ class TestSchedulerIntegration:
     @pytest.mark.parametrize("reported", [(1, 2, 4), (0, 1, 2, 3, 4, 5)])
     def test_unreported_devices_take_the_best_reported_utility(self, reported):
         sim = simulator._Simulation(small_config(mode="async-sched", seed=5))
-        sim._refresh_utilities()
-        assert sim.utilities == [1.0] * 6  # before any gradient
+        assert sim._utilities() == [1.0] * 6  # before any gradient
         rng = np.random.default_rng(5)
         grads = [rng.normal(0, 1, sim.arch.param_count) for _ in reported]
         for i, grad in zip(reported, grads):
             sim._record_gradient(i, grad)
-        sim._refresh_utilities()
+        utilities = sim._utilities()
         u = learning_utility(np.stack(grads))[0].tolist()
-        assert [sim.utilities[i] for i in reported] == u
-        assert all(sim.utilities[i] == max(u) for i in range(6) if i not in reported)
+        assert [utilities[i] for i in reported] == u
+        assert all(utilities[i] == max(u) for i in range(6) if i not in reported)
 
     def test_selection_that_cannot_dispatch_refreshes_no_utilities(self, monkeypatch):
         calls = []
@@ -632,12 +632,48 @@ class TestSchedulerIntegration:
         sim.dispatch(gw, [0])
         assert sim.flights[0].rate == rate
         assert sim.select_devices(gw) == []
-        assert calls == [] and sim._utilities_dirty
+        assert calls == []
         sim._remove_flight(0)
         assert sim.select_devices(gw) != []
-        assert calls == [6] and not sim._utilities_dirty
-        sim.select_devices(gw)
         assert calls == [6]
+        sim.select_devices(gw)  # no cache: each selection that can dispatch computes once
+        assert calls == [6, 6]
+
+    @pytest.mark.parametrize("name", [n for n in SCENARIOS if n.startswith("async-sched/")])
+    def test_every_decision_reads_the_utilities_of_its_moment(self, name, monkeypatch):
+        # Each knapsack and association call gets the utilities of the gradients
+        # reported by then: `learning_utility` of the reported rows of `grads`,
+        # the largest of those for a device with none, and 1.0 for every device
+        # while fewer than two have reported.
+        sim = simulator._Simulation(SCENARIOS[name]())
+        n = sim.topo.num_devices
+        calls = []
+
+        def oracle():
+            ids = np.flatnonzero(sim.has_grad).tolist()
+            if len(ids) < 2:
+                return [1.0] * n
+            u = learning_utility(sim.grads[ids])[0].tolist()
+            dense = [max(u)] * n
+            for i, value in zip(ids, u):
+                dense[i] = value
+            return dense
+
+        def spy_selection(rows, bandwidth, kappa):
+            want = oracle()
+            assert [u for _, u, _, _ in rows] == [want[i] for i, _, _, _ in rows]
+            calls.append("selection")
+            return solve_selection(rows, bandwidth, kappa)
+
+        def spy_association(feasible, u, ratio, phi):
+            assert u == oracle()
+            calls.append("association")
+            return solve_association(feasible, u, ratio, phi)
+
+        monkeypatch.setattr(simulator, "solve_selection", spy_selection)
+        monkeypatch.setattr(simulator, "solve_association", spy_association)
+        assert sim.run().stop_reason == "done"
+        assert {"selection", "association"} <= set(calls)
 
     def test_in_flight_devices_never_double_dispatched(self):
         result = run(small_config(mode="async-sched", seed=32, cloud_epochs=20))
